@@ -1,0 +1,15 @@
+//! Offline stand-in for `serde_derive`. The serving crates only *derive*
+//! `Serialize`/`Deserialize` (nothing on the benchmarked paths calls a
+//! serializer), so the derives expand to nothing.
+
+use proc_macro::TokenStream;
+
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
