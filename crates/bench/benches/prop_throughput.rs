@@ -213,10 +213,6 @@ struct PropTiming {
     ns_per_iter: f64,
     deliveries: usize,
     speedup_vs_seed: f64,
-    /// Accounted sampling cost of one batch pass (index probes + rows
-    /// transferred) — the axis the forward-recent sampler shrinks at
-    /// equal fan-out.
-    rows_touched: u64,
 }
 
 #[derive(serde::Serialize)]
@@ -275,7 +271,6 @@ fn write_report() {
             ns_per_iter: seed_ns,
             deliveries: ref_deliveries,
             speedup_vs_seed: 1.0,
-            rows_touched: ref_cost.rows_touched,
         });
 
         let flat_ns = time_ns(iters, || {
@@ -286,13 +281,6 @@ fn write_report() {
                     .propagate_batch(&w.graph, &mut store, &w.batch, &w.mails, &mut cost),
             );
         });
-        let flat_rows = {
-            let mut store = fresh_store(&w);
-            let mut cost = QueryCost::new();
-            w.prop
-                .propagate_batch(&w.graph, &mut store, &w.batch, &w.mails, &mut cost);
-            cost.rows_touched
-        };
         timings.push(PropTiming {
             path: "planner_flat".into(),
             hops,
@@ -300,7 +288,6 @@ fn write_report() {
             ns_per_iter: flat_ns,
             deliveries: ref_deliveries,
             speedup_vs_seed: seed_ns / flat_ns,
-            rows_touched: flat_rows,
         });
 
         for threads in [1usize, all_cores()] {
@@ -320,7 +307,6 @@ fn write_report() {
                 &mut plan,
             );
             let deliveries = plan.apply_sharded(&sharded);
-            let sharded_rows = cost.rows_touched;
             assert_eq!(deliveries, ref_deliveries, "sharded path lost deliveries");
             assert_eq!(
                 snapshot_bytes(&sharded.to_flat()),
@@ -350,77 +336,9 @@ fn write_report() {
                 ns_per_iter: ns,
                 deliveries,
                 speedup_vs_seed: seed_ns / ns,
-                rows_touched: sharded_rows,
             });
         }
         set_num_threads(1);
-
-        // forward-recent sampling (Luo & Li): same planner + sharded
-        // apply, but neighbor queries served from the per-node recency
-        // ring. Double correctness gate before the timing counts: the
-        // store must stay bitwise on the frozen serial reference (the
-        // ring returns the identical sample set), and the accounted
-        // sampling cost must actually shrink at equal fan-out — the
-        // whole point of maintaining the ring forward.
-        {
-            let mut wf = workload(hops);
-            wf.prop.strategy = Strategy::ForwardRecent;
-            wf.graph
-                .enable_recent_cache(2 * wf.prop.sampled_neighbors.max(1));
-            let sharded = ShardedMailboxStore::from_flat(&fresh_store(&wf), 16);
-            let mut scratch = PropScratch::default();
-            let mut plan = DeliveryPlan::default();
-            let mut cost = QueryCost::new();
-            wf.prop.plan_batch(
-                &wf.graph,
-                &wf.batch,
-                &wf.mails,
-                &mut cost,
-                &mut scratch,
-                &mut plan,
-            );
-            let deliveries = plan.apply_sharded(&sharded);
-            let fwd_rows = cost.rows_touched;
-            assert_eq!(
-                deliveries, ref_deliveries,
-                "forward-recent path lost deliveries"
-            );
-            assert_eq!(
-                snapshot_bytes(&sharded.to_flat()),
-                ref_snap,
-                "forward-recent sampling diverged from the backward k-hop scan"
-            );
-            assert!(
-                fwd_rows < flat_rows,
-                "forward-recent must reduce sampling cost at equal fan-out: \
-                 {fwd_rows} rows vs {flat_rows} backward"
-            );
-
-            let ns = time_ns(iters, || {
-                let sharded = ShardedMailboxStore::from_flat(&fresh_store(&wf), 16);
-                let mut scratch = PropScratch::default();
-                let mut plan = DeliveryPlan::default();
-                let mut cost = QueryCost::new();
-                wf.prop.plan_batch(
-                    &wf.graph,
-                    &wf.batch,
-                    &wf.mails,
-                    &mut cost,
-                    &mut scratch,
-                    &mut plan,
-                );
-                black_box(plan.apply_sharded(&sharded));
-            });
-            timings.push(PropTiming {
-                path: "planner_forward_recent".into(),
-                hops,
-                threads: 1,
-                ns_per_iter: ns,
-                deliveries,
-                speedup_vs_seed: seed_ns / ns,
-                rows_touched: fwd_rows,
-            });
-        }
     }
     let report = PropReport {
         bench: "prop_throughput",

@@ -24,6 +24,7 @@ use apan_core::config::ApanConfig;
 use apan_core::model::Apan;
 use apan_core::pipeline::ServingPipeline;
 use apan_core::propagator::Interaction;
+use apan_core::AdmitKind;
 use apan_metrics::{ObsHub, Stage, TraceSink};
 use apan_tensor::Tensor;
 use criterion::Criterion;
@@ -35,6 +36,8 @@ use std::time::Duration;
 const DIM: usize = 32;
 const BATCH: usize = 8;
 const NODES: usize = 512;
+/// Every benchmark event is admitted in order.
+const IN_ORDER: [AdmitKind; BATCH] = [AdmitKind::InOrder; BATCH];
 
 fn pipeline() -> ServingPipeline {
     let mut cfg = ApanConfig::new(DIM);
@@ -88,7 +91,7 @@ fn infer_ns(iters: usize, repeats: usize, sink: Option<usize>) -> f64 {
         let ns = time_ns(iters, || {
             let (interactions, feats) = request(k);
             k += 1;
-            black_box(p.infer_batch_traced(&interactions, &feats, k, None));
+            black_box(p.infer_batch_admitted(&interactions, &feats, &IN_ORDER, k, None));
             p.flush();
         });
         best = best.min(ns);
@@ -126,7 +129,7 @@ fn bench_trace(c: &mut Criterion) {
         b.iter(|| {
             let (interactions, feats) = request(k);
             k += 1;
-            black_box(p.infer_batch_traced(&interactions, &feats, k, None));
+            black_box(p.infer_batch_admitted(&interactions, &feats, &IN_ORDER, k, None));
             p.flush();
         })
     });

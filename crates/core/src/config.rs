@@ -140,12 +140,6 @@ pub struct ApanConfig {
     /// loop (mails contain embeddings; unbounded embeddings make the
     /// input distribution drift under the model during training).
     pub bound_embeddings: bool,
-    /// Serve propagation samples from a forward-maintained per-node
-    /// recency ring instead of binary-searching the full backward
-    /// history (forward sampling, Luo & Li). Sample sets are bitwise
-    /// identical to the backward scan; only the per-query index probe
-    /// cost shrinks. Default off (the paper's backward k-hop scan).
-    pub forward_recent: bool,
     /// Resident-memory budget for serving mailbox state, in bytes.
     /// `None` (the default) keeps every mailbox in RAM; `Some(bytes)`
     /// bounds the hot pools to roughly that much mailbox state (at
@@ -179,7 +173,6 @@ impl ApanConfig {
             mailbox_update: MailboxUpdate::Fifo,
             slot_encoding: SlotEncoding::Positional,
             bound_embeddings: true,
-            forward_recent: false,
             mailbox_budget: None,
             mailbox_spill: None,
         }

@@ -47,6 +47,8 @@ pub mod config;
 pub mod decoder;
 pub mod encoder;
 pub mod interpret;
+mod lateness;
+mod link;
 pub mod mail;
 pub mod mailbox;
 pub mod model;
@@ -55,8 +57,9 @@ pub mod propagator;
 pub mod shard;
 pub mod tier;
 pub mod train;
+pub mod wire;
 
 pub use config::ApanConfig;
+pub use lateness::AdmitKind;
 pub use mailbox::MailboxStore;
 pub use model::Apan;
-pub use pipeline::AdmitKind;

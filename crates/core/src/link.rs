@@ -1,0 +1,443 @@
+//! The asynchronous link (Fig. 2b): owned propagation jobs handed from
+//! the synchronous path to a pool of ticketed workers.
+//!
+//! A job is one admitted batch's asynchronous effects — graph inserts
+//! and the k-hop mail propagation — carried as owned tensors, so the
+//! hand-off is a channel send. Sampling runs concurrently across
+//! workers; sequence tickets ([`SeqGates`]) keep graph inserts and
+//! mailbox commits in submission order, so the pool is bitwise
+//! identical to a single worker at any width (`APAN_PROP_THREADS`).
+
+use crate::config::MailContent;
+use crate::lateness::LateState;
+use crate::mail::make_mails_with;
+use crate::propagator::{DeliveryPlan, Interaction, PropScratch, Propagator};
+use crate::shard::ShardedMailboxStore;
+use apan_metrics::{ObsHub, Stage};
+use apan_tensor::Tensor;
+use apan_tgraph::cost::QueryCost;
+use apan_tgraph::TemporalGraph;
+use crossbeam::channel::Receiver;
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// One admitted batch's asynchronous work. Built by the synchronous
+/// path, or by `ServingPipeline::submit_remote` from a peer's validated
+/// bytes; the worker trusts every field.
+pub(crate) struct PropagateJob {
+    pub(crate) interactions: Vec<Interaction>,
+    /// Row of `z` holding each interaction's source embedding.
+    pub(crate) src_rows: Vec<usize>,
+    /// Row of `z` holding each interaction's destination embedding.
+    pub(crate) dst_rows: Vec<usize>,
+    /// Indices (into `interactions`, strictly increasing) of events
+    /// admitted late; see [`crate::wire::WireJob::late`].
+    pub(crate) late: Vec<u32>,
+    /// Fresh embeddings of the batch's admitted endpoints, deduplicated.
+    pub(crate) z: Tensor,
+    /// One edge-feature row per interaction.
+    pub(crate) feats: Tensor,
+    /// Trace correlation id for the worker's stage spans.
+    pub(crate) trace_id: u64,
+    /// When the triggering request was admitted (hub-clock time); the
+    /// `prop_lag` histogram measures mail age from here to mailbox
+    /// commit.
+    pub(crate) admitted: Duration,
+}
+
+pub(crate) enum Job {
+    /// A job under its commit ticket, issued at submission: deliveries
+    /// land in `seq` order no matter which worker runs the job, so
+    /// N-threaded serving is bitwise identical to the single-worker
+    /// pipeline.
+    Propagate {
+        seq: u64,
+        job: Box<PropagateJob>,
+    },
+    Shutdown,
+}
+
+/// Statistics accumulated by the propagation worker.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PropStats {
+    /// Propagation jobs processed.
+    pub jobs: usize,
+    /// Total mailbox deliveries performed.
+    pub deliveries: usize,
+    /// Jobs from a peer replica that failed validation on arrival and
+    /// were dropped before touching any state. Always zero for a
+    /// single daemon: local jobs never cross a byte format.
+    pub decode_errors: usize,
+    /// Total graph-query cost paid on the asynchronous link.
+    pub cost: QueryCost,
+}
+
+/// Jobs queued or in flight on the asynchronous link, with a condvar so
+/// waiters can sleep until it drains instead of spinning.
+pub(crate) struct PendingJobs {
+    count: Mutex<usize>,
+    drained: Condvar,
+}
+
+impl PendingJobs {
+    fn new() -> Self {
+        Self {
+            count: Mutex::new(0),
+            drained: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn increment(&self) {
+        *self.count.lock() += 1;
+    }
+
+    fn decrement(&self) {
+        let mut count = self.count.lock();
+        *count -= 1;
+        if *count == 0 {
+            self.drained.notify_all();
+        }
+    }
+
+    pub(crate) fn current(&self) -> usize {
+        *self.count.lock()
+    }
+
+    pub(crate) fn wait_drained(&self) {
+        let mut count = self.count.lock();
+        while *count > 0 {
+            self.drained.wait(&mut count);
+        }
+    }
+}
+
+/// Sequence tickets ordering the propagation pool.
+///
+/// Sampling runs concurrently across workers; graph inserts and mailbox
+/// commits each advance in strict job order. A job may insert its events
+/// while earlier jobs are still sampling **only** when its earliest event
+/// time is at or past every inserted event so far — temporal queries are
+/// strictly-before-`t`, so such an early insert is invisible to any
+/// in-flight sampler and the pipelined schedule stays bitwise identical
+/// to the serial one. Otherwise the job waits for all earlier commits.
+struct SeqGates {
+    state: Mutex<GateState>,
+    turned: Condvar,
+}
+
+struct GateState {
+    insert_turn: u64,
+    commit_turn: u64,
+    /// Max event time inserted so far (the fast-path watermark).
+    max_time: f64,
+}
+
+impl SeqGates {
+    fn new(max_time: f64) -> Self {
+        Self {
+            state: Mutex::new(GateState {
+                insert_turn: 0,
+                commit_turn: 0,
+                max_time,
+            }),
+            turned: Condvar::new(),
+        }
+    }
+
+    /// Blocks until job `seq` may insert its events (earliest at
+    /// `min_time`) into the temporal graph.
+    fn wait_insert(&self, seq: u64, min_time: f64) {
+        let mut st = self.state.lock();
+        while st.insert_turn != seq {
+            self.turned.wait(&mut st);
+        }
+        // Once it is our insert turn the watermark is frozen (later jobs
+        // cannot insert before us), so this check is race-free.
+        if min_time < st.max_time {
+            while st.commit_turn != seq {
+                self.turned.wait(&mut st);
+            }
+        }
+    }
+
+    fn insert_done(&self, seq: u64, batch_max: f64) {
+        let mut st = self.state.lock();
+        if batch_max > st.max_time {
+            st.max_time = batch_max;
+        }
+        st.insert_turn = seq + 1;
+        self.turned.notify_all();
+    }
+
+    fn wait_commit(&self, seq: u64) {
+        let mut st = self.state.lock();
+        while st.commit_turn != seq {
+            self.turned.wait(&mut st);
+        }
+    }
+
+    fn commit_done(&self, seq: u64) {
+        let mut st = self.state.lock();
+        st.commit_turn = seq + 1;
+        self.turned.notify_all();
+    }
+}
+
+/// The link's counters and reorder buffer: what outlives the pipeline's
+/// move into a serving loop, kept apart from the serving state so a
+/// [`PropLink`] does not keep the mailbox store alive.
+pub(crate) struct LinkState {
+    pub(crate) stats: Mutex<PropStats>,
+    pub(crate) pending: PendingJobs,
+    pub(crate) late: Mutex<LateState>,
+}
+
+/// Live handles onto the propagation link's health counters. Cheap to
+/// clone and usable after the pipeline itself has been moved into a
+/// serving loop — this is what a stats endpoint holds.
+#[derive(Clone)]
+pub struct PropLink(pub(crate) Arc<LinkState>);
+
+impl PropLink {
+    /// Snapshot of the pool's accumulated statistics.
+    pub fn stats(&self) -> PropStats {
+        *self.0.stats.lock()
+    }
+
+    /// Jobs queued or in flight right now.
+    pub fn pending(&self) -> usize {
+        self.0.pending.current()
+    }
+
+    /// Late events currently parked in the reorder buffer.
+    pub fn reorder_buffered(&self) -> usize {
+        self.0.late.lock().buffered()
+    }
+
+    /// Total late events released from the reorder buffer so far.
+    pub fn late_released(&self) -> u64 {
+        self.0.late.lock().released()
+    }
+}
+
+/// Everything the asynchronous link shares: the serving state it
+/// mutates, its ordering gates and counters, and the propagation
+/// config. The pipeline and every pool worker hold one `Arc` of it.
+pub(crate) struct Link {
+    pub(crate) state: Arc<LinkState>,
+    pub(crate) store: Arc<ShardedMailboxStore>,
+    pub(crate) graph: Arc<RwLock<TemporalGraph>>,
+    gates: SeqGates,
+    propagator: Propagator,
+    mail_content: MailContent,
+    /// The injectable clock behind every stamp, the per-stage
+    /// histograms, and the optional trace sink.
+    pub(crate) obs: ObsHub,
+}
+
+/// A worker's reusable planning buffers, plus the deliveries and query
+/// cost of the job (or snapshot-cut release) it is serving.
+#[derive(Default)]
+struct Work {
+    scratch: PropScratch,
+    plan: DeliveryPlan,
+    cost: QueryCost,
+    deliveries: usize,
+}
+
+impl Link {
+    pub(crate) fn new(
+        store: Arc<ShardedMailboxStore>,
+        graph: TemporalGraph,
+        propagator: Propagator,
+        mail_content: MailContent,
+        obs: ObsHub,
+    ) -> Self {
+        Self {
+            state: Arc::new(LinkState {
+                stats: Mutex::new(PropStats::default()),
+                pending: PendingJobs::new(),
+                late: Mutex::new(LateState::new(graph.max_time())),
+            }),
+            store,
+            gates: SeqGates::new(graph.max_time()),
+            graph: Arc::new(RwLock::new(graph)),
+            propagator,
+            mail_content,
+            obs,
+        }
+    }
+
+    /// Plans the deliveries of `batch` into `work.plan` against the
+    /// current graph.
+    fn plan(&self, work: &mut Work, batch: &[Interaction], mails: &Tensor) {
+        let g = self.graph.read();
+        self.propagator.plan_batch(
+            &g,
+            batch,
+            mails,
+            &mut work.cost,
+            &mut work.scratch,
+            &mut work.plan,
+        );
+    }
+
+    /// Releases the reorder-buffer entries whose window has closed
+    /// (every entry when `force`): each is planned alone and
+    /// patch-applied at its time-sorted mailbox position. The caller
+    /// holds the commit turn or has drained the link. Returns the
+    /// number of entries released.
+    fn release_late(&self, ls: &mut LateState, force: bool, work: &mut Work) -> usize {
+        let due = ls.take_due(force);
+        let released = due.len();
+        for entry in due {
+            self.store.tier_stats().set_trace(entry.trace_id);
+            let mail = Tensor::from_vec(1, entry.mail.len(), entry.mail);
+            self.plan(work, std::slice::from_ref(&entry.inter), &mail);
+            work.deliveries += work.plan.apply_sharded_late(&self.store);
+            // The release span covers the entry's full park residency,
+            // so its histogram is the park-time distribution
+            // (`apan_reorder_park_ns`).
+            let t_rel = self.obs.stamp();
+            self.obs.stage_record(
+                Stage::ReorderRelease,
+                entry.trace_id,
+                entry.parked_at,
+                t_rel,
+            );
+        }
+        released
+    }
+
+    /// Folds `work`'s deliveries and cost into the link statistics.
+    fn account(&self, jobs: usize, work: &mut Work) {
+        let mut st = self.state.stats.lock();
+        st.jobs += jobs;
+        st.deliveries += std::mem::take(&mut work.deliveries);
+        st.cost += std::mem::take(&mut work.cost);
+    }
+
+    /// With the link drained, forces every still-buffered late event
+    /// through [`Link::release_late`]; returns how many were released.
+    pub(crate) fn release_reorder_buffer(&self) -> usize {
+        let mut work = Work::default();
+        let released = self.release_late(&mut self.state.late.lock(), true, &mut work);
+        self.account(0, &mut work);
+        released
+    }
+
+    /// One job: insert (ticketed) → sample (concurrent) → commit
+    /// (ticketed).
+    fn run_job(&self, seq: u64, job: &PropagateJob, work: &mut Work) {
+        let obs = &self.obs;
+        // φ runs here, off the synchronous path.
+        let built;
+        let mails = match self.mail_content {
+            MailContent::FeatureOnly => &job.feats,
+            content => {
+                built = make_mails_with(
+                    &job.z.gather_rows(&job.src_rows),
+                    &job.z.gather_rows(&job.dst_rows),
+                    &job.feats,
+                    content,
+                );
+                &built
+            }
+        };
+        let is_late = |idx: usize| job.late.binary_search(&(idx as u32)).is_ok();
+        let (min_t, max_t) = job
+            .interactions
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
+                (lo.min(i.time), hi.max(i.time))
+            });
+        // `commit` span: the ordered temporal-graph event commit,
+        // including any wait for the insert ticket. Late events splice
+        // into the time-sorted log here, at arrival: a job carrying one
+        // has `min_t` below the gate watermark, so `wait_insert` holds
+        // it on the slow path until every earlier job has fully
+        // committed — no concurrent sampler can observe the splice
+        // mid-flight, and every later sampler deterministically does.
+        let t_commit0 = obs.stamp();
+        self.gates.wait_insert(seq, min_t);
+        {
+            let mut g = self.graph.write();
+            for (idx, i) in job.interactions.iter().enumerate() {
+                if is_late(idx) {
+                    g.insert_late(i.src, i.dst, i.time);
+                } else {
+                    g.insert(i.src, i.dst, i.time);
+                }
+            }
+        }
+        self.gates.insert_done(seq, max_t);
+        let t_commit1 = obs.stamp();
+        obs.stage_record(Stage::Commit, job.trace_id, t_commit0, t_commit1);
+        // Sampling — the expensive part — runs outside both gates. Only
+        // the in-order subset is planned now; late events wait in the
+        // reorder buffer until no earlier-timed event can still arrive.
+        let inorder: Option<(Vec<Interaction>, Tensor)> = (!job.late.is_empty()).then(|| {
+            let keep: Vec<usize> = (0..job.interactions.len())
+                .filter(|&i| !is_late(i))
+                .collect();
+            let ints: Vec<Interaction> = keep.iter().map(|&i| job.interactions[i]).collect();
+            (ints, mails.gather_rows(&keep))
+        });
+        let (batch, batch_mails): (&[Interaction], &Tensor) = match &inorder {
+            Some((ints, m)) => (ints, m),
+            None => (&job.interactions, mails),
+        };
+        self.plan(work, batch, batch_mails);
+        let t_plan1 = obs.stamp();
+        obs.stage_record(Stage::Plan, job.trace_id, t_commit1, t_plan1);
+        self.gates.wait_commit(seq);
+        // `deliver` span: applying the plan to the sharded mailbox (the
+        // commit-ticket wait before it is queueing, not delivery work).
+        // Tier traffic triggered by the deliveries is attributed to this
+        // job's trace (the commit turn serializes deliveries, so the
+        // attribution is exact on this path).
+        self.store.tier_stats().set_trace(job.trace_id);
+        let t_deliver0 = obs.stamp();
+        work.deliveries += work.plan.apply_sharded(&self.store);
+        // Reorder-buffer maintenance runs inside the commit turn, so
+        // entries enqueue and release in one deterministic global order.
+        {
+            let mut ls = self.state.late.lock();
+            let dim = mails.cols();
+            for &li in &job.late {
+                let li = li as usize;
+                let t_park0 = obs.stamp();
+                ls.park(
+                    job.interactions[li],
+                    mails.data()[li * dim..(li + 1) * dim].to_vec(),
+                    job.trace_id,
+                    t_park0,
+                );
+                let t_park1 = obs.stamp();
+                obs.stage_record(Stage::ReorderPark, job.trace_id, t_park0, t_park1);
+            }
+            for i in batch {
+                ls.advance(i.time);
+            }
+            self.release_late(&mut ls, false, work);
+        }
+        let t_deliver1 = obs.stamp();
+        self.gates.commit_done(seq);
+        obs.stage_record(Stage::Deliver, job.trace_id, t_deliver0, t_deliver1);
+        // Every mail in this plan committed at the same instant; its age
+        // is the time since the triggering request was admitted.
+        obs.prop_lag_record(t_deliver1.saturating_sub(job.admitted), work.deliveries);
+        self.account(1, work);
+        self.state.pending.decrement();
+    }
+}
+
+/// One propagation-pool worker. Its planning buffers live for the whole
+/// thread, so steady-state jobs allocate almost nothing.
+pub(crate) fn propagation_worker(rx: Receiver<Job>, link: Arc<Link>) {
+    let mut work = Work::default();
+    while let Ok(Job::Propagate { seq, job }) = rx.recv() {
+        link.run_job(seq, &job, &mut work);
+    }
+}

@@ -6,799 +6,42 @@
 //!   batch of arriving interactions, reads only mailbox state, runs the
 //!   encoder + decoder, stores the fresh embeddings, and returns scores —
 //!   its wall-clock time is what Figure 6 reports as "inference speed";
-//! * the **asynchronous link** is a pool of background workers fed through
-//!   a bounded channel; they insert the events into the temporal graph and
-//!   run the k-hop mail propagation, off the user-facing path. Payloads
-//!   cross the channel in a serialized wire format ([`wire`]) as they
-//!   would on a production message bus. Sequence tickets ([`SeqGates`])
-//!   keep graph inserts and mailbox commits in submission order, so the
-//!   pool is bitwise identical to a single worker at any width
-//!   (`APAN_PROP_THREADS`).
+//! * the **asynchronous link** (`link.rs`) is a pool of background
+//!   workers fed through a bounded channel; they insert the events into
+//!   the temporal graph and run the k-hop mail propagation, off the
+//!   user-facing path. The hand-off is an owned job — the batch's
+//!   embedding rows and edge features move across the channel as
+//!   tensors. Only a cluster owner forwarding a job to its peer
+//!   replicas serializes it ([`wire`]), and
+//!   [`ServingPipeline::submit_remote`] is where those bytes come back
+//!   in and are validated.
 //!
 //! Backpressure is real: if propagation falls behind, the bounded channel
 //! blocks the producer, surfacing exactly the overload scenario the paper
 //! discusses (Black-Friday bursts), instead of letting the mailbox lag
 //! grow without bound.
 
-use crate::config::{MailContent, Precision};
-use crate::mail::make_mails_with;
+use crate::config::Precision;
+use crate::link::{propagation_worker, Job, Link, PropagateJob};
 use crate::mailbox::MailboxStore;
 use crate::model::{dedup_nodes, Apan};
-use crate::propagator::{DeliveryPlan, Interaction, PropScratch, Propagator};
+use crate::propagator::Interaction;
 use crate::shard::{shards_from_env, ShardedMailboxStore};
 use apan_metrics::{Clock, LatencyRecorder, ObsHub, Stage};
 use apan_nn::{Fwd, QuantSet};
 use apan_tensor::Tensor;
-use apan_tgraph::cost::QueryCost;
 use apan_tgraph::{NodeId, TemporalGraph};
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crossbeam::channel::{bounded, Sender};
+use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Wire (de)serialization of mail payloads, as on a message bus.
-///
-/// Decoding is total: malformed bytes come back as a [`wire::WireError`],
-/// never a panic — network input must not be able to abort a daemon
-/// built on this module.
-pub mod wire {
-    use crate::propagator::Interaction;
-    use apan_tensor::Tensor;
-    use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-    /// Upper bound on decoded tensor elements (256 Mi f32 = 1 GiB); a
-    /// corrupt or hostile header cannot make us allocate unboundedly.
-    pub const MAX_ELEMS: usize = 1 << 28;
-
-    /// Upper bound on any list length inside a propagation job
-    /// (interactions, row maps); same role as [`MAX_ELEMS`] for tensors.
-    pub const MAX_JOB_ITEMS: usize = 1 << 20;
-
-    /// Why a buffer failed to decode.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum WireError {
-        /// The buffer ended before the declared payload did.
-        Truncated {
-            /// Bytes the header promised.
-            needed: usize,
-            /// Bytes actually available.
-            got: usize,
-        },
-        /// The header declares more than [`MAX_ELEMS`] elements.
-        Oversized {
-            /// Declared row count.
-            rows: usize,
-            /// Declared column count.
-            cols: usize,
-        },
-        /// A job header declares more than [`MAX_JOB_ITEMS`] list items.
-        TooManyItems {
-            /// Declared item count.
-            count: usize,
-        },
-    }
-
-    impl std::fmt::Display for WireError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                WireError::Truncated { needed, got } => {
-                    write!(f, "truncated tensor: need {needed} bytes, have {got}")
-                }
-                WireError::Oversized { rows, cols } => {
-                    write!(f, "implausible tensor header: {rows}x{cols}")
-                }
-                WireError::TooManyItems { count } => {
-                    write!(f, "implausible job list length: {count}")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for WireError {}
-
-    /// Serializes a tensor as `rows:u32, cols:u32, data:[f32 LE]`.
-    pub fn encode_tensor(t: &Tensor) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + t.len() * 4);
-        buf.put_u32_le(t.rows() as u32);
-        buf.put_u32_le(t.cols() as u32);
-        for &v in t.data() {
-            buf.put_f32_le(v);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a tensor encoded by [`encode_tensor`]. Trailing bytes
-    /// are ignored; see [`decode_tensor_from`] to consume from a stream.
-    pub fn decode_tensor(mut b: Bytes) -> Result<Tensor, WireError> {
-        decode_tensor_from(&mut b)
-    }
-
-    /// Decodes one tensor from the front of `b`, advancing it past the
-    /// consumed bytes so several tensors can be unpacked from one frame.
-    pub fn decode_tensor_from(b: &mut Bytes) -> Result<Tensor, WireError> {
-        if b.remaining() < 8 {
-            return Err(WireError::Truncated {
-                needed: 8,
-                got: b.remaining(),
-            });
-        }
-        let rows = b.get_u32_le() as usize;
-        let cols = b.get_u32_le() as usize;
-        let elems = rows
-            .checked_mul(cols)
-            .filter(|&n| n <= MAX_ELEMS)
-            .ok_or(WireError::Oversized { rows, cols })?;
-        if b.remaining() < elems * 4 {
-            return Err(WireError::Truncated {
-                needed: 8 + elems * 4,
-                got: 8 + b.remaining(),
-            });
-        }
-        // bulk decode: one pre-sized vec filled from 4-byte chunks beats
-        // per-element cursor reads by a wide margin on large payloads
-        let mut data = Vec::with_capacity(elems);
-        data.extend(
-            b[..elems * 4]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        b.advance(elems * 4);
-        Ok(Tensor::from_vec(rows, cols, data))
-    }
-
-    /// Marker byte introducing an optional trailing trace tag. Chosen
-    /// outside the value range a truncated little-endian tensor header
-    /// would start with in practice, but nothing depends on that: the
-    /// tag is only looked for *after* a complete payload has been
-    /// consumed, where old-format producers left zero bytes.
-    pub const TRACE_TAG: u8 = 0x54;
-
-    /// Encodes a trace-id tag: `TRACE_TAG | trace_id:u64 LE`. Appended
-    /// to `INFER` payloads by tracing-aware clients; old decoders
-    /// ignore trailing bytes, so tagged frames stay backward-compatible.
-    pub fn encode_trace_tag(trace_id: u64) -> [u8; 9] {
-        let mut out = [0u8; 9];
-        out[0] = TRACE_TAG;
-        out[1..].copy_from_slice(&trace_id.to_le_bytes());
-        out
-    }
-
-    /// Decodes an optional trace tag from the front of `b`. `Ok(None)`
-    /// when `b` is empty or starts with anything else (an old-format
-    /// producer); an error only when the tag byte is present but its id
-    /// is cut short — a torn tag must not pass silently.
-    pub fn decode_trace_tag(b: &mut Bytes) -> Result<Option<u64>, WireError> {
-        if b.remaining() == 0 || b[0] != TRACE_TAG {
-            return Ok(None);
-        }
-        if b.remaining() < 9 {
-            return Err(WireError::Truncated {
-                needed: 9,
-                got: b.remaining(),
-            });
-        }
-        b.advance(1);
-        Ok(Some(b.get_u64_le()))
-    }
-
-    /// A propagation job as it crosses process boundaries: everything a
-    /// replica needs to apply one admitted batch's asynchronous effects
-    /// (graph inserts, k-hop mail propagation, and the sync path's
-    /// embedding write-back) without re-running the encoder.
-    ///
-    /// `z_wire`/`feats_wire` stay in their [`encode_tensor`] framing —
-    /// they are validated where they are consumed, exactly as in-process
-    /// jobs are, so a well-framed but inconsistent job is dropped by the
-    /// worker (counted as a decode error), never panics.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct WireJob {
-        /// The admitted batch, times already clamped by admission.
-        pub interactions: Vec<Interaction>,
-        /// Row of `z_wire` holding each interaction's source embedding.
-        pub src_rows: Vec<usize>,
-        /// Row of `z_wire` holding each interaction's destination embedding.
-        pub dst_rows: Vec<usize>,
-        /// Indices (into `interactions`, strictly increasing) of events
-        /// admitted *late* — behind the watermark but inside the
-        /// bounded-lateness window. The worker splices them into the
-        /// temporal graph at arrival and parks their mailbox effects in
-        /// the reorder buffer until the watermark passes their release
-        /// point. Empty everywhere lateness admission is off.
-        pub late: Vec<u32>,
-        /// Encoded embedding rows (empty when mails ignore embeddings).
-        pub z_wire: Bytes,
-        /// Encoded per-interaction edge features.
-        pub feats_wire: Bytes,
-    }
-
-    /// Serializes a job:
-    /// `n:u32 | n×(src:u32, dst:u32, time:f64 bits, eid:u32) |
-    ///  ns:u32 | ns×u32 | nd:u32 | nd×u32 | nl:u32 | nl×u32 |
-    ///  zlen:u32 | z bytes | flen:u32 | feats bytes` (all LE).
-    pub fn encode_job(job: &WireJob) -> Bytes {
-        let mut buf = BytesMut::with_capacity(
-            20 * job.interactions.len()
-                + 4 * (job.src_rows.len() + job.dst_rows.len() + job.late.len())
-                + job.z_wire.len()
-                + job.feats_wire.len()
-                + 24,
-        );
-        buf.put_u32_le(job.interactions.len() as u32);
-        for i in &job.interactions {
-            buf.put_u32_le(i.src);
-            buf.put_u32_le(i.dst);
-            buf.put_f64_le(i.time);
-            buf.put_u32_le(i.eid);
-        }
-        for rows in [&job.src_rows, &job.dst_rows] {
-            buf.put_u32_le(rows.len() as u32);
-            for &r in rows.iter() {
-                buf.put_u32_le(r as u32);
-            }
-        }
-        buf.put_u32_le(job.late.len() as u32);
-        for &l in &job.late {
-            buf.put_u32_le(l);
-        }
-        for blob in [&job.z_wire, &job.feats_wire] {
-            buf.put_u32_le(blob.len() as u32);
-            buf.extend_from_slice(blob);
-        }
-        buf.freeze()
-    }
-
-    fn get_count(b: &mut Bytes) -> Result<usize, WireError> {
-        if b.remaining() < 4 {
-            return Err(WireError::Truncated {
-                needed: 4,
-                got: b.remaining(),
-            });
-        }
-        let n = b.get_u32_le() as usize;
-        if n > MAX_JOB_ITEMS {
-            return Err(WireError::TooManyItems { count: n });
-        }
-        Ok(n)
-    }
-
-    /// Deserializes a job encoded by [`encode_job`]. Total: any byte
-    /// string decodes to a job or an error, never a panic, and declared
-    /// counts are capped before allocation. Trailing bytes are rejected
-    /// as they would mean a framing bug upstream.
-    pub fn decode_job(mut b: Bytes) -> Result<WireJob, WireError> {
-        let job = decode_job_from(&mut b)?;
-        if b.remaining() != 0 {
-            return Err(WireError::Truncated {
-                needed: 0,
-                got: b.remaining(),
-            });
-        }
-        Ok(job)
-    }
-
-    /// Decodes exactly one job from the front of `b`, advancing past the
-    /// consumed bytes. The job encoding is self-delimiting, so callers
-    /// with a legitimate trailer (the `DELIVER` verb's optional trace
-    /// tag) use this and then interpret what remains.
-    pub fn decode_job_from(b: &mut Bytes) -> Result<WireJob, WireError> {
-        let n = get_count(b)?;
-        if b.remaining() < n * 20 {
-            return Err(WireError::Truncated {
-                needed: n * 20,
-                got: b.remaining(),
-            });
-        }
-        let mut interactions = Vec::with_capacity(n);
-        for _ in 0..n {
-            interactions.push(Interaction {
-                src: b.get_u32_le(),
-                dst: b.get_u32_le(),
-                time: b.get_f64_le(),
-                eid: b.get_u32_le(),
-            });
-        }
-        let mut maps: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        for map in &mut maps {
-            let k = get_count(b)?;
-            if b.remaining() < k * 4 {
-                return Err(WireError::Truncated {
-                    needed: k * 4,
-                    got: b.remaining(),
-                });
-            }
-            map.reserve(k);
-            for _ in 0..k {
-                map.push(b.get_u32_le() as usize);
-            }
-        }
-        let [src_rows, dst_rows] = maps;
-        let nl = get_count(b)?;
-        if b.remaining() < nl * 4 {
-            return Err(WireError::Truncated {
-                needed: nl * 4,
-                got: b.remaining(),
-            });
-        }
-        let mut late = Vec::with_capacity(nl);
-        for _ in 0..nl {
-            late.push(b.get_u32_le());
-        }
-        let mut blobs: [Bytes; 2] = [Bytes::new(), Bytes::new()];
-        for blob in &mut blobs {
-            if b.remaining() < 4 {
-                return Err(WireError::Truncated {
-                    needed: 4,
-                    got: b.remaining(),
-                });
-            }
-            let len = b.get_u32_le() as usize;
-            if b.remaining() < len {
-                return Err(WireError::Truncated {
-                    needed: len,
-                    got: b.remaining(),
-                });
-            }
-            *blob = b.slice(0..len);
-            b.advance(len);
-        }
-        let [z_wire, feats_wire] = blobs;
-        Ok(WireJob {
-            interactions,
-            src_rows,
-            dst_rows,
-            late,
-            z_wire,
-            feats_wire,
-        })
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn round_trip() {
-            let t = Tensor::from_rows(&[&[1.5, -2.25], &[0.0, 1e-7]]);
-            let decoded = decode_tensor(encode_tensor(&t)).unwrap();
-            assert!(decoded.allclose(&t, 0.0));
-        }
-
-        #[test]
-        fn empty_rows() {
-            let t = Tensor::zeros(3, 2);
-            assert!(decode_tensor(encode_tensor(&t)).unwrap().allclose(&t, 0.0));
-        }
-
-        #[test]
-        fn truncated_input_is_an_error_not_a_panic() {
-            let full = encode_tensor(&Tensor::full(4, 4, 1.0));
-            for cut in 0..full.len() {
-                let err = decode_tensor(full.slice(0..cut)).unwrap_err();
-                assert!(matches!(err, WireError::Truncated { .. }), "cut at {cut}");
-            }
-        }
-
-        #[test]
-        fn oversized_header_rejected_without_allocating() {
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(u32::MAX);
-            buf.put_u32_le(u32::MAX);
-            let err = decode_tensor(buf.freeze()).unwrap_err();
-            assert!(matches!(err, WireError::Oversized { .. }));
-        }
-
-        #[test]
-        fn trace_tag_round_trips_and_tolerates_absence() {
-            let mut tagged = Bytes::copy_from_slice(&encode_trace_tag(0xDEAD_BEEF_0BAD_CAFE));
-            assert_eq!(
-                decode_trace_tag(&mut tagged).unwrap(),
-                Some(0xDEAD_BEEF_0BAD_CAFE)
-            );
-            assert_eq!(tagged.remaining(), 0);
-            // absent tag: empty trailer and non-tag bytes both read as None
-            let mut empty = Bytes::new();
-            assert_eq!(decode_trace_tag(&mut empty).unwrap(), None);
-            let mut other = Bytes::copy_from_slice(&[0x00, 1, 2]);
-            assert_eq!(decode_trace_tag(&mut other).unwrap(), None);
-            assert_eq!(other.remaining(), 3, "non-tag trailer left untouched");
-        }
-
-        #[test]
-        fn torn_trace_tag_is_an_error() {
-            let full = encode_trace_tag(42);
-            for cut in 1..full.len() {
-                let mut b = Bytes::copy_from_slice(&full[..cut]);
-                assert!(
-                    matches!(decode_trace_tag(&mut b), Err(WireError::Truncated { .. })),
-                    "cut at {cut}"
-                );
-            }
-        }
-
-        fn sample_job() -> WireJob {
-            WireJob {
-                interactions: vec![
-                    Interaction {
-                        src: 1,
-                        dst: 2,
-                        time: 3.5,
-                        eid: 7,
-                    },
-                    Interaction {
-                        src: 2,
-                        dst: 9,
-                        time: 4.25,
-                        eid: 8,
-                    },
-                ],
-                src_rows: vec![0, 1],
-                dst_rows: vec![1, 2],
-                late: Vec::new(),
-                z_wire: encode_tensor(&Tensor::from_rows(&[
-                    &[1.0, -2.0],
-                    &[0.5, 0.0],
-                    &[3.0, 4.0],
-                ])),
-                feats_wire: encode_tensor(&Tensor::from_rows(&[&[9.0, 9.0], &[8.0, 8.0]])),
-            }
-        }
-
-        #[test]
-        fn job_round_trips_bitwise() {
-            let job = sample_job();
-            assert_eq!(decode_job(encode_job(&job)).unwrap(), job);
-            // empty z (FeatureOnly) round-trips too
-            let mut job = sample_job();
-            job.z_wire = Bytes::new();
-            assert_eq!(decode_job(encode_job(&job)).unwrap(), job);
-            // late-event indices ride the job
-            let mut job = sample_job();
-            job.late = vec![1];
-            assert_eq!(decode_job(encode_job(&job)).unwrap(), job);
-        }
-
-        #[test]
-        fn truncated_late_job_is_an_error_not_a_panic() {
-            let mut job = sample_job();
-            job.late = vec![0, 1];
-            let full = encode_job(&job);
-            for cut in 0..full.len() {
-                assert!(decode_job(full.slice(0..cut)).is_err(), "cut at {cut}");
-            }
-        }
-
-        #[test]
-        fn truncated_job_is_an_error_not_a_panic() {
-            let full = encode_job(&sample_job());
-            for cut in 0..full.len() {
-                assert!(decode_job(full.slice(0..cut)).is_err(), "cut at {cut}");
-            }
-        }
-
-        #[test]
-        fn trailing_job_bytes_are_rejected() {
-            let mut bytes = encode_job(&sample_job()).to_vec();
-            bytes.push(0);
-            assert!(decode_job(Bytes::from(bytes)).is_err());
-        }
-
-        #[test]
-        fn streaming_job_decode_leaves_the_trailer() {
-            let job = sample_job();
-            let mut bytes = encode_job(&job).to_vec();
-            bytes.extend_from_slice(&encode_trace_tag(99));
-            let mut b = Bytes::from(bytes);
-            assert_eq!(decode_job_from(&mut b).unwrap(), job);
-            assert_eq!(decode_trace_tag(&mut b).unwrap(), Some(99));
-            assert_eq!(b.remaining(), 0);
-        }
-
-        #[test]
-        fn oversized_job_counts_rejected_without_allocating() {
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(u32::MAX);
-            let err = decode_job(buf.freeze()).unwrap_err();
-            assert!(matches!(err, WireError::TooManyItems { .. }));
-            // an oversized row-map count behind a valid batch header
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(0); // no interactions
-            buf.put_u32_le(u32::MAX); // absurd src_rows count
-            let err = decode_job(buf.freeze()).unwrap_err();
-            assert!(matches!(err, WireError::TooManyItems { .. }));
-        }
-
-        #[test]
-        fn streaming_decode_consumes_exactly_one_tensor() {
-            let a = Tensor::from_rows(&[&[1.0, 2.0]]);
-            let b = Tensor::from_rows(&[&[3.0], &[4.0]]);
-            let mut buf = BytesMut::new();
-            buf.extend_from_slice(&encode_tensor(&a));
-            buf.extend_from_slice(&encode_tensor(&b));
-            let mut bytes = buf.freeze();
-            let da = decode_tensor_from(&mut bytes).unwrap();
-            let db = decode_tensor_from(&mut bytes).unwrap();
-            assert!(da.allclose(&a, 0.0));
-            assert!(db.allclose(&b, 0.0));
-            assert_eq!(bytes.remaining(), 0);
-        }
-    }
-}
-
-/// How bounded-lateness admission classified one interaction of a batch.
-///
-/// Admission keeps a watermark `W` (the max event time admitted in
-/// order) and a lateness bound `L`. An arriving event at time `t` is
-/// `InOrder` when `t >= W` (and advances `W`), `Late` when
-/// `W - L <= t < W` (kept at its original time, reorder-buffered), and
-/// `Dropped` when it is older than the window (`t < W - L`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmitKind {
-    /// At or past the watermark: advances it and propagates normally.
-    InOrder,
-    /// Behind the watermark but inside the lateness window: spliced
-    /// into the temporal graph at arrival, mailbox effects parked in
-    /// the reorder buffer until the watermark passes `t + L`.
-    Late,
-    /// Older than the lateness window: scored read-only, excluded from
-    /// the embedding write-back and the asynchronous link entirely.
-    Dropped,
-}
-
-/// One reorder-buffered late event: already spliced into the temporal
-/// graph, waiting for the watermark to pass its release point before
-/// its mailbox effects are planned and patch-applied.
-struct LateEntry {
-    inter: Interaction,
-    /// The event's mail row (φ already applied), kept so release does
-    /// not need the job's wire payload again.
-    mail: Vec<f32>,
-    /// Arrival order among buffered entries; ties in event time release
-    /// in arrival order, matching the serial replay's tie rule.
-    arrival: u64,
-    /// Trace id of the request that admitted the event, so the release
-    /// span lands on the same timeline.
-    trace_id: u64,
-    /// Hub-clock stamp at park. The `reorder_release` span runs from
-    /// here to release, making its histogram the park-time distribution.
-    parked_at: Duration,
-}
-
-/// The reorder buffer shared by the pipeline and its workers. All
-/// mutation happens under a commit ticket (or with the link drained),
-/// so the buffer evolves in one deterministic global order no matter
-/// the pool width.
-struct LateState {
-    /// Lateness bound `L` in event-time units. Must match the admission
-    /// window: an entry is released once `watermark - lateness` passes
-    /// its event time, the earliest instant no not-yet-arrived admissible
-    /// event can still precede it.
-    lateness: f64,
-    /// Max in-order event time committed by the pool so far.
-    watermark: f64,
-    /// Buffered entries, sorted by `(time, arrival)`.
-    buf: Vec<LateEntry>,
-    next_arrival: u64,
-    /// Total late events released (planned + patch-applied) so far.
-    released: u64,
-}
-
-impl LateState {
-    fn new(watermark: f64) -> Self {
-        Self {
-            lateness: 0.0,
-            watermark,
-            buf: Vec::new(),
-            next_arrival: 0,
-            released: 0,
-        }
-    }
-}
-
-struct PropagateJob {
-    /// Commit ticket: deliveries land in `seq` order no matter which
-    /// worker runs the job, so N-threaded serving is bitwise identical
-    /// to the single-worker pipeline.
-    seq: u64,
-    interactions: Vec<Interaction>,
-    /// Row of `z_wire` holding each interaction's source embedding.
-    src_rows: Vec<usize>,
-    dst_rows: Vec<usize>,
-    /// Indices of late-admitted interactions (see [`wire::WireJob::late`]).
-    late: Vec<u32>,
-    /// Only the embedding rows the mails actually reference (the batch's
-    /// endpoint rows, deduplicated) — empty when the mail content ignores
-    /// embeddings entirely.
-    z_wire: bytes::Bytes,
-    feats_wire: bytes::Bytes,
-    /// Trace correlation id for the worker's stage spans.
-    trace_id: u64,
-    /// When the triggering request was admitted (hub-clock time); the
-    /// `prop_lag` histogram measures mail age from here to mailbox
-    /// commit.
-    admitted: Duration,
-}
-
-enum Job {
-    Propagate(Box<PropagateJob>),
-    Shutdown,
-}
-
-/// Statistics accumulated by the propagation worker.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PropStats {
-    /// Propagation jobs processed.
-    pub jobs: usize,
-    /// Total mailbox deliveries performed.
-    pub deliveries: usize,
-    /// Jobs dropped because their wire payload failed to decode. Always
-    /// zero in-process; nonzero only if the channel ever carries bytes
-    /// that crossed a real network.
-    pub decode_errors: usize,
-    /// Total graph-query cost paid on the asynchronous link.
-    pub cost: QueryCost,
-}
-
-/// Jobs queued or in flight on the asynchronous link, with a condvar so
-/// waiters can sleep until it drains instead of spinning.
-struct PendingJobs {
-    count: Mutex<usize>,
-    drained: Condvar,
-}
-
-impl PendingJobs {
-    fn new() -> Self {
-        Self {
-            count: Mutex::new(0),
-            drained: Condvar::new(),
-        }
-    }
-
-    fn increment(&self) {
-        *self.count.lock() += 1;
-    }
-
-    fn decrement(&self) {
-        let mut count = self.count.lock();
-        *count -= 1;
-        if *count == 0 {
-            self.drained.notify_all();
-        }
-    }
-
-    fn current(&self) -> usize {
-        *self.count.lock()
-    }
-
-    fn wait_drained(&self) {
-        let mut count = self.count.lock();
-        while *count > 0 {
-            self.drained.wait(&mut count);
-        }
-    }
-}
-
-/// Sequence tickets ordering the propagation pool.
-///
-/// Sampling runs concurrently across workers; graph inserts and mailbox
-/// commits each advance in strict job order. A job may insert its events
-/// while earlier jobs are still sampling **only** when its earliest event
-/// time is at or past every inserted event so far — temporal queries are
-/// strictly-before-`t`, so such an early insert is invisible to any
-/// in-flight sampler and the pipelined schedule stays bitwise identical
-/// to the serial one. Otherwise the job waits for all earlier commits.
-struct SeqGates {
-    state: Mutex<GateState>,
-    turned: Condvar,
-}
-
-struct GateState {
-    insert_turn: u64,
-    commit_turn: u64,
-    /// Max event time inserted so far (the fast-path watermark).
-    max_time: f64,
-}
-
-impl SeqGates {
-    fn new(max_time: f64) -> Self {
-        Self {
-            state: Mutex::new(GateState {
-                insert_turn: 0,
-                commit_turn: 0,
-                max_time,
-            }),
-            turned: Condvar::new(),
-        }
-    }
-
-    /// Blocks until job `seq` may insert its events (earliest at
-    /// `min_time`) into the temporal graph.
-    fn wait_insert(&self, seq: u64, min_time: f64) {
-        let mut st = self.state.lock();
-        while st.insert_turn != seq {
-            self.turned.wait(&mut st);
-        }
-        // Once it is our insert turn the watermark is frozen (later jobs
-        // cannot insert before us), so this check is race-free.
-        if min_time < st.max_time {
-            while st.commit_turn != seq {
-                self.turned.wait(&mut st);
-            }
-        }
-    }
-
-    fn insert_done(&self, seq: u64, batch_max: f64) {
-        let mut st = self.state.lock();
-        if batch_max > st.max_time {
-            st.max_time = batch_max;
-        }
-        st.insert_turn = seq + 1;
-        self.turned.notify_all();
-    }
-
-    fn wait_commit(&self, seq: u64) {
-        let mut st = self.state.lock();
-        while st.commit_turn != seq {
-            self.turned.wait(&mut st);
-        }
-    }
-
-    fn commit_done(&self, seq: u64) {
-        let mut st = self.state.lock();
-        st.commit_turn = seq + 1;
-        self.turned.notify_all();
-    }
-
-    /// Releases both tickets of a job that will do no work (its payload
-    /// failed to decode), keeping the sequence gapless.
-    fn skip(&self, seq: u64) {
-        let mut st = self.state.lock();
-        while st.insert_turn != seq {
-            self.turned.wait(&mut st);
-        }
-        st.insert_turn = seq + 1;
-        self.turned.notify_all();
-        while st.commit_turn != seq {
-            self.turned.wait(&mut st);
-        }
-        st.commit_turn = seq + 1;
-        self.turned.notify_all();
-    }
-}
-
-/// Live handles onto the propagation link's health counters. Cheap to
-/// clone and usable after the pipeline itself has been moved into a
-/// serving loop — this is what a stats endpoint holds.
-#[derive(Clone)]
-pub struct PropLink {
-    stats: Arc<Mutex<PropStats>>,
-    pending: Arc<PendingJobs>,
-    late: Arc<Mutex<LateState>>,
-}
-
-impl PropLink {
-    /// Snapshot of the pool's accumulated statistics.
-    pub fn stats(&self) -> PropStats {
-        *self.stats.lock()
-    }
-
-    /// Jobs queued or in flight right now.
-    pub fn pending(&self) -> usize {
-        self.pending.current()
-    }
-
-    /// Late events currently parked in the reorder buffer.
-    pub fn reorder_buffered(&self) -> usize {
-        self.late.lock().buf.len()
-    }
-
-    /// Total late events released from the reorder buffer so far.
-    pub fn late_released(&self) -> u64 {
-        self.late.lock().released
-    }
-}
+pub use crate::lateness::AdmitKind;
+pub use crate::link::{PropLink, PropStats};
+pub use crate::wire;
 
 /// Result of one synchronous inference call.
 pub struct InferResult {
@@ -823,231 +66,43 @@ fn prop_threads_from_env() -> usize {
         .min(64)
 }
 
-/// One propagation-pool worker: decode → insert (ticketed) → sample
-/// (concurrent) → commit (ticketed). Scratch buffers live for the whole
-/// thread, so steady-state jobs allocate almost nothing.
-#[allow(clippy::too_many_arguments)]
-fn propagation_worker(
-    rx: Receiver<Job>,
-    store: Arc<ShardedMailboxStore>,
-    graph: Arc<RwLock<TemporalGraph>>,
-    pending: Arc<PendingJobs>,
-    stats: Arc<Mutex<PropStats>>,
-    gates: Arc<SeqGates>,
-    late: Arc<Mutex<LateState>>,
-    propagator: Propagator,
-    mail_content: MailContent,
-    obs: ObsHub,
-) {
-    let mut scratch = PropScratch::default();
-    let mut plan = DeliveryPlan::default();
-    while let Ok(job) = rx.recv() {
-        let job = match job {
-            Job::Shutdown => break,
-            Job::Propagate(job) => job,
-        };
-        let seq = job.seq;
-        // Malformed payloads must not abort the worker: the job is
-        // dropped and counted, its tickets are released, the link stays
-        // up.
-        let mails = match decode_job_mails(&job, mail_content) {
-            Some(mails) => mails,
-            None => {
-                gates.skip(seq);
-                stats.lock().decode_errors += 1;
-                pending.decrement();
-                continue;
-            }
-        };
-        let is_late = |idx: usize| job.late.binary_search(&(idx as u32)).is_ok();
-        let (min_t, max_t) = job
-            .interactions
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
-                (lo.min(i.time), hi.max(i.time))
-            });
-        // `commit` span: the ordered temporal-graph event commit,
-        // including any wait for the insert ticket. Late events splice
-        // into the time-sorted log here, at arrival: a job carrying one
-        // has `min_t` below the gate watermark, so `wait_insert` holds
-        // it on the slow path until every earlier job has fully
-        // committed — no concurrent sampler can observe the splice
-        // mid-flight, and every later sampler deterministically does.
-        let t_commit0 = obs.stamp();
-        gates.wait_insert(seq, min_t);
-        {
-            let mut g = graph.write();
-            for (idx, i) in job.interactions.iter().enumerate() {
-                if is_late(idx) {
-                    g.insert_late(i.src, i.dst, i.time);
-                } else {
-                    g.insert(i.src, i.dst, i.time);
-                }
-            }
-        }
-        gates.insert_done(seq, max_t);
-        let t_commit1 = obs.stamp();
-        obs.stage_record(Stage::Commit, job.trace_id, t_commit0, t_commit1);
-        // Sampling — the expensive part — runs outside both gates. Only
-        // the in-order subset is planned now; late events wait in the
-        // reorder buffer until no earlier-timed event can still arrive.
-        let inorder: Option<(Vec<Interaction>, Tensor)> = (!job.late.is_empty()).then(|| {
-            let keep: Vec<usize> = (0..job.interactions.len())
-                .filter(|&i| !is_late(i))
-                .collect();
-            let ints: Vec<Interaction> = keep.iter().map(|&i| job.interactions[i]).collect();
-            (ints, mails.gather_rows(&keep))
+/// Checks a peer's decoded job for internal consistency and returns its
+/// distinct endpoints, the rows of `z` in order. The row maps must be
+/// exactly the deduplication of the endpoints (which an owner computes
+/// the same way), `z` must hold one `dim`-wide row per distinct
+/// endpoint and `feats` one per interaction, and late indices must be
+/// strictly increasing, in range and at finite event times.
+fn remote_job_nodes(
+    job: &wire::WireJob,
+    z: &Tensor,
+    feats: &Tensor,
+    dim: usize,
+) -> Option<Vec<NodeId>> {
+    let src: Vec<NodeId> = job.interactions.iter().map(|i| i.src).collect();
+    let dst: Vec<NodeId> = job.interactions.iter().map(|i| i.dst).collect();
+    let (unique, maps) = dedup_nodes(&[&src, &dst]);
+    let shapes_ok = z.shape() == (unique.len(), dim)
+        && feats.shape() == (job.interactions.len(), dim)
+        && maps[0] == job.src_rows
+        && maps[1] == job.dst_rows;
+    let late_ok = job.late.windows(2).all(|w| w[0] < w[1])
+        && job.late.iter().all(|&l| {
+            job.interactions
+                .get(l as usize)
+                .is_some_and(|i| i.time.is_finite())
         });
-        let (batch, batch_mails): (&[Interaction], &Tensor) = match &inorder {
-            Some((ints, m)) => (ints, m),
-            None => (&job.interactions, &mails),
-        };
-        let inorder_max = batch
-            .iter()
-            .map(|i| i.time)
-            .fold(None, |hi: Option<f64>, t| Some(hi.map_or(t, |h| h.max(t))));
-        let mut cost = QueryCost::new();
-        {
-            let g = graph.read();
-            propagator.plan_batch(&g, batch, batch_mails, &mut cost, &mut scratch, &mut plan);
-        }
-        let t_plan1 = obs.stamp();
-        obs.stage_record(Stage::Plan, job.trace_id, t_commit1, t_plan1);
-        gates.wait_commit(seq);
-        // `deliver` span: applying the plan to the sharded mailbox (the
-        // commit-ticket wait before it is queueing, not delivery work).
-        // Tier traffic triggered by the deliveries is attributed to this
-        // job's trace (the commit turn serializes deliveries, so the
-        // attribution is exact on this path).
-        store.tier_stats().set_trace(job.trace_id);
-        let t_deliver0 = obs.stamp();
-        let mut deliveries = plan.apply_sharded(&store);
-        // Reorder-buffer maintenance runs inside the commit turn, so
-        // entries enqueue and release in one deterministic global order.
-        {
-            let mut ls = late.lock();
-            let dim = mails.cols();
-            for &li in &job.late {
-                let li = li as usize;
-                let arrival = ls.next_arrival;
-                ls.next_arrival += 1;
-                let t_park0 = obs.stamp();
-                let entry = LateEntry {
-                    inter: job.interactions[li],
-                    mail: mails.data()[li * dim..(li + 1) * dim].to_vec(),
-                    arrival,
-                    trace_id: job.trace_id,
-                    parked_at: t_park0,
-                };
-                let pos = ls.buf.partition_point(|e| {
-                    (e.inter.time, e.arrival) <= (entry.inter.time, entry.arrival)
-                });
-                ls.buf.insert(pos, entry);
-                let t_park1 = obs.stamp();
-                obs.stage_record(Stage::ReorderPark, job.trace_id, t_park0, t_park1);
-            }
-            if let Some(m) = inorder_max {
-                if m > ls.watermark {
-                    ls.watermark = m;
-                }
-            }
-            // Release every entry whose lateness window has closed: no
-            // admissible event earlier than it can still arrive, so its
-            // k-hop plan is final. Sampling is strictly-before-t, which
-            // makes any event inserted after it (all at later times)
-            // invisible — the plan equals the time-sorted serial replay's.
-            let threshold = ls.watermark - ls.lateness;
-            while ls.buf.first().is_some_and(|e| e.inter.time <= threshold) {
-                let entry = ls.buf.remove(0);
-                store.tier_stats().set_trace(entry.trace_id);
-                let width = entry.mail.len();
-                let mail_row = Tensor::from_vec(1, width, entry.mail);
-                {
-                    let g = graph.read();
-                    propagator.plan_batch(
-                        &g,
-                        std::slice::from_ref(&entry.inter),
-                        &mail_row,
-                        &mut cost,
-                        &mut scratch,
-                        &mut plan,
-                    );
-                }
-                deliveries += plan.apply_sharded_late(&store);
-                ls.released += 1;
-                // The release span covers the entry's full park
-                // residency, so its histogram is the park-time
-                // distribution (`apan_reorder_park_ns`).
-                let t_rel = obs.stamp();
-                obs.stage_record(Stage::ReorderRelease, entry.trace_id, entry.parked_at, t_rel);
-            }
-        }
-        let t_deliver1 = obs.stamp();
-        gates.commit_done(seq);
-        obs.stage_record(Stage::Deliver, job.trace_id, t_deliver0, t_deliver1);
-        // Every mail in this plan committed at the same instant; its age
-        // is the time since the triggering request was admitted.
-        obs.prop_lag_record(t_deliver1.saturating_sub(job.admitted), deliveries);
-        {
-            let mut st = stats.lock();
-            st.jobs += 1;
-            st.deliveries += deliveries;
-            st.cost += cost;
-        }
-        pending.decrement();
-    }
-}
-
-/// Rebuilds the mail tensor from a job's wire payloads. `None` on any
-/// decode failure or shape mismatch — corrupt bytes drop the job, they
-/// never panic a worker.
-fn decode_job_mails(job: &PropagateJob, mail_content: MailContent) -> Option<Tensor> {
-    let feats = wire::decode_tensor(job.feats_wire.clone()).ok()?;
-    let b = job.interactions.len();
-    if feats.rows() != b || job.src_rows.len() != b || job.dst_rows.len() != b {
-        return None;
-    }
-    // Late indices must be strictly increasing, in range, and carry
-    // finite event times — anything else is a malformed job.
-    if job.late.iter().any(|&l| l as usize >= b)
-        || job.late.windows(2).any(|w| w[0] >= w[1])
-        || job
-            .late
-            .iter()
-            .any(|&l| !job.interactions[l as usize].time.is_finite())
-    {
-        return None;
-    }
-    if matches!(mail_content, MailContent::FeatureOnly) {
-        // φ ignores the embeddings; the producer shipped no z at all
-        return Some(feats);
-    }
-    let z = wire::decode_tensor(job.z_wire.clone()).ok()?;
-    if z.cols() != feats.cols()
-        || job
-            .src_rows
-            .iter()
-            .chain(&job.dst_rows)
-            .any(|&r| r >= z.rows())
-    {
-        return None;
-    }
-    let z_src = z.gather_rows(&job.src_rows);
-    let z_dst = z.gather_rows(&job.dst_rows);
-    Some(make_mails_with(&z_src, &z_dst, &feats, mail_content))
+    (shapes_ok && late_ok).then_some(unique)
 }
 
 /// A deployed APAN model: synchronous inference plus a pool of
 /// propagation workers ordered by sequence tickets.
 pub struct ServingPipeline {
     model: Arc<Apan>,
-    store: Arc<ShardedMailboxStore>,
-    graph: Arc<RwLock<TemporalGraph>>,
+    /// Serving state, ordering gates, counters and the observability
+    /// hub, shared with every propagation worker.
+    link: Arc<Link>,
     tx: Sender<Job>,
     workers: Vec<JoinHandle<()>>,
-    pending: Arc<PendingJobs>,
-    stats: Arc<Mutex<PropStats>>,
-    late: Arc<Mutex<LateState>>,
     next_seq: u64,
     rng: StdRng,
     /// Active encoder precision; [`ServingPipeline::set_precision`].
@@ -1055,10 +110,6 @@ pub struct ServingPipeline {
     /// Int8 views of the encoder weights, present iff `precision` is
     /// [`Precision::Int8`]. Attached to every synchronous forward pass.
     quant: Option<Arc<QuantSet>>,
-    /// Observability hub shared with every propagation worker: the
-    /// injectable clock behind `sync_time` stamps, the per-stage
-    /// histograms, and the optional trace sink.
-    obs: ObsHub,
     /// Latencies of every synchronous inference call.
     pub sync_latency: LatencyRecorder,
 }
@@ -1120,68 +171,34 @@ impl ServingPipeline {
             )
             .expect("failed to open the mailbox cold tier spill directory"),
         );
-        let gates = Arc::new(SeqGates::new(graph.max_time()));
-        let late = Arc::new(Mutex::new(LateState::new(graph.max_time())));
-        let mut graph = graph;
-        if model.cfg.forward_recent {
-            // Forward-recent sampling: per-node recency rings sized with
-            // headroom over the per-hop fan-out. Restored snapshots come
-            // back without rings, so (re-)enabling here covers both the
-            // cold and the warm-restart path.
-            graph.enable_recent_cache(2 * model.cfg.sampled_neighbors.max(1));
-        }
-        let graph = Arc::new(RwLock::new(graph));
-        let (tx, rx) = bounded::<Job>(capacity.max(1));
-        let pending = Arc::new(PendingJobs::new());
-        let stats = Arc::new(Mutex::new(PropStats::default()));
-
-        let propagator: Propagator = model.propagator;
-        let mail_content = model.cfg.mail_content;
         let obs = ObsHub::new();
         // Tier events (evict / promote / cold read) span through the
         // same hub; a store with no tier never fires them.
         store.tier_stats().install_obs(obs.clone());
+        let link = Arc::new(Link::new(
+            store,
+            graph,
+            model.propagator,
+            model.cfg.mail_content,
+            obs,
+        ));
+        let (tx, rx) = bounded::<Job>(capacity.max(1));
         let workers = (0..threads)
             .map(|_| {
-                let rx = rx.clone();
-                let store = Arc::clone(&store);
-                let graph = Arc::clone(&graph);
-                let pending = Arc::clone(&pending);
-                let stats = Arc::clone(&stats);
-                let gates = Arc::clone(&gates);
-                let late = Arc::clone(&late);
-                let obs = obs.clone();
-                std::thread::spawn(move || {
-                    propagation_worker(
-                        rx,
-                        store,
-                        graph,
-                        pending,
-                        stats,
-                        gates,
-                        late,
-                        propagator,
-                        mail_content,
-                        obs,
-                    )
-                })
+                let (rx, link) = (rx.clone(), Arc::clone(&link));
+                std::thread::spawn(move || propagation_worker(rx, link))
             })
             .collect();
 
         Self {
             model: Arc::new(model),
-            store,
-            graph,
+            link,
             tx,
             workers,
-            pending,
-            stats,
-            late,
             next_seq: 0,
             rng: StdRng::seed_from_u64(0),
             precision: Precision::F32,
             quant: None,
-            obs,
             sync_latency: LatencyRecorder::new(),
         }
     }
@@ -1215,7 +232,7 @@ impl ServingPipeline {
     /// virtual clock here so the pipeline's latency numbers move on
     /// simulated time along with the rest of the serving stack.
     pub fn set_clock(&mut self, clock: Clock) {
-        self.obs.set_clock(clock);
+        self.link.obs.set_clock(clock);
     }
 
     /// The pipeline's observability hub: stage histograms, `prop_lag`,
@@ -1223,42 +240,30 @@ impl ServingPipeline {
     /// state with the pipeline and its workers, so a serving daemon can
     /// render METRICS from its own handle.
     pub fn obs(&self) -> ObsHub {
-        self.obs.clone()
+        self.link.obs.clone()
     }
 
     /// The synchronous inference path: encodes the batch's unique nodes
     /// from mailbox state, scores each interaction with the link decoder,
     /// stores the new embeddings, and hands mail propagation to the
     /// background worker. Only the part before the hand-off is timed.
+    /// Every interaction is admitted in order, untraced.
     pub fn infer_batch(&mut self, interactions: &[Interaction], feats: &Tensor) -> InferResult {
-        self.infer_batch_traced(interactions, feats, 0, None)
+        let kinds = vec![AdmitKind::InOrder; interactions.len()];
+        self.infer_batch_admitted(interactions, feats, &kinds, 0, None)
     }
 
-    /// [`ServingPipeline::infer_batch`] with trace context: `trace_id`
-    /// tags the batch's `encode`/`decode_score` spans (and the
-    /// propagation worker's spans downstream), and `admitted` anchors
-    /// the `prop_lag` age measurement at the request's admission stamp
-    /// instead of at the start of the synchronous path.
-    pub fn infer_batch_traced(
-        &mut self,
-        interactions: &[Interaction],
-        feats: &Tensor,
-        trace_id: u64,
-        admitted: Option<Duration>,
-    ) -> InferResult {
-        let (result, job, admitted, _) =
-            self.infer_batch_job(interactions, feats, None, trace_id, admitted);
-        self.submit_job(job, trace_id, admitted);
-        result
-    }
-
-    /// [`ServingPipeline::infer_batch_traced`] for a batch that went
-    /// through bounded-lateness admission, with one [`AdmitKind`] per
-    /// interaction. Every interaction is scored (a dropped event still
-    /// gets a read-only prediction), but dropped events are excluded
-    /// from the embedding write-back, from the batch's reference time,
-    /// and from the propagation job; late events ride the job flagged
-    /// for the reorder buffer.
+    /// The full form of [`ServingPipeline::infer_batch`]: one
+    /// [`AdmitKind`] per interaction from bounded-lateness admission,
+    /// plus trace context — `trace_id` tags the batch's
+    /// `encode`/`decode_score` spans (and the propagation worker's spans
+    /// downstream), and `admitted` anchors the `prop_lag` age
+    /// measurement at the request's admission stamp instead of at the
+    /// start of the synchronous path. Every interaction is scored (a
+    /// dropped event still gets a read-only prediction), but dropped
+    /// events are excluded from the embedding write-back, from the
+    /// batch's reference time, and from the propagation job; late
+    /// events ride the job flagged for the reorder buffer.
     pub fn infer_batch_admitted(
         &mut self,
         interactions: &[Interaction],
@@ -1267,36 +272,20 @@ impl ServingPipeline {
         trace_id: u64,
         admitted: Option<Duration>,
     ) -> InferResult {
-        let (result, job, admitted, _) =
-            self.infer_batch_job(interactions, feats, Some(kinds), trace_id, admitted);
-        self.submit_job(job, trace_id, admitted);
+        let (result, job) = self.sync_path(interactions, feats, kinds, trace_id, admitted);
+        self.submit_job(job);
         result
     }
 
-    /// [`ServingPipeline::infer_batch_traced`] for a cluster replica:
+    /// [`ServingPipeline::infer_batch_admitted`] for a cluster replica:
     /// besides running the local synchronous path and queueing the local
     /// propagation job, returns the job's wire encoding for forwarding to
-    /// peer replicas ([`wire::encode_job`] framing). A peer that feeds
-    /// those bytes to [`ServingPipeline::submit_remote`] in the same
-    /// order replays this replica's state transitions bitwise.
-    ///
-    /// The forwarded bytes always carry the batch's embedding rows, even
-    /// under [`MailContent::FeatureOnly`] (where the local job omits
-    /// them): peers have no encoder output of their own to write back.
-    pub fn infer_batch_cluster(
-        &mut self,
-        interactions: &[Interaction],
-        feats: &Tensor,
-        trace_id: u64,
-        admitted: Option<Duration>,
-    ) -> (InferResult, bytes::Bytes) {
-        self.infer_batch_cluster_kinds(interactions, feats, None, trace_id, admitted)
-    }
-
-    /// [`ServingPipeline::infer_batch_cluster`] for an admission-
-    /// classified batch ([`ServingPipeline::infer_batch_admitted`]);
-    /// the forwarded job carries only admitted interactions plus their
-    /// late flags, so peers replay the same effective stream.
+    /// peer replicas ([`wire::encode_job`] framing). The forwarded job
+    /// carries only admitted interactions, their late flags and their
+    /// endpoints' embedding rows (peers have no encoder output of their
+    /// own to write back), so a peer that feeds those bytes to
+    /// [`ServingPipeline::submit_remote`] in the same order replays this
+    /// replica's state transitions bitwise.
     pub fn infer_batch_cluster_admitted(
         &mut self,
         interactions: &[Interaction],
@@ -1305,27 +294,16 @@ impl ServingPipeline {
         trace_id: u64,
         admitted: Option<Duration>,
     ) -> (InferResult, bytes::Bytes) {
-        self.infer_batch_cluster_kinds(interactions, feats, Some(kinds), trace_id, admitted)
-    }
-
-    fn infer_batch_cluster_kinds(
-        &mut self,
-        interactions: &[Interaction],
-        feats: &Tensor,
-        kinds: Option<&[AdmitKind]>,
-        trace_id: u64,
-        admitted: Option<Duration>,
-    ) -> (InferResult, bytes::Bytes) {
-        let (result, job, admitted, wide_rows) =
-            self.infer_batch_job(interactions, feats, kinds, trace_id, admitted);
-        let encoded = if job.z_wire.is_empty() && !job.interactions.is_empty() {
-            let mut wide = job.clone();
-            wide.z_wire = wire::encode_tensor(&result.embeddings.gather_rows(&wide_rows));
-            wire::encode_job(&wide)
-        } else {
-            wire::encode_job(&job)
-        };
-        self.submit_job(job, trace_id, admitted);
+        let (result, job) = self.sync_path(interactions, feats, kinds, trace_id, admitted);
+        let encoded = wire::encode_job(&wire::WireJob {
+            interactions: job.interactions.clone(),
+            src_rows: job.src_rows.clone(),
+            dst_rows: job.dst_rows.clone(),
+            late: job.late.clone(),
+            z_wire: wire::encode_tensor(&job.z),
+            feats_wire: wire::encode_tensor(&job.feats),
+        });
+        self.submit_job(job);
         (result, encoded)
     }
 
@@ -1336,122 +314,115 @@ impl ServingPipeline {
     /// same order keeps their serving state bitwise identical to one
     /// process serving the merged stream.
     ///
-    /// Empty jobs (cluster hole-fillers for a failed owner) are no-ops;
-    /// a job whose payloads fail validation downstream is dropped by the
-    /// worker and counted as a decode error, exactly like a local job.
+    /// This is where outside bytes enter the link, and the only place
+    /// they are checked: a job that fails to decode or is inconsistent
+    /// (see `remote_job_nodes`) is dropped whole — counted in
+    /// [`PropStats::decode_errors`], no state touched, no sequence
+    /// ticket consumed. Empty jobs (cluster hole-fillers for a failed
+    /// owner) are no-ops.
     pub fn submit_remote(&mut self, job: wire::WireJob, trace_id: u64) {
         if job.interactions.is_empty() {
             return;
         }
-        self.store.tier_stats().set_trace(trace_id);
-        if let Ok(z) = wire::decode_tensor(job.z_wire.clone()) {
-            let src: Vec<NodeId> = job.interactions.iter().map(|i| i.src).collect();
-            let dst: Vec<NodeId> = job.interactions.iter().map(|i| i.dst).collect();
-            let (unique, _) = dedup_nodes(&[&src, &dst]);
-            // Reference time = the batch's max event time: with late
-            // events aboard the last interaction is not necessarily the
-            // newest one, and the write-back stamp must match the
-            // owner's.
-            let now = job
-                .interactions
-                .iter()
-                .map(|i| i.time)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if z.rows() == unique.len() && z.cols() == self.store.dim() {
-                self.store.sync_view().set_embeddings(&unique, &z, now);
-            }
-        }
-        let admitted = self.obs.now();
-        self.submit_job(job, trace_id, admitted);
-    }
-
-    /// Queues a job on the asynchronous link under the next sequence
-    /// ticket.
-    fn submit_job(&mut self, job: wire::WireJob, trace_id: u64, admitted: Duration) {
-        self.pending.increment();
-        let job = PropagateJob {
-            seq: self.next_seq,
+        let decoded = wire::decode_tensor(job.z_wire.clone())
+            .ok()
+            .zip(wire::decode_tensor(job.feats_wire.clone()).ok())
+            .and_then(|(z, feats)| {
+                let unique = remote_job_nodes(&job, &z, &feats, self.link.store.dim())?;
+                Some((z, feats, unique))
+            });
+        let Some((z, feats, unique)) = decoded else {
+            self.link.state.stats.lock().decode_errors += 1;
+            return;
+        };
+        self.link.store.tier_stats().set_trace(trace_id);
+        // Reference time = the batch's max event time: with late events
+        // aboard the last interaction is not necessarily the newest one,
+        // and the write-back stamp must match the owner's.
+        let now = job
+            .interactions
+            .iter()
+            .map(|i| i.time)
+            .fold(f64::NEG_INFINITY, f64::max);
+        self.link.store.sync_view().set_embeddings(&unique, &z, now);
+        let admitted = self.link.obs.now();
+        self.submit_job(Box::new(PropagateJob {
             interactions: job.interactions,
             src_rows: job.src_rows,
             dst_rows: job.dst_rows,
             late: job.late,
-            z_wire: job.z_wire,
-            feats_wire: job.feats_wire,
+            z,
+            feats,
             trace_id,
             admitted,
-        };
+        }));
+    }
+
+    /// Queues a job on the asynchronous link under the next sequence
+    /// ticket.
+    fn submit_job(&mut self, job: Box<PropagateJob>) {
+        self.link.state.pending.increment();
+        let seq = self.next_seq;
         self.next_seq += 1;
         self.tx
-            .send(Job::Propagate(Box::new(job)))
+            .send(Job::Propagate { seq, job })
             .expect("propagation worker alive");
     }
 
     /// The synchronous path plus construction (not submission) of the
-    /// batch's propagation job; returns the resolved admission stamp
-    /// and the rows of the result embeddings backing the job's z rows
-    /// (what a cluster owner re-encodes for FeatureOnly peers).
-    fn infer_batch_job(
+    /// batch's propagation job.
+    fn sync_path(
         &mut self,
         interactions: &[Interaction],
         feats: &Tensor,
-        kinds: Option<&[AdmitKind]>,
+        kinds: &[AdmitKind],
         trace_id: u64,
         admitted: Option<Duration>,
-    ) -> (InferResult, wire::WireJob, Duration, Vec<usize>) {
+    ) -> (InferResult, Box<PropagateJob>) {
         assert_eq!(
             feats.rows(),
             interactions.len(),
             "one feature row per interaction"
         );
-        if let Some(ks) = kinds {
-            assert_eq!(
-                ks.len(),
-                interactions.len(),
-                "one admission kind per interaction"
-            );
-        }
-        let start = self.obs.now();
+        assert_eq!(
+            kinds.len(),
+            interactions.len(),
+            "one admission kind per interaction"
+        );
+        let obs = &self.link.obs;
+        let start = obs.now();
         // Sync-path mailbox reads can promote spilled nodes; attribute
         // that tier traffic to this request.
-        self.store.tier_stats().set_trace(trace_id);
+        self.link.store.tier_stats().set_trace(trace_id);
 
+        let is_admitted = |i: usize| !matches!(kinds[i], AdmitKind::Dropped);
         let src: Vec<NodeId> = interactions.iter().map(|i| i.src).collect();
         let dst: Vec<NodeId> = interactions.iter().map(|i| i.dst).collect();
         // The batch's reference instant (mail ages read by the encoder,
-        // embedding write-back stamp). With admission kinds, dropped
-        // events must not move time, and a late event is never the
-        // newest — so the max over admitted times is used; without
-        // kinds this is the legacy "last interaction" rule (admitted
-        // streams are time-sorted, so they agree bitwise).
-        let now = match kinds {
-            None => interactions.last().map(|i| i.time).unwrap_or(0.0),
-            Some(ks) => {
-                let m = interactions
-                    .iter()
-                    .zip(ks)
-                    .filter(|(_, k)| !matches!(k, AdmitKind::Dropped))
-                    .map(|(i, _)| i.time)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if m.is_finite() {
-                    m
-                } else {
-                    // every event dropped: score read-only at the last
-                    // request's time, moving nothing
-                    interactions.last().map(|i| i.time).unwrap_or(0.0)
-                }
-            }
+        // embedding write-back stamp): the newest admitted event time.
+        // Dropped events must not move time and a late event is never
+        // the newest. With every event dropped, score read-only at the
+        // last request's time, moving nothing.
+        let now = (0..interactions.len())
+            .filter(|&i| is_admitted(i))
+            .map(|i| interactions[i].time)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let now = if now.is_finite() {
+            now
+        } else {
+            interactions.last().map(|i| i.time).unwrap_or(0.0)
         };
         let (unique, maps) = dedup_nodes(&[&src, &dst]);
 
-        let view = self.store.sync_view();
-        let t_encode0 = self.obs.stamp();
+        let view = self.link.store.sync_view();
+        let t_encode0 = obs.stamp();
         let (z_val, scores, t_encode1) = {
             let mut fwd = Fwd::new(&self.model.params, false);
             fwd.quant = self.quant.clone();
             let enc = self
                 .model
                 .encode(&mut fwd, &view, &unique, now, &mut self.rng);
-            let t_encode1 = self.obs.stamp();
+            let t_encode1 = obs.stamp();
             let zi = fwd.g.gather_rows(enc.z, &maps[0]);
             let zj = fwd.g.gather_rows(enc.z, &maps[1]);
             let logits = self
@@ -1467,100 +438,76 @@ impl ServingPipeline {
                 .collect();
             (fwd.g.value(enc.z).clone(), scores, t_encode1)
         };
-        let t_decode1 = self.obs.stamp();
-        self.obs
-            .stage_record(Stage::Encode, trace_id, t_encode0, t_encode1);
-        self.obs
-            .stage_record(Stage::DecodeScore, trace_id, t_encode1, t_decode1);
-        // Admission-aware views: dropped events were scored above but
-        // are excluded from the write-back and the propagation job.
-        let admitted_idx: Vec<usize> = match kinds {
-            None => (0..interactions.len()).collect(),
-            Some(ks) => ks
-                .iter()
-                .enumerate()
-                .filter(|(_, k)| !matches!(k, AdmitKind::Dropped))
-                .map(|(i, _)| i)
-                .collect(),
-        };
-        let all_admitted = admitted_idx.len() == interactions.len();
-        // `a_rows[r]` = row of `z_val` holding admitted-unique node r.
-        let (a_unique, a_maps, a_rows) = if all_admitted {
-            (unique.clone(), maps.clone(), (0..unique.len()).collect())
-        } else {
-            let a_src: Vec<NodeId> = admitted_idx.iter().map(|&i| interactions[i].src).collect();
-            let a_dst: Vec<NodeId> = admitted_idx.iter().map(|&i| interactions[i].dst).collect();
-            let (au, am) = dedup_nodes(&[&a_src, &a_dst]);
+        let t_decode1 = obs.stamp();
+        obs.stage_record(Stage::Encode, trace_id, t_encode0, t_encode1);
+        obs.stage_record(Stage::DecodeScore, trace_id, t_encode1, t_decode1);
+        // Dropped events were scored above but are excluded from the
+        // write-back and the propagation job. When any were, `partial`
+        // is the admitted view: kept indices, their distinct endpoints,
+        // row maps into those, and the endpoints' rows of `z_val`.
+        let partial = (0..kinds.len()).any(|i| !is_admitted(i)).then(|| {
+            let keep: Vec<usize> = (0..kinds.len()).filter(|&i| is_admitted(i)).collect();
+            let a_src: Vec<NodeId> = keep.iter().map(|&i| src[i]).collect();
+            let a_dst: Vec<NodeId> = keep.iter().map(|&i| dst[i]).collect();
+            let (a_unique, a_maps) = dedup_nodes(&[&a_src, &a_dst]);
             let pos: std::collections::HashMap<NodeId, usize> =
                 unique.iter().enumerate().map(|(r, &n)| (n, r)).collect();
-            let rows: Vec<usize> = au.iter().map(|n| pos[n]).collect();
-            (au, am, rows)
-        };
-        if all_admitted {
-            view.set_embeddings(&unique, &z_val, now);
-        } else if !a_unique.is_empty() {
-            view.set_embeddings(&a_unique, &z_val.gather_rows(&a_rows), now);
+            let rows: Vec<usize> = a_unique.iter().map(|n| pos[n]).collect();
+            (keep, a_unique, a_maps, z_val.gather_rows(&rows))
+        });
+        match &partial {
+            None => view.set_embeddings(&unique, &z_val, now),
+            Some((_, a_unique, _, a_z)) => view.set_embeddings(a_unique, a_z, now),
         }
         drop(view);
-        let sync_time = self.obs.now().saturating_sub(start);
+        let sync_time = obs.now().saturating_sub(start);
         self.sync_latency.record(sync_time);
 
         // Asynchronous hand-off (not timed: the user already has scores).
-        // Only the embedding rows the mails reference cross the wire —
-        // the admitted endpoint rows, deduplicated and remapped — and
-        // none at all when the mail content ignores embeddings.
-        let mut used: Vec<usize> = a_maps[0].iter().chain(a_maps[1].iter()).copied().collect();
-        used.sort_unstable();
-        used.dedup();
-        let mut inv = vec![0usize; a_unique.len()];
-        for (i, &r) in used.iter().enumerate() {
-            inv[r] = i;
-        }
-        // job z-row space → result-embedding rows (for cluster re-encode)
-        let wide_rows: Vec<usize> = used.iter().map(|&r| a_rows[r]).collect();
-        let z_wire = if matches!(self.model.cfg.mail_content, MailContent::FeatureOnly) {
-            bytes::Bytes::new()
-        } else {
-            wire::encode_tensor(&z_val.gather_rows(&wide_rows))
+        // `dedup_nodes` returns only referenced nodes, so the job's
+        // embedding rows are exactly the admitted endpoints' rows.
+        let (job_interactions, job_feats, maps, z) = match partial {
+            None => (interactions.to_vec(), feats.clone(), maps, z_val.clone()),
+            Some((keep, _, a_maps, a_z)) => (
+                keep.iter().map(|&i| interactions[i]).collect(),
+                feats.gather_rows(&keep),
+                a_maps,
+                a_z,
+            ),
         };
-        let late: Vec<u32> = match kinds {
-            None => Vec::new(),
-            Some(ks) => admitted_idx
-                .iter()
-                .enumerate()
-                .filter(|&(_, &gi)| matches!(ks[gi], AdmitKind::Late))
-                .map(|(ai, _)| ai as u32)
-                .collect(),
-        };
-        let job = wire::WireJob {
-            interactions: if all_admitted {
-                interactions.to_vec()
-            } else {
-                admitted_idx.iter().map(|&i| interactions[i]).collect()
-            },
-            src_rows: a_maps[0].iter().map(|&r| inv[r]).collect(),
-            dst_rows: a_maps[1].iter().map(|&r| inv[r]).collect(),
+        let [src_rows, dst_rows]: [Vec<usize>; 2] = maps
+            .try_into()
+            .expect("two node lists in, two row maps out");
+        // late flags index the admitted (job) interaction list
+        let late: Vec<u32> = kinds
+            .iter()
+            .filter(|k| !matches!(k, AdmitKind::Dropped))
+            .enumerate()
+            .filter(|(_, k)| matches!(k, AdmitKind::Late))
+            .map(|(ai, _)| ai as u32)
+            .collect();
+        let job = Box::new(PropagateJob {
+            interactions: job_interactions,
+            src_rows,
+            dst_rows,
             late,
-            z_wire,
-            feats_wire: if all_admitted {
-                wire::encode_tensor(feats)
-            } else {
-                wire::encode_tensor(&feats.gather_rows(&admitted_idx))
-            },
-        };
-
+            z,
+            feats: job_feats,
+            trace_id,
+            admitted: admitted.unwrap_or(start),
+        });
         let result = InferResult {
             scores,
             embeddings: z_val,
             nodes: unique,
             sync_time,
         };
-        (result, job, admitted.unwrap_or(start), wide_rows)
+        (result, job)
     }
 
     /// Jobs queued or in flight on the asynchronous link.
     pub fn pending_jobs(&self) -> usize {
-        self.pending.current()
+        self.link.state.pending.current()
     }
 
     /// Blocks until the asynchronous link has drained. Sleeps on a
@@ -1568,7 +515,7 @@ impl ServingPipeline {
     /// CPU — the old implementation spun on `yield_now`, stealing cycles
     /// from the propagation worker it was waiting for.
     pub fn flush(&self) {
-        self.pending.wait_drained();
+        self.link.state.pending.wait_drained();
     }
 
     /// The deployed model (parameters, config, decoders).
@@ -1583,12 +530,16 @@ impl ServingPipeline {
     /// behaves as a zero window; with no late-flagged jobs the value is
     /// never consulted.
     pub fn set_lateness(&mut self, lateness: Option<f64>) {
-        self.late.lock().lateness = lateness.unwrap_or(0.0).max(0.0);
+        self.link
+            .state
+            .late
+            .lock()
+            .set_lateness(lateness.unwrap_or(0.0).max(0.0));
     }
 
     /// Late events currently parked in the reorder buffer.
     pub fn reorder_buffered(&self) -> usize {
-        self.late.lock().buf.len()
+        self.link.state.late.lock().buffered()
     }
 
     /// Drains the asynchronous link, then forces every still-buffered
@@ -1598,43 +549,7 @@ impl ServingPipeline {
     /// across a warm restart. Returns the number of entries released.
     pub fn release_reorder_buffer(&self) -> usize {
         self.flush();
-        let mut ls = self.late.lock();
-        if ls.buf.is_empty() {
-            return 0;
-        }
-        let mut scratch = PropScratch::default();
-        let mut plan = DeliveryPlan::default();
-        let propagator = self.model.propagator;
-        let mut cost = QueryCost::new();
-        let mut deliveries = 0usize;
-        let entries = std::mem::take(&mut ls.buf);
-        let released = entries.len();
-        {
-            let g = self.graph.read();
-            for entry in entries {
-                let width = entry.mail.len();
-                let (trace_id, parked_at) = (entry.trace_id, entry.parked_at);
-                let mail_row = Tensor::from_vec(1, width, entry.mail);
-                propagator.plan_batch(
-                    &g,
-                    std::slice::from_ref(&entry.inter),
-                    &mail_row,
-                    &mut cost,
-                    &mut scratch,
-                    &mut plan,
-                );
-                deliveries += plan.apply_sharded_late(&self.store);
-                let t_rel = self.obs.stamp();
-                self.obs
-                    .stage_record(Stage::ReorderRelease, trace_id, parked_at, t_rel);
-            }
-        }
-        ls.released += released as u64;
-        drop(ls);
-        let mut st = self.stats.lock();
-        st.deliveries += deliveries;
-        st.cost += cost;
-        released
+        self.link.release_reorder_buffer()
     }
 
     /// Flushes the asynchronous link and hands back consistent flat
@@ -1648,35 +563,31 @@ impl ServingPipeline {
     /// bytes are identical for every shard count.
     pub fn export_state(&self) -> (MailboxStore, TemporalGraph) {
         self.release_reorder_buffer();
-        let store = self.store.to_flat();
-        let graph = self.graph.read().clone();
+        let store = self.link.store.to_flat();
+        let graph = self.link.graph.read().clone();
         (store, graph)
     }
 
     /// Shared handle to the sharded serving state (for inspection/tests).
     pub fn store(&self) -> Arc<ShardedMailboxStore> {
-        Arc::clone(&self.store)
+        Arc::clone(&self.link.store)
     }
 
     /// Live mailbox-tier counters (residency, evictions, promotions,
     /// cold bytes) — all zeros when no `mailbox_budget` is configured.
     pub fn tier_stats(&self) -> Arc<crate::tier::TierStats> {
-        self.store.tier_stats()
+        self.link.store.tier_stats()
     }
 
     /// Shared handle to the growing temporal graph.
     pub fn graph(&self) -> Arc<RwLock<TemporalGraph>> {
-        Arc::clone(&self.graph)
+        Arc::clone(&self.link.graph)
     }
 
     /// Live counters for the propagation link (pool stats + queue depth),
     /// detached from the pipeline's lifetime.
     pub fn prop_link(&self) -> PropLink {
-        PropLink {
-            stats: Arc::clone(&self.stats),
-            pending: Arc::clone(&self.pending),
-            late: Arc::clone(&self.late),
-        }
+        PropLink(Arc::clone(&self.link.state))
     }
 
     /// Width of the propagation pool.
@@ -1687,18 +598,11 @@ impl ServingPipeline {
     /// Stops the pool and returns its accumulated statistics.
     pub fn shutdown(mut self) -> PropStats {
         self.flush();
-        for _ in 0..self.workers.len() {
-            let _ = self.tx.send(Job::Shutdown);
-        }
-        for worker in std::mem::take(&mut self.workers) {
-            let _ = worker.join();
-        }
-        *self.stats.lock()
+        self.stop_workers();
+        self.prop_link().stats()
     }
-}
 
-impl Drop for ServingPipeline {
-    fn drop(&mut self) {
+    fn stop_workers(&mut self) {
         let workers = std::mem::take(&mut self.workers);
         for _ in 0..workers.len() {
             let _ = self.tx.send(Job::Shutdown);
@@ -1709,10 +613,16 @@ impl Drop for ServingPipeline {
     }
 }
 
+impl Drop for ServingPipeline {
+    fn drop(&mut self) {
+        self.stop_workers();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ApanConfig;
+    use crate::config::{ApanConfig, MailContent};
     use apan_tgraph::cost::QueryCost;
 
     fn model() -> Apan {
@@ -1743,6 +653,15 @@ mod tests {
         (interactions, feats)
     }
 
+    /// The exported serving state: mailbox-store snapshot bytes and the
+    /// graph's event count.
+    fn snapshot(p: &ServingPipeline) -> (Vec<u8>, usize) {
+        let (store, graph) = p.export_state();
+        let mut buf = Vec::new();
+        store.write_snapshot(&mut buf).unwrap();
+        (buf, graph.num_events())
+    }
+
     #[test]
     fn scores_and_shapes() {
         let mut p = ServingPipeline::new(model(), 8, 16);
@@ -1767,12 +686,12 @@ mod tests {
         }
         p.flush();
         {
-            let s = p.store.read();
+            let s = p.link.store.read();
             assert!(!s.is_empty(0));
             assert!(!s.is_empty(1));
         }
         {
-            let g = p.graph.read();
+            let g = p.link.graph.read();
             assert_eq!(g.num_events(), 10);
         }
         let stats = p.shutdown();
@@ -1850,7 +769,7 @@ mod tests {
         obs.install_sink(TraceSink::with_shards(256, 2));
         for k in 0..3u64 {
             let (b, f) = batch(k);
-            p.infer_batch_traced(&b, &f, 100 + k, None);
+            p.infer_batch_admitted(&b, &f, &[AdmitKind::InOrder; 2], 100 + k, None);
             p.flush();
         }
         // every stage histogram saw one record per batch
@@ -1920,22 +839,17 @@ mod tests {
             } else {
                 (&mut b, &mut a)
             };
-            let (got, bytes) = owner.infer_batch_cluster(&ints, &f, 0, None);
+            let (got, bytes) =
+                owner.infer_batch_cluster_admitted(&ints, &f, &[AdmitKind::InOrder; 2], 0, None);
             peer.submit_remote(wire::decode_job(bytes).unwrap(), 0);
             owner.flush();
             peer.flush();
             let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
             assert_eq!(bits(&got.scores), bits(&want.scores), "batch {k}");
         }
-        let snap = |p: &ServingPipeline| {
-            let (store, graph) = p.export_state();
-            let mut buf = Vec::new();
-            store.write_snapshot(&mut buf).unwrap();
-            (buf, graph.num_events())
-        };
-        let want = snap(&reference);
-        assert_eq!(snap(&a), want, "replica a diverged");
-        assert_eq!(snap(&b), want, "replica b diverged");
+        let want = snapshot(&reference);
+        assert_eq!(snapshot(&a), want, "replica a diverged");
+        assert_eq!(snapshot(&b), want, "replica b diverged");
     }
 
     #[test]
@@ -1981,10 +895,9 @@ mod tests {
                 p.flush();
                 bits.push(r.scores.iter().map(|s| s.to_bits()).collect::<Vec<u32>>());
             }
-            let (store, graph) = p.export_state();
-            let mut snap = Vec::new();
-            store.write_snapshot(&mut snap).unwrap();
-            (bits, snap, graph.num_events())
+            let snap = snapshot(&p);
+            let stats = p.shutdown();
+            (bits, snap, stats.jobs, stats.deliveries)
         };
         let base = run(1);
         for threads in [2, 4, 8] {
@@ -1999,13 +912,7 @@ mod tests {
         // in flight, the final mailbox contents must still be identical
         // for every pool width. This exercises the ticketed fast path.
         let run = |threads: usize| {
-            let mut cfg = ApanConfig::new(8);
-            cfg.mailbox_slots = 4;
-            cfg.mlp_hidden = 16;
-            cfg.dropout = 0.0;
-            cfg.mail_content = MailContent::FeatureOnly;
-            let mut rng = StdRng::seed_from_u64(0);
-            let m = Apan::new(&cfg, &mut rng);
+            let m = fmodel();
             let store = m.new_store(8);
             let graph = TemporalGraph::with_capacity(8, 1024);
             let mut p = ServingPipeline::with_options(m, store, graph, 4, threads);
@@ -2013,25 +920,9 @@ mod tests {
                 let (b, f) = batch(k);
                 p.infer_batch(&b, &f);
             }
-            let stats_link = p.prop_link();
-            let (store, graph) = p.export_state();
-            let mails: Vec<_> = (0..store.num_nodes() as NodeId)
-                .map(|n| {
-                    store
-                        .mails_of(n)
-                        .into_iter()
-                        .map(|(m, t, o)| {
-                            (
-                                m.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
-                                t.to_bits(),
-                                o,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            assert_eq!(stats_link.stats().jobs, 30);
-            (mails, graph.num_events())
+            let state = prop_state(&p);
+            assert_eq!(p.prop_link().stats().jobs, 30);
+            state
         };
         let base = run(1);
         for threads in [2, 8] {
@@ -2265,11 +1156,155 @@ mod tests {
                 let kinds = [AdmitKind::InOrder, AdmitKind::Late];
                 p.infer_batch_admitted(&ints, &feats, &kinds, 0, None);
             }
-            prop_state(&p)
+            let state = prop_state(&p);
+            let stats = p.shutdown();
+            (state, stats.jobs, stats.deliveries)
         };
         let base = run(1);
         for threads in [2, 8] {
             assert_eq!(run(threads), base, "pool width {threads} changed bits");
         }
+    }
+
+    /// A valid forwarded job for `batch(k)`, as a peer receives it.
+    fn remote_job(owner: &mut ServingPipeline, k: u64) -> wire::WireJob {
+        let (ints, f) = batch(k);
+        let kinds = [AdmitKind::InOrder; 2];
+        let (_, bytes) = owner.infer_batch_cluster_admitted(&ints, &f, &kinds, 0, None);
+        owner.flush();
+        wire::decode_job(bytes).unwrap()
+    }
+
+    #[test]
+    fn malformed_remote_jobs_are_counted_and_change_nothing() {
+        let mut owner = ServingPipeline::new(model(), 8, 16);
+        let mut peer = ServingPipeline::new(model(), 8, 16);
+        let mut reference = ServingPipeline::new(model(), 8, 16);
+        let first = remote_job(&mut owner, 0);
+        let good = remote_job(&mut owner, 1);
+        peer.submit_remote(first.clone(), 0);
+        reference.submit_remote(first, 0);
+        let before = snapshot(&peer);
+
+        let z = wire::decode_tensor(good.z_wire.clone()).unwrap();
+        let feats = wire::decode_tensor(good.feats_wire.clone()).unwrap();
+        let wide_z = wire::encode_tensor(&Tensor::zeros(z.rows(), z.cols() + 1));
+        let tall_z = wire::encode_tensor(&Tensor::zeros(z.rows() + 1, z.cols()));
+        let short_feats = wire::encode_tensor(&feats.gather_rows(&[0]));
+        type Edit<'a> = &'a dyn Fn(&mut wire::WireJob);
+        let malformed: [(&str, Edit); 9] = [
+            ("row index out of range", &|j| j.src_rows[0] = z.rows()),
+            ("late indices not increasing", &|j| j.late = vec![1, 1]),
+            ("late index out of range", &|j| j.late = vec![2]),
+            ("non-finite late time", &|j| {
+                j.late = vec![0];
+                j.interactions[0].time = f64::NAN;
+            }),
+            ("feats rows != interactions", &|j| {
+                j.feats_wire = short_feats.clone()
+            }),
+            ("z width != feats width", &|j| j.z_wire = wide_z.clone()),
+            ("z rows != distinct endpoints", &|j| {
+                j.z_wire = tall_z.clone()
+            }),
+            ("row map shorter than the batch", &|j| {
+                j.dst_rows.pop();
+            }),
+            ("truncated feats bytes", &|j| {
+                j.feats_wire = j.feats_wire.slice(0..j.feats_wire.len() - 1)
+            }),
+        ];
+        for (n, (what, edit)) in malformed.into_iter().enumerate() {
+            let mut job = good.clone();
+            edit(&mut job);
+            peer.submit_remote(job, 0);
+            assert_eq!(peer.pending_jobs(), 0, "{what}: nothing was queued");
+            let stats = peer.prop_link().stats();
+            assert_eq!(stats.decode_errors, n + 1, "{what}");
+            assert_eq!(stats.jobs, 1, "{what}");
+            assert_eq!(snapshot(&peer), before, "{what}: state moved");
+        }
+        // no ticket was consumed: the next valid job commits (a skipped
+        // sequence number would park it forever) and lands bitwise
+        // where it does on a peer that never saw the malformed ones
+        peer.submit_remote(good.clone(), 0);
+        reference.submit_remote(good, 0);
+        assert_eq!(snapshot(&peer), snapshot(&reference));
+        assert_eq!(peer.prop_link().stats().jobs, 2);
+        assert_eq!(reference.prop_link().stats().decode_errors, 0);
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a-64 of the job a cluster owner forwards for one fixed
+    /// batch (in-order, late, dropped, in-order; node 1 seen three
+    /// times). The embedding rows are encoder output — they vary with
+    /// the rng crate and the GEMM kernel in use — so they are checked
+    /// against this run's own embeddings and blanked before hashing;
+    /// every other byte of the DELIVER job is pinned.
+    fn forwarded_job_hash(model: Apan) -> u64 {
+        let mut p = ServingPipeline::new(model, 8, 16);
+        let edge = |src, dst, time, eid| Interaction {
+            src,
+            dst,
+            time,
+            eid,
+        };
+        let ints = [
+            edge(0, 1, 10.0, 0),
+            edge(2, 3, 7.5, 1),
+            edge(4, 1, 1.0, 2),
+            edge(1, 2, 11.0, 3),
+        ];
+        let rows: Vec<Vec<f32>> = (0..4)
+            .map(|i| (0..8).map(|j| i as f32 + 0.25 * j as f32).collect())
+            .collect();
+        let feats = Tensor::from_rows(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let kinds = [
+            AdmitKind::InOrder,
+            AdmitKind::Late,
+            AdmitKind::Dropped,
+            AdmitKind::InOrder,
+        ];
+        let (result, bytes) = p.infer_batch_cluster_admitted(&ints, &feats, &kinds, 0, None);
+        let mut job = wire::decode_job(bytes.clone()).unwrap();
+        assert_eq!(
+            wire::encode_job(&job),
+            bytes,
+            "forwarded bytes re-encode exactly"
+        );
+        // the admitted endpoints in first-appearance order: 0, 2, 1, 3
+        let admitted_rows: Vec<usize> = [0, 2, 1, 3]
+            .iter()
+            .map(|n| result.nodes.iter().position(|m| m == n).unwrap())
+            .collect();
+        let z = wire::decode_tensor(job.z_wire.clone()).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(z.shape(), (4, 8));
+        assert_eq!(
+            bits(&z),
+            bits(&result.embeddings.gather_rows(&admitted_rows))
+        );
+        job.z_wire = wire::encode_tensor(&Tensor::zeros(4, 8));
+        fnv1a64(&wire::encode_job(&job))
+    }
+
+    /// Pinned from the parent of the commit that stopped wire-encoding
+    /// local jobs. Both mail contents forward the same bytes: peers need
+    /// the embedding rows for the write-back either way.
+    const GOLDEN_JOB: u64 = 0xfce0_e8d1_4ba9_de81;
+
+    #[test]
+    fn forwarded_job_bytes_are_golden() {
+        assert_eq!(forwarded_job_hash(model()), GOLDEN_JOB, "MailContent::Sum");
+        assert_eq!(
+            forwarded_job_hash(fmodel()),
+            GOLDEN_JOB,
+            "MailContent::FeatureOnly"
+        );
     }
 }

@@ -13,11 +13,11 @@
 use crate::config::{ApanConfig, MailReduce};
 use crate::mail::reduce_mails_slice;
 use crate::mailbox::{MailOrigin, MailboxStore};
-use crate::shard::ShardedMailboxStore;
+use crate::shard::{ShardGuard, ShardedMailboxStore};
 use apan_tensor::backend::pool::parallel_rows;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
-use apan_tgraph::sampling::{sample_khop, sample_khop_targets_with, Strategy};
+use apan_tgraph::sampling::{sample_khop, sample_khop_targets, Strategy};
 use apan_tgraph::{EventId, NodeId, TemporalGraph, Time};
 
 /// One interaction to propagate, with its already-computed mail row.
@@ -49,21 +49,15 @@ pub struct Propagator {
 }
 
 impl Propagator {
-    /// Builds a propagator from an [`ApanConfig`]. The sampling strategy
-    /// follows `cfg.forward_recent`: the forward-recent ring cache when
-    /// set (bitwise-identical samples, cheaper index probes), APAN's
-    /// backward most-recent scan otherwise.
+    /// Builds a propagator from an [`ApanConfig`], sampling with APAN's
+    /// backward most-recent scan.
     pub fn from_config(cfg: &ApanConfig) -> Self {
         Self {
             sampled_neighbors: cfg.sampled_neighbors,
             hops: cfg.hops,
             deliver_to_self: cfg.deliver_to_self,
             reduce: cfg.mail_reduce,
-            strategy: if cfg.forward_recent {
-                Strategy::ForwardRecent
-            } else {
-                Strategy::MostRecent
-            },
+            strategy: Strategy::MostRecent,
         }
     }
 
@@ -230,13 +224,12 @@ impl Propagator {
         }
         let seeds = [inter.src, inter.dst];
         match self.strategy {
-            Strategy::MostRecent | Strategy::ForwardRecent => sample_khop_targets_with(
+            Strategy::MostRecent => sample_khop_targets(
                 graph,
                 &seeds,
                 inter.time,
                 self.sampled_neighbors,
                 self.hops,
-                self.strategy,
                 cost,
                 out,
             ),
@@ -321,6 +314,24 @@ impl DeliveryPlan {
     /// store state is identical to [`DeliveryPlan::apply`] on the
     /// equivalent flat store.
     pub fn apply_sharded(&self, store: &ShardedMailboxStore) -> usize {
+        self.apply_per_shard(store, ShardGuard::deliver)
+    }
+
+    /// Applies the plan via [`MailboxStore::patch_late`] — the
+    /// delta-apply path for a released late event: each mail is spliced
+    /// into its destination's already-committed mailbox at its
+    /// time-sorted position instead of being enqueued as newest.
+    pub fn apply_sharded_late(&self, store: &ShardedMailboxStore) -> usize {
+        self.apply_per_shard(store, ShardGuard::patch_late)
+    }
+
+    /// Buckets the deliveries by shard and runs `write` over each
+    /// bucket under that shard's lock, shards in parallel.
+    fn apply_per_shard<'s>(
+        &self,
+        store: &'s ShardedMailboxStore,
+        write: impl Fn(&mut ShardGuard<'s>, NodeId, &[f32], Time, MailOrigin) + Sync,
+    ) -> usize {
         // exclusive outer gate: no synchronous encode observes a
         // half-applied commit (matching the old global write lock)
         let _gate = store.commit_gate();
@@ -336,53 +347,8 @@ impl DeliveryPlan {
                 }
                 let mut guard = store.lock_shard(shard);
                 for &i in bucket {
-                    guard.deliver(
-                        self.nodes[i],
-                        &self.payload[i * self.dim..(i + 1) * self.dim],
-                        self.times[i],
-                        self.origins[i],
-                    );
-                }
-            }
-        });
-        self.nodes.len()
-    }
-
-    /// Applies the plan to a flat store via
-    /// [`MailboxStore::patch_late`] — the delta-apply path for a released
-    /// late event: each mail is spliced into its destination's already-
-    /// committed mailbox at its time-sorted position instead of being
-    /// enqueued as newest.
-    pub fn apply_late(&self, store: &mut MailboxStore) -> usize {
-        for i in 0..self.nodes.len() {
-            store.patch_late(
-                self.nodes[i],
-                &self.payload[i * self.dim..(i + 1) * self.dim],
-                self.times[i],
-                self.origins[i],
-            );
-        }
-        self.nodes.len()
-    }
-
-    /// [`DeliveryPlan::apply_late`] against the sharded serving store,
-    /// under the same exclusive commit gate as
-    /// [`DeliveryPlan::apply_sharded`].
-    pub fn apply_sharded_late(&self, store: &ShardedMailboxStore) -> usize {
-        let _gate = store.commit_gate();
-        let s = store.num_shards();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); s];
-        for (i, &node) in self.nodes.iter().enumerate() {
-            buckets[store.shard_of(node)].push(i);
-        }
-        parallel_rows(s, 1, &|start, end| {
-            for (shard, bucket) in buckets.iter().enumerate().take(end).skip(start) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let mut guard = store.lock_shard(shard);
-                for &i in bucket {
-                    guard.patch_late(
+                    write(
+                        &mut guard,
                         self.nodes[i],
                         &self.payload[i * self.dim..(i + 1) * self.dim],
                         self.times[i],

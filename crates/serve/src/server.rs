@@ -859,6 +859,29 @@ fn write_snapshot_now(pipeline: &ServingPipeline, shared: &Shared) -> Result<(),
     }
 }
 
+/// Replies to every request of one served batch — `scores` holds the
+/// requests' scores back to back, in batch order — and records each
+/// request's service latency, admission to now.
+fn reply_and_record(shared: &Shared, batch: Vec<InferItem>, scores: &[f32]) {
+    let now = shared.cfg.clock.now();
+    let mut offset = 0usize;
+    let mut latency = Vec::with_capacity(batch.len());
+    for item in batch {
+        let n = item.interactions.len();
+        latency.push((now.saturating_sub(item.enqueued), item.trace_id));
+        (item.respond)(InferOutcome::Scores(scores[offset..offset + n].to_vec()));
+        offset += n;
+    }
+    let mut rec = shared.stats.latency.lock().unwrap();
+    for (d, trace_id) in latency {
+        rec.record(d);
+        shared
+            .stats
+            .service_hist
+            .record_tagged(d.as_nanos() as u64, trace_id);
+    }
+}
+
 fn batcher_loop(mut pipeline: ServingPipeline, shared: &Shared) {
     while let Some(drained) = shared.queue.drain(shared.cfg.policy) {
         match drained {
@@ -890,24 +913,7 @@ fn batcher_loop(mut pipeline: ServingPipeline, shared: &Shared) {
                     Some(batch[0].enqueued),
                 );
                 shared.stats.record_batch(batch.len(), interactions.len());
-                let now = shared.cfg.clock.now();
-                let mut offset = 0usize;
-                let mut latency = Vec::with_capacity(batch.len());
-                for item in batch {
-                    let n = item.interactions.len();
-                    let scores = result.scores[offset..offset + n].to_vec();
-                    offset += n;
-                    latency.push((now.saturating_sub(item.enqueued), item.trace_id));
-                    (item.respond)(InferOutcome::Scores(scores));
-                }
-                let mut rec = shared.stats.latency.lock().unwrap();
-                for (d, trace_id) in latency {
-                    rec.record(d);
-                    shared
-                        .stats
-                        .service_hist
-                        .record_tagged(d.as_nanos() as u64, trace_id);
-                }
+                reply_and_record(shared, batch, &result.scores);
             }
             Drained::Control(Control::Snapshot(done)) => {
                 done(write_snapshot_now(&pipeline, shared).err());
@@ -932,14 +938,7 @@ fn batcher_loop(mut pipeline: ServingPipeline, shared: &Shared) {
                 );
                 shared.peers.forward(gseq, &job[..], item.trace_id);
                 shared.stats.record_batch(1, item.interactions.len());
-                let d = shared.cfg.clock.now().saturating_sub(item.enqueued);
-                (item.respond)(InferOutcome::Scores(result.scores));
-                let mut rec = shared.stats.latency.lock().unwrap();
-                rec.record(d);
-                shared
-                    .stats
-                    .service_hist
-                    .record_tagged(d.as_nanos() as u64, item.trace_id);
+                reply_and_record(shared, vec![item], &result.scores);
             }
             Drained::Control(Control::RemoteDeliver {
                 job,

@@ -21,14 +21,6 @@ pub enum Strategy {
     /// `n` interactions drawn uniformly without replacement from the full
     /// pre-`t` history.
     Uniform,
-    /// Same sample set as [`Strategy::MostRecent`], served from a
-    /// forward-maintained per-node recency ring when it can prove
-    /// coverage (forward sampling, Luo & Li). The returned entries are
-    /// bitwise identical to the backward scan; only the accounted index
-    /// probe shrinks (ring length vs. full history length). Requires
-    /// [`TemporalGraph::enable_recent_cache`]; falls back to the backward
-    /// scan per query otherwise.
-    ForwardRecent,
 }
 
 /// Samples up to `n` time-respecting neighbours of `node` strictly before
@@ -46,17 +38,11 @@ pub fn sample_neighbors(
     rng: Option<&mut StdRng>,
     cost: &mut QueryCost,
 ) -> Vec<AdjEntry> {
-    if strategy == Strategy::ForwardRecent {
-        if let Some((slice, probe)) = graph.recent_before(node, t, n) {
-            cost.record_query(probe + slice.len() as u64);
-            return slice.to_vec();
-        }
-    }
     let end = graph.history_end(node, t);
     let history = &graph.neighbors(node)[..end];
     let probe = (history.len().max(1)).ilog2() as u64 + 1;
     let out: Vec<AdjEntry> = match strategy {
-        Strategy::MostRecent | Strategy::ForwardRecent => {
+        Strategy::MostRecent => {
             let start = end.saturating_sub(n);
             history[start..].to_vec()
         }
@@ -171,38 +157,6 @@ pub fn sample_khop_targets(
     cost: &mut QueryCost,
     out: &mut Vec<NodeId>,
 ) {
-    sample_khop_targets_with(
-        graph,
-        seeds,
-        t,
-        n_per_hop,
-        hops,
-        Strategy::MostRecent,
-        cost,
-        out,
-    )
-}
-
-/// [`sample_khop_targets`] with an explicit recency strategy:
-/// [`Strategy::MostRecent`] (the backward scan) or
-/// [`Strategy::ForwardRecent`] (identical target ids, the per-query index
-/// probe served from the forward recency ring when it covers the query).
-/// [`Strategy::Uniform`] needs an rng and is not supported here.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_khop_targets_with(
-    graph: &TemporalGraph,
-    seeds: &[NodeId],
-    t: Time,
-    n_per_hop: usize,
-    hops: usize,
-    strategy: Strategy,
-    cost: &mut QueryCost,
-    out: &mut Vec<NodeId>,
-) {
-    debug_assert!(
-        !matches!(strategy, Strategy::Uniform),
-        "uniform sampling requires an rng; use sample_khop"
-    );
     let mut prev_start = out.len();
     for hop in 0..hops {
         cost.record_hop();
@@ -218,15 +172,6 @@ pub fn sample_khop_targets_with(
             } else {
                 out[prev_start + f]
             };
-            if strategy == Strategy::ForwardRecent {
-                if let Some((slice, probe)) = graph.recent_before(node, t, n_per_hop) {
-                    for entry in slice {
-                        out.push(entry.neighbor);
-                    }
-                    cost.record_query(probe + slice.len() as u64);
-                    continue;
-                }
-            }
             let end = graph.history_end(node, t);
             let probe = (end.max(1)).ilog2() as u64 + 1;
             let start = end.saturating_sub(n_per_hop);
@@ -393,93 +338,6 @@ mod tests {
             assert_eq!(&out[..1], &[7]);
             assert_eq!(&out[1..], &flat[..], "seeds {seeds:?}");
             assert_eq!(c_new, c_ref, "seeds {seeds:?}");
-        }
-    }
-
-    #[test]
-    fn forward_recent_matches_backward_scan_bitwise() {
-        let mut g = chain_graph();
-        g.enable_recent_cache(8);
-        let mut fwd_cost = QueryCost::new();
-        let mut bwd_cost = QueryCost::new();
-        for t in [0.5, 1.0, 2.5, 4.0, 5.0, 100.0] {
-            for node in 0..4u32 {
-                for n in 0..4usize {
-                    let f = sample_neighbors(
-                        &g,
-                        node,
-                        t,
-                        n,
-                        Strategy::ForwardRecent,
-                        None,
-                        &mut fwd_cost,
-                    );
-                    let b =
-                        sample_neighbors(&g, node, t, n, Strategy::MostRecent, None, &mut bwd_cost);
-                    assert_eq!(f, b, "t={t} node={node} n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forward_recent_without_cache_falls_back() {
-        let g = chain_graph(); // no enable_recent_cache
-        let mut cf = QueryCost::new();
-        let mut cb = QueryCost::new();
-        let f = sample_neighbors(&g, 0, 10.0, 2, Strategy::ForwardRecent, None, &mut cf);
-        let b = sample_neighbors(&g, 0, 10.0, 2, Strategy::MostRecent, None, &mut cb);
-        assert_eq!(f, b);
-        assert_eq!(cf, cb);
-    }
-
-    #[test]
-    fn forward_recent_reduces_probe_cost_on_long_history() {
-        let mut g = TemporalGraph::new();
-        for k in 0..2048u32 {
-            g.insert(0, 1 + (k % 5), k as f64);
-        }
-        g.enable_recent_cache(4);
-        let mut cf = QueryCost::new();
-        let mut cb = QueryCost::new();
-        let f = sample_neighbors(&g, 0, 2047.5, 2, Strategy::ForwardRecent, None, &mut cf);
-        let b = sample_neighbors(&g, 0, 2047.5, 2, Strategy::MostRecent, None, &mut cb);
-        assert_eq!(f, b);
-        assert!(
-            cf.rows_touched < cb.rows_touched,
-            "forward probe {} should undercut backward probe {}",
-            cf.rows_touched,
-            cb.rows_touched
-        );
-    }
-
-    #[test]
-    fn khop_targets_forward_recent_matches_most_recent_ids() {
-        let mut g = chain_graph();
-        g.enable_recent_cache(8);
-        for (seeds, hops, n) in [
-            (vec![0u32], 2usize, 2usize),
-            (vec![0, 1], 3, 1),
-            (vec![3], 1, 2),
-        ] {
-            let mut c_bwd = QueryCost::new();
-            let mut bwd = Vec::new();
-            sample_khop_targets(&g, &seeds, 10.0, n, hops, &mut c_bwd, &mut bwd);
-            let mut c_fwd = QueryCost::new();
-            let mut fwd = Vec::new();
-            sample_khop_targets_with(
-                &g,
-                &seeds,
-                10.0,
-                n,
-                hops,
-                Strategy::ForwardRecent,
-                &mut c_fwd,
-                &mut fwd,
-            );
-            assert_eq!(fwd, bwd, "seeds {seeds:?}");
-            assert!(c_fwd.rows_touched <= c_bwd.rows_touched);
-            assert_eq!(c_fwd.hops, c_bwd.hops);
         }
     }
 

@@ -17,17 +17,6 @@ pub struct AdjEntry {
     pub time: Time,
 }
 
-/// Forward-maintained per-node rings of the most recent adjacency
-/// entries. Each ring is exactly the suffix of the node's (time-sorted)
-/// adjacency list, capped at `cap` entries, so recency queries can probe
-/// a short ring instead of binary-searching the full history (forward
-/// sampling, Luo & Li). `cap == 0` disables the cache.
-#[derive(Clone, Debug, Default)]
-struct RecentCache {
-    cap: usize,
-    rings: Vec<Vec<AdjEntry>>,
-}
-
 /// An in-memory continuous-time dynamic graph.
 ///
 /// The store expects events in non-decreasing time order, which is how
@@ -41,7 +30,6 @@ pub struct TemporalGraph {
     events: Vec<Event>,
     adj: Vec<Vec<AdjEntry>>,
     max_time: Time,
-    recent: RecentCache,
 }
 
 impl TemporalGraph {
@@ -89,14 +77,12 @@ impl TemporalGraph {
             eid,
             time,
         });
-        self.cache_push(src);
         if src != dst {
             self.adj[dst as usize].push(AdjEntry {
                 neighbor: src,
                 eid,
                 time,
             });
-            self.cache_push(dst);
         }
         eid
     }
@@ -140,7 +126,6 @@ impl TemporalGraph {
                 time,
             },
         );
-        self.cache_rebuild(src);
         if src != dst {
             let apos = self.adj[dst as usize].partition_point(|e| e.time <= time);
             self.adj[dst as usize].insert(
@@ -151,7 +136,6 @@ impl TemporalGraph {
                     time,
                 },
             );
-            self.cache_rebuild(dst);
         }
         eid
     }
@@ -240,91 +224,7 @@ impl TemporalGraph {
                 dropped += cut;
             }
         }
-        if self.recent.cap > 0 {
-            for node in 0..self.adj.len() {
-                self.cache_rebuild(node as NodeId);
-            }
-        }
         dropped
-    }
-
-    /// Enables forward-recent sampling with per-node rings of up to `cap`
-    /// entries, (re)building them from the current adjacency lists.
-    /// `cap == 0` disables the cache again.
-    pub fn enable_recent_cache(&mut self, cap: usize) {
-        self.recent.cap = cap;
-        self.recent.rings.clear();
-        if cap > 0 {
-            self.recent.rings = (0..self.adj.len())
-                .map(|n| {
-                    let adj = &self.adj[n];
-                    adj[adj.len().saturating_sub(cap)..].to_vec()
-                })
-                .collect();
-        }
-    }
-
-    /// The forward-recent ring capacity (0 when the cache is disabled).
-    pub fn recent_cache_cap(&self) -> usize {
-        self.recent.cap
-    }
-
-    /// Serves the most recent `n` entries of `node`'s history strictly
-    /// before `t` out of the forward-maintained ring, together with the
-    /// (reduced) index-probe cost. Returns `None` when the cache is
-    /// disabled or cannot prove it covers `n` entries — callers fall back
-    /// to the full binary-search scan. When `Some`, the slice is bitwise
-    /// identical to what the backward scan would return.
-    pub fn recent_before(&self, node: NodeId, t: Time, n: usize) -> Option<(&[AdjEntry], u64)> {
-        if self.recent.cap == 0 {
-            return None;
-        }
-        let ring = self.recent.rings.get(node as usize)?;
-        let cut = ring.partition_point(|e| e.time < t);
-        let probe = (ring.len().max(1)).ilog2() as u64 + 1;
-        if cut >= n {
-            Some((&ring[cut - n..cut], probe))
-        } else if ring.len() == self.neighbors(node).len() {
-            // The ring holds the node's entire history: the pre-`t`
-            // prefix is complete even though it is shorter than `n`.
-            Some((&ring[..cut], probe))
-        } else {
-            None
-        }
-    }
-
-    /// Appends the newest adjacency entry of `node` onto its ring,
-    /// holding the ring-is-adjacency-suffix invariant.
-    fn cache_push(&mut self, node: NodeId) {
-        if self.recent.cap == 0 {
-            return;
-        }
-        let n = node as usize;
-        if self.recent.rings.len() <= n {
-            self.recent.rings.resize_with(n + 1, Vec::new);
-        }
-        let entry = *self.adj[n].last().expect("cache_push after adj push");
-        let ring = &mut self.recent.rings[n];
-        ring.push(entry);
-        if ring.len() > self.recent.cap {
-            ring.remove(0);
-        }
-    }
-
-    /// Rebuilds `node`'s ring from its adjacency suffix (used after
-    /// splices and prunes, which invalidate incremental maintenance).
-    fn cache_rebuild(&mut self, node: NodeId) {
-        if self.recent.cap == 0 {
-            return;
-        }
-        let n = node as usize;
-        if self.recent.rings.len() <= n {
-            self.recent.rings.resize_with(n + 1, Vec::new);
-        }
-        let adj = &self.adj[n];
-        let start = adj.len().saturating_sub(self.recent.cap);
-        self.recent.rings[n].clear();
-        self.recent.rings[n].extend_from_slice(&adj[start..]);
     }
 }
 
@@ -472,59 +372,5 @@ mod tests {
         g.insert_late(0, 2, 5.0);
         assert_eq!(g.max_time(), 5.0);
         assert_eq!(g.events().last().unwrap().eid, 4);
-    }
-
-    #[test]
-    fn recent_cache_matches_backward_scan() {
-        let mut g = demo_graph();
-        g.enable_recent_cache(2);
-        g.insert(0, 2, 5.0);
-        for t in [0.5, 1.0, 2.5, 4.0, 5.0, 10.0] {
-            for n in 0..3usize {
-                match g.recent_before(0, t, n) {
-                    Some((slice, _)) => {
-                        let hist = g.history_before(0, t);
-                        assert_eq!(slice, &hist[hist.len() - slice.len()..], "t={t} n={n}");
-                        assert!(slice.len() == n || slice.len() == hist.len());
-                    }
-                    None => {
-                        // the cache may refuse (fallback path) but never
-                        // for the trivially satisfiable n == 0 query
-                        assert!(n > 0, "t={t} n={n}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn recent_cache_probe_is_cheaper_than_full_history() {
-        let mut g = TemporalGraph::new();
-        for k in 0..1000u32 {
-            g.insert(0, 1 + (k % 7), k as f64);
-        }
-        g.enable_recent_cache(4);
-        let (slice, probe) = g.recent_before(0, 999.5, 2).unwrap();
-        assert_eq!(slice.len(), 2);
-        // full history probe would be ilog2(1000)+1 = 10; the ring pays ilog2(4)+1 = 3
-        assert_eq!(probe, 3);
-    }
-
-    #[test]
-    fn recent_cache_survives_late_splice() {
-        let mut g = demo_graph();
-        g.enable_recent_cache(3);
-        g.insert_late(0, 2, 1.5);
-        // ring rebuilt: suffix of node 0's spliced history (t = 1, 1.5, 2, 4)
-        let (slice, _) = g.recent_before(0, 10.0, 3).unwrap();
-        let times: Vec<f64> = slice.iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![1.5, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn recent_cache_disabled_returns_none() {
-        let g = demo_graph();
-        assert!(g.recent_before(0, 10.0, 1).is_none());
-        assert_eq!(g.recent_cache_cap(), 0);
     }
 }
