@@ -63,7 +63,7 @@ fn seed_propagate(
             inter.time,
             p.sampled_neighbors,
             p.hops,
-            p.strategy,
+            Strategy::MostRecent,
             None,
             cost,
         );
@@ -122,7 +122,6 @@ fn workload(hops: usize) -> Workload {
     let mut prop = Propagator::from_config(&ApanConfig::new(48));
     prop.hops = hops;
     prop.reduce = MailReduce::Mean;
-    prop.strategy = Strategy::MostRecent;
     let num_nodes = data.num_nodes();
     Workload {
         graph: data.graph,

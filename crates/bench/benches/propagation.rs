@@ -9,7 +9,6 @@ use apan_core::mailbox::MailboxStore;
 use apan_core::propagator::{Interaction, Propagator};
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
-use apan_tgraph::sampling::Strategy;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -49,7 +48,6 @@ fn bench_propagate(c: &mut Criterion) {
             let mut prop = Propagator::from_config(&cfg);
             prop.hops = h;
             prop.reduce = MailReduce::Mean;
-            prop.strategy = Strategy::MostRecent;
             let mut store = MailboxStore::new(
                 data.num_nodes(),
                 10,

@@ -26,13 +26,13 @@ use crate::timeline;
 use apan_core::shard::owner_shard;
 use apan_metrics::{Clock, ObsHub, Stage, TraceSink};
 use apan_serve::client::json_u64_field;
+use apan_serve::conn::Connections;
 use apan_serve::proto::{self, reply, verb, Frame, ProtoError};
 use apan_serve::Client;
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -70,11 +70,9 @@ struct Shared {
     /// routed inference, cluster-wide.
     gseq: AtomicU64,
     running: AtomicBool,
-    /// Live client connections only — each entry is removed when its
-    /// reader exits, the same pruning discipline the shard daemons use.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    next_conn: AtomicU64,
+    /// Live client connections and their threads — the same lifecycle
+    /// (register, prune on exit, reap, join) the shard daemons run.
+    conns: Arc<Connections>,
 }
 
 /// A started gateway.
@@ -98,7 +96,7 @@ impl GatewayHandle {
     /// Number of currently-connected clients (dead connections are
     /// pruned as their readers exit).
     pub fn active_connections(&self) -> usize {
-        self.shared.conns.lock().unwrap().len()
+        self.shared.conns.active()
     }
 
     /// Stops the whole cluster gracefully: fans `SHUTDOWN` out to every
@@ -117,9 +115,7 @@ impl GatewayHandle {
     /// are being killed externally).
     pub fn stop(self) {
         self.shared.running.store(false, Ordering::SeqCst);
-        for conn in self.shared.conns.lock().unwrap().values() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
+        self.shared.conns.close_all(Shutdown::Both);
         self.join();
     }
 
@@ -128,11 +124,7 @@ impl GatewayHandle {
         for t in self.threads {
             let _ = t.join();
         }
-        let workers: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.shared.workers.lock().unwrap());
-        for t in workers {
-            let _ = t.join();
-        }
+        self.shared.conns.join();
     }
 }
 
@@ -158,9 +150,7 @@ pub fn start_gateway(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         obs,
         gseq: AtomicU64::new(0),
         running: AtomicBool::new(true),
-        conns: Mutex::new(HashMap::new()),
-        workers: Mutex::new(Vec::new()),
-        next_conn: AtomicU64::new(0),
+        conns: Arc::default(),
     });
     let mut threads = Vec::new();
     {
@@ -168,7 +158,16 @@ pub fn start_gateway(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         threads.push(
             std::thread::Builder::new()
                 .name("apan-gateway-accept".into())
-                .spawn(move || accept_loop(listener, &shared))
+                .spawn(move || {
+                    let serving = Arc::clone(&shared);
+                    shared.conns.accept_loop(
+                        listener,
+                        &shared.running,
+                        "apan-gateway-conn",
+                        Shutdown::Both,
+                        move |id, stream, _raw| conn_loop(stream, id, &serving),
+                    )
+                })
                 .expect("spawn accept"),
         );
     }
@@ -177,63 +176,6 @@ pub fn start_gateway(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         shared,
         threads,
     })
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while shared.running.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                reap_workers(shared);
-                let _ = stream.set_nodelay(true);
-                let Ok(raw) = stream.try_clone() else {
-                    continue;
-                };
-                let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-                shared.conns.lock().unwrap().insert(id, raw);
-                let shared2 = Arc::clone(shared);
-                let worker = std::thread::Builder::new()
-                    .name("apan-gateway-conn".into())
-                    .spawn(move || {
-                        conn_loop(stream, id, &shared2);
-                        // Peer gone: free the slot — a gateway serving
-                        // many short-lived clients must not accumulate
-                        // dead sockets.
-                        shared2.conns.lock().unwrap().remove(&id);
-                    })
-                    .expect("spawn conn");
-                shared.workers.lock().unwrap().push(worker);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-    }
-    for conn in shared.conns.lock().unwrap().values() {
-        let _ = conn.shutdown(Shutdown::Both);
-    }
-}
-
-/// Joins connection threads that have finished, so a long-running
-/// gateway taking many short-lived connections does not accumulate
-/// thread handles without bound.
-fn reap_workers(shared: &Shared) {
-    let mut finished = Vec::new();
-    {
-        let mut workers = shared.workers.lock().unwrap();
-        let mut alive = Vec::with_capacity(workers.len());
-        for h in workers.drain(..) {
-            if h.is_finished() {
-                finished.push(h);
-            } else {
-                alive.push(h);
-            }
-        }
-        *workers = alive;
-    }
-    for h in finished {
-        let _ = h.join();
-    }
 }
 
 /// One lazily-connected, automatically-reconnecting link to a shard.
@@ -370,25 +312,24 @@ fn handle_frame(
             // everywhere: the client's tag when present, otherwise an
             // id derived here and *appended to the routed payload* so
             // the owner shard (and every span downstream of it) stamps
-            // the same id the gateway does.
+            // the same id the gateway does. A payload the skim finds
+            // torn is routed untouched: the owner's rejection must read
+            // exactly as a direct `INFER`'s would.
             let t_route0 = shared.obs.stamp();
-            let client_tag = proto::peek_infer_trace_tag(&frame.payload);
-            let trace_id = client_tag.unwrap_or((conn_id << 32) ^ req_id);
+            let trailer = proto::peek_infer_trailer(&frame.payload);
+            let trace_id = trailer.flatten().unwrap_or((conn_id << 32) ^ req_id);
             // The sequence number is assigned *before* anything can
             // fail, and is consumed on every path below — by the owner
             // under its turn, or by the hole-filler broadcast.
             let g = shared.gseq.fetch_add(1, Ordering::SeqCst);
             let owner = owner_shard(first_src(&frame.payload), links.len());
-            let route =
-                proto::encode_route_traced(g, &frame.payload, client_tag.is_none().then_some(trace_id));
-            match links[owner].call(verb::ROUTE, &route) {
-                Ok(f) => {
-                    let t_route1 = shared.obs.stamp();
-                    shared
-                        .obs
-                        .stage_record(Stage::Route, trace_id, t_route0, t_route1);
-                    send(w, f.verb, req_id, &f.payload)
-                }
+            let route = proto::encode_route_traced(
+                g,
+                &frame.payload,
+                (trailer == Some(None)).then_some(trace_id),
+            );
+            let (reply_verb, payload) = match links[owner].call(verb::ROUTE, &route) {
+                Ok(f) => (f.verb, f.payload),
                 Err(e) => {
                     // Owner unreachable: keep the stream dense so no
                     // replica waits forever on `g`, then tell the
@@ -397,22 +338,19 @@ fn handle_frame(
                     for link in links.iter_mut() {
                         let _ = link.call(verb::DELIVER, &filler);
                     }
-                    let t_route1 = shared.obs.stamp();
-                    shared
-                        .obs
-                        .stage_record(Stage::Route, trace_id, t_route0, t_route1);
-                    send(
-                        w,
-                        reply::ERROR,
-                        req_id,
-                        format!("shard {owner} unreachable: {e}").as_bytes(),
-                    )
+                    let msg = format!("shard {owner} unreachable: {e}");
+                    (reply::ERROR, msg.into_bytes().into())
                 }
-            }
+            };
+            let t_route1 = shared.obs.stamp();
+            shared
+                .obs
+                .stage_record(Stage::Route, trace_id, t_route0, t_route1);
+            send(w, reply_verb, req_id, &payload)
         }
         verb::FLUSH => {
             let barrier = proto::encode_flush_barrier(shared.gseq.load(Ordering::SeqCst));
-            fan_out_ok(links, verb::FLUSH, &barrier, w, req_id)
+            reply_ok(w, req_id, fan_out(links, verb::FLUSH, &barrier, ""))
         }
         verb::SNAPSHOT => {
             // Coordinated consistent cut: barrier-flush everyone (all
@@ -420,32 +358,9 @@ fn handle_frame(
             // mail has landed), *then* snapshot everyone. The per-shard
             // files now describe the same cluster-wide prefix.
             let barrier = proto::encode_flush_barrier(shared.gseq.load(Ordering::SeqCst));
-            for (i, link) in links.iter_mut().enumerate() {
-                match link.call(verb::FLUSH, &barrier) {
-                    Ok(f) if f.verb == reply::OK => {}
-                    Ok(f) => {
-                        return send(
-                            w,
-                            reply::ERROR,
-                            req_id,
-                            format!(
-                                "shard {i} flush: {}",
-                                String::from_utf8_lossy(&f.payload)
-                            )
-                            .as_bytes(),
-                        )
-                    }
-                    Err(e) => {
-                        return send(
-                            w,
-                            reply::ERROR,
-                            req_id,
-                            format!("shard {i} unreachable: {e}").as_bytes(),
-                        )
-                    }
-                }
-            }
-            fan_out_ok(links, verb::SNAPSHOT, b"", w, req_id)
+            let cut = fan_out(links, verb::FLUSH, &barrier, " flush")
+                .and_then(|()| fan_out(links, verb::SNAPSHOT, b"", ""));
+            reply_ok(w, req_id, cut)
         }
         verb::STATS => {
             let mut docs = Vec::with_capacity(links.len());
@@ -537,7 +452,7 @@ fn handle_frame(
         },
         verb::PING => send(w, reply::OK, req_id, b""),
         verb::SHUTDOWN => {
-            let res = fan_out_ok(links, verb::SHUTDOWN, b"", w, req_id);
+            let res = reply_ok(w, req_id, fan_out(links, verb::SHUTDOWN, b"", ""));
             shared.running.store(false, Ordering::SeqCst);
             res
         }
@@ -551,35 +466,33 @@ fn handle_frame(
     }
 }
 
-/// Fans `verb` out to every shard; replies `OK` only if every shard
-/// did.
-fn fan_out_ok(
-    links: &mut [ShardLink],
-    verb: u8,
-    payload: &[u8],
-    w: &mut BufWriter<TcpStream>,
-    req_id: u64,
-) -> io::Result<()> {
+/// Fans `verb` out to every shard in order, stopping at the first
+/// that does not answer `OK`; the error names that shard (`step` names
+/// the phase when a verb has more than one).
+fn fan_out(links: &mut [ShardLink], verb: u8, payload: &[u8], step: &str) -> Result<(), String> {
     for (i, link) in links.iter_mut().enumerate() {
         match link.call(verb, payload) {
             Ok(f) if f.verb == reply::OK => {}
             Ok(f) => {
-                return send(
-                    w,
-                    reply::ERROR,
-                    req_id,
-                    format!("shard {i}: {}", String::from_utf8_lossy(&f.payload)).as_bytes(),
-                )
+                return Err(format!(
+                    "shard {i}{step}: {}",
+                    String::from_utf8_lossy(&f.payload)
+                ))
             }
-            Err(e) => {
-                return send(
-                    w,
-                    reply::ERROR,
-                    req_id,
-                    format!("shard {i} unreachable: {e}").as_bytes(),
-                )
-            }
+            Err(e) => return Err(format!("shard {i} unreachable: {e}")),
         }
     }
-    send(w, reply::OK, req_id, b"")
+    Ok(())
+}
+
+/// Replies `OK`, or `ERROR` with the failed fan-out's message.
+fn reply_ok(
+    w: &mut BufWriter<TcpStream>,
+    req_id: u64,
+    outcome: Result<(), String>,
+) -> io::Result<()> {
+    match outcome {
+        Ok(()) => send(w, reply::OK, req_id, b""),
+        Err(msg) => send(w, reply::ERROR, req_id, msg.as_bytes()),
+    }
 }

@@ -15,6 +15,7 @@
 //! path — which in turn exercises the receiving daemon's reader-exit
 //! connection pruning with a stream of short-lived connections.
 
+use apan_serve::conn::Connections;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
@@ -55,30 +56,69 @@ impl Default for ChaosProfile {
 /// frames only.
 pub struct ChaosProxy {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    running: Arc<AtomicBool>,
+    /// Proxied connections and their pump threads — the daemon's own
+    /// connection lifecycle.
+    conns: Arc<Connections>,
     accept: Option<JoinHandle<()>>,
 }
 
 impl ChaosProxy {
     /// Starts a proxy in front of `upstream`, binding an ephemeral
     /// local port. `seed` makes the fault pattern reproducible (each
-    /// accepted connection derives its own stream from the seed and a
+    /// proxied connection derives its own stream from the seed and a
     /// connection counter).
     pub fn start(upstream: SocketAddr, seed: u64, profile: ChaosProfile) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let running = Arc::new(AtomicBool::new(true));
+        let conns = Arc::<Connections>::default();
         let accept = {
-            let stop = Arc::clone(&stop);
+            let (running, conns) = (Arc::clone(&running), Arc::clone(&conns));
+            // counts connections that reached the upstream, so a refused
+            // one does not shift the fault streams of those after it
+            let proxied = AtomicU64::new(0);
             std::thread::Builder::new()
                 .name("apan-chaos-proxy".into())
-                .spawn(move || accept_loop(listener, upstream, seed, profile, &stop))
+                .spawn(move || {
+                    let pumps = Arc::clone(&conns);
+                    conns.accept_loop(
+                        listener,
+                        &running,
+                        "apan-chaos-fwd",
+                        Shutdown::Both,
+                        move |_, inbound, _| {
+                            let Ok(outbound) = TcpStream::connect(upstream) else {
+                                return;
+                            };
+                            let _ = outbound.set_nodelay(true);
+                            let k = proxied.fetch_add(1, Ordering::Relaxed);
+                            let rng =
+                                StdRng::seed_from_u64(seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                            let (Ok(in_read), Ok(out_read)) =
+                                (inbound.try_clone(), outbound.try_clone())
+                            else {
+                                return;
+                            };
+                            // shard → sender: acks pass through verbatim
+                            pumps.track(
+                                std::thread::Builder::new()
+                                    .name("apan-chaos-back".into())
+                                    .spawn(move || verbatim_pump(out_read, inbound))
+                                    .expect("spawn pump"),
+                            );
+                            // sender → shard: frame-aware, faults injected
+                            chaos_pump(in_read, outbound, rng, profile);
+                        },
+                    )
+                })
                 .expect("spawn proxy accept")
         };
         Ok(Self {
             addr,
-            stop,
+            running,
+            conns,
             accept: Some(accept),
         })
     }
@@ -88,70 +128,20 @@ impl ChaosProxy {
         self.addr
     }
 
-    /// Stops accepting. Existing pump threads die with their sockets.
+    /// Stops accepting and severs the proxied connections; their pump
+    /// threads die with their sockets.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.running.store(false, Ordering::SeqCst);
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
+        self.conns.join();
     }
 }
 
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    upstream: SocketAddr,
-    seed: u64,
-    profile: ChaosProfile,
-    stop: &Arc<AtomicBool>,
-) {
-    let conn_counter = AtomicU64::new(0);
-    let mut pumps: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((inbound, _)) => {
-                let Ok(outbound) = TcpStream::connect(upstream) else {
-                    let _ = inbound.shutdown(Shutdown::Both);
-                    continue;
-                };
-                let _ = inbound.set_nodelay(true);
-                let _ = outbound.set_nodelay(true);
-                let k = conn_counter.fetch_add(1, Ordering::Relaxed);
-                let rng = StdRng::seed_from_u64(seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                let (Ok(in_read), Ok(out_read)) = (inbound.try_clone(), outbound.try_clone())
-                else {
-                    continue;
-                };
-                // sender → shard: frame-aware, faults injected
-                pumps.push(
-                    std::thread::Builder::new()
-                        .name("apan-chaos-fwd".into())
-                        .spawn(move || chaos_pump(in_read, outbound, rng, profile))
-                        .expect("spawn pump"),
-                );
-                // shard → sender: acks pass through verbatim
-                pumps.push(
-                    std::thread::Builder::new()
-                        .name("apan-chaos-back".into())
-                        .spawn(move || verbatim_pump(out_read, inbound))
-                        .expect("spawn pump"),
-                );
-                pumps.retain(|p| !p.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-    }
-    // pump threads exit when either side of their sockets closes
-    for p in pumps {
-        let _ = p.join();
     }
 }
 

@@ -39,8 +39,19 @@ fn shard_cfg(shard: Option<(usize, usize)>) -> ServeConfig {
 
 /// Boots `n` shards with full-mesh peer links and a gateway in front.
 fn boot_cluster(n: usize, weight_seed: u64) -> (Vec<ServerHandle>, apan_cluster::GatewayHandle) {
+    boot_cluster_with(n, weight_seed, |_, cfg| cfg)
+}
+
+/// [`boot_cluster`] with each shard's config passed through `tweak`.
+fn boot_cluster_with(
+    n: usize,
+    weight_seed: u64,
+    tweak: impl Fn(usize, ServeConfig) -> ServeConfig,
+) -> (Vec<ServerHandle>, apan_cluster::GatewayHandle) {
     let shards: Vec<ServerHandle> = (0..n)
-        .map(|i| apan_serve::start(model(weight_seed), shard_cfg(Some((i, n)))).expect("shard"))
+        .map(|i| {
+            apan_serve::start(model(weight_seed), tweak(i, shard_cfg(Some((i, n))))).expect("shard")
+        })
         .collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr()).collect();
     for (i, shard) in shards.iter().enumerate() {
@@ -159,14 +170,11 @@ fn gateway_aggregates_metrics_and_relays_info() {
 
     // requests spread across shards: total served == requests sent
     let stats = client.stats().expect("stats");
-    let mut total = 0u64;
-    let mut rest = stats.as_str();
-    while let Some(pos) = rest.find("\"requests\":") {
-        rest = &rest[pos..];
-        total += json_u64_field(rest, "requests").unwrap_or(0);
-        rest = &rest[11..];
-    }
-    assert_eq!(total, 6, "served requests must sum across shards: {stats}");
+    assert_eq!(
+        sum_field(&stats, "requests"),
+        6,
+        "served requests must sum across shards: {stats}"
+    );
 
     client.ping().expect("ping");
     drop(client);
@@ -511,4 +519,189 @@ fn chaos_on_the_deliver_link_cannot_diverge_replicas() {
         s.join();
     }
     drop(proxies);
+}
+
+/// One raw request/reply roundtrip — `Client` cannot put a malformed
+/// payload on the wire.
+fn raw_call(stream: &mut TcpStream, verb: u8, req_id: u64, payload: &[u8]) -> proto::Frame {
+    let mut buf = Vec::new();
+    proto::write_frame(&mut buf, verb, req_id, payload).expect("encode");
+    stream.write_all(&buf).expect("send");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    proto::read_frame(&mut reader)
+        .expect("read")
+        .expect("reply")
+}
+
+/// Sum of every occurrence of `"field":N` in a (possibly aggregated)
+/// `STATS` document.
+fn sum_field(doc: &str, field: &str) -> u64 {
+    let key = format!("\"{field}\":");
+    doc.match_indices(&key)
+        .map(|(pos, _)| json_u64_field(&doc[pos..], field).unwrap_or(0))
+        .sum()
+}
+
+/// Every way a request can be refused before admission — empty batch,
+/// wrong feature width, node id past `max_node` (source and
+/// destination), truncated payload — gets the same reply verb and
+/// message from a single daemon's `INFER` and from a 3-shard cluster's
+/// gateway → `ROUTE`, moves no served-work counter on either, and (the
+/// cluster-only obligation) still consumes its global sequence number:
+/// a hole-filler goes out, so later requests, a barrier flush and the
+/// replicas' state are unaffected.
+#[test]
+fn rejected_requests_reply_identically_on_both_paths_and_leave_no_hole() {
+    const WARM: usize = 4;
+    let snaps: Vec<std::path::PathBuf> = (0..3)
+        .map(|i| {
+            std::env::temp_dir().join(format!("apan-gw-reject-{}-{i}.snap", std::process::id()))
+        })
+        .collect();
+    let (shards, gateway) = boot_cluster_with(3, 13, |i, cfg| ServeConfig {
+        snapshot_path: Some(snaps[i].clone()),
+        ..cfg
+    });
+    let single = apan_serve::start(model(13), shard_cfg(None)).expect("single");
+    let mut via_gateway = Client::connect(gateway.addr()).expect("connect gateway");
+    let mut via_single = Client::connect(single.addr()).expect("connect single");
+    for k in 0..WARM {
+        let (interactions, feats) = request(k);
+        via_gateway
+            .infer(&interactions, &feats)
+            .expect("cluster warm");
+        via_single
+            .infer(&interactions, &feats)
+            .expect("single warm");
+    }
+    via_gateway.flush().expect("cluster flush");
+    via_single.flush().expect("single flush");
+    let served = |c: &mut Client| {
+        let stats = c.stats().expect("stats");
+        (
+            sum_field(&stats, "requests"),
+            sum_field(&stats, "interactions"),
+        )
+    };
+    assert_eq!(served(&mut via_gateway), (WARM as u64, WARM as u64));
+    assert_eq!(served(&mut via_single), (WARM as u64, WARM as u64));
+
+    let max_node = ServeConfig::default().max_node;
+    let one = |src: u32, dst: u32| {
+        vec![Interaction {
+            src,
+            dst,
+            time: 100.0,
+            eid: 900,
+        }]
+    };
+    let ok_feats = Tensor::full(1, DIM, 0.25);
+    let mut truncated = proto::encode_infer(&one(2, 5), &ok_feats);
+    truncated.truncate(truncated.len() - 6);
+    // (case, payload, reply verb, message fragment); first sources are
+    // chosen so the rejections land on all three owners
+    let cases: Vec<(&str, Vec<u8>, u8, String)> = vec![
+        (
+            "empty batch",
+            proto::encode_infer(&[], &Tensor::zeros(0, DIM)),
+            reply::SCORES,
+            String::new(),
+        ),
+        (
+            "feature width != dim",
+            proto::encode_infer(&one(1, 4), &Tensor::full(1, DIM + 1, 0.25)),
+            reply::ERROR,
+            format!("feature width {} != model dim {DIM}", DIM + 1),
+        ),
+        (
+            "src > max_node",
+            proto::encode_infer(&one(max_node + 1, 4), &ok_feats),
+            reply::ERROR,
+            format!("node id {} exceeds max_node {max_node}", max_node + 1),
+        ),
+        (
+            "dst > max_node",
+            proto::encode_infer(&one(3, max_node + 7), &ok_feats),
+            reply::ERROR,
+            format!("node id {} exceeds max_node {max_node}", max_node + 7),
+        ),
+        (
+            "truncated payload",
+            truncated,
+            reply::ERROR,
+            "truncated".into(),
+        ),
+    ];
+    let mut raw_gateway = TcpStream::connect(gateway.addr()).expect("raw gateway");
+    let mut raw_single = TcpStream::connect(single.addr()).expect("raw single");
+    for (i, (case, payload, want_verb, fragment)) in cases.iter().enumerate() {
+        let req_id = 50 + i as u64;
+        let direct = raw_call(&mut raw_single, verb::INFER, req_id, payload);
+        let routed = raw_call(&mut raw_gateway, verb::INFER, req_id, payload);
+        let (dmsg, rmsg) = (
+            String::from_utf8_lossy(&direct.payload),
+            String::from_utf8_lossy(&routed.payload),
+        );
+        assert_eq!(direct.verb, *want_verb, "{case}: direct replied {dmsg}");
+        assert_eq!(routed.verb, direct.verb, "{case}: routed replied {rmsg}");
+        assert_eq!(
+            routed.payload, direct.payload,
+            "{case}: {rmsg:?} vs {dmsg:?}"
+        );
+        assert_eq!((routed.req_id, direct.req_id), (req_id, req_id), "{case}");
+        if *want_verb == reply::SCORES {
+            assert_eq!(
+                &direct.payload[..],
+                &proto::encode_scores(&[])[..],
+                "{case}"
+            );
+        } else {
+            assert!(dmsg.contains(fragment.as_str()), "{case}: {dmsg}");
+        }
+    }
+    // nothing rejected counts as served, on either path
+    assert_eq!(served(&mut via_gateway), (WARM as u64, WARM as u64));
+    assert_eq!(served(&mut via_single), (WARM as u64, WARM as u64));
+
+    // every rejected sequence number was hole-filled: the next valid
+    // request is served (bitwise like the single daemon's), the barrier
+    // flush returns, and the counter shows one number per request sent
+    let (interactions, feats) = request(WARM);
+    let cluster_scores = via_gateway
+        .infer(&interactions, &feats)
+        .expect("after rejects");
+    let single_scores = via_single
+        .infer(&interactions, &feats)
+        .expect("single after rejects");
+    assert_eq!(bits(&cluster_scores), bits(&single_scores));
+    via_gateway.flush().expect("barrier flush after rejects");
+    let stats = via_gateway.stats().expect("stats");
+    assert_eq!(
+        json_u64_field(&stats, "gseq"),
+        Some((WARM + cases.len() + 1) as u64),
+        "{stats}"
+    );
+
+    // the replicas still agree byte for byte: a coordinated snapshot
+    // cut writes three identical files
+    via_gateway.snapshot().expect("coordinated snapshot");
+    let files: Vec<Vec<u8>> = snaps
+        .iter()
+        .map(|p| std::fs::read(p).expect("snapshot file"))
+        .collect();
+    assert!(!files[0].is_empty());
+    assert!(
+        files[1] == files[0] && files[2] == files[0],
+        "replica snapshots diverged"
+    );
+
+    drop((via_gateway, via_single, raw_gateway, raw_single));
+    single.shutdown();
+    gateway.shutdown();
+    for s in shards {
+        s.join();
+    }
+    for p in &snaps {
+        let _ = std::fs::remove_file(p);
+    }
 }

@@ -6,7 +6,7 @@
 //! hand-off is a channel send. Sampling runs concurrently across
 //! workers; sequence tickets ([`SeqGates`]) keep graph inserts and
 //! mailbox commits in submission order, so the pool is bitwise
-//! identical to a single worker at any width (`APAN_PROP_THREADS`).
+//! identical to a single worker at any width (`prop_threads`).
 
 use crate::config::MailContent;
 use crate::lateness::LateState;

@@ -511,7 +511,7 @@ impl MailboxStore {
         let (d, s) = (self.dim, self.slots);
         self.lens[node] == 0
             && self.heads[node] == 0
-            && self.last_update[node] == 0.0
+            && self.last_update[node].to_bits() == 0
             && self.embeddings[node * d..(node + 1) * d]
                 .iter()
                 .all(|v| v.to_bits() == 0)

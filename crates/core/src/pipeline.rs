@@ -55,16 +55,11 @@ pub struct InferResult {
     pub sync_time: Duration,
 }
 
-/// Resolves the propagation pool width: `APAN_PROP_THREADS`, default 1
-/// (the pre-pool single-worker behaviour). A set-but-malformed value
-/// warns once on stderr (the hardened `APAN_THREADS`/`APAN_SIMD`
-/// parsing) instead of being silently ignored.
-fn prop_threads_from_env() -> usize {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    apan_tensor::backend::pool::parse_positive("APAN_PROP_THREADS", &WARN)
-        .unwrap_or(1)
-        .min(64)
-}
+/// Latency samples a serving recorder retains — the pipeline's
+/// [`ServingPipeline::sync_latency`] and the daemon's `STATS` window
+/// alike: enough for stable tails, small enough that a long-lived
+/// process's recorder memory and percentile sort stay constant.
+pub const LATENCY_WINDOW: usize = 8192;
 
 /// Checks a peer's decoded job for internal consistency and returns its
 /// distinct endpoints, the rows of `z` in order. The row maps must be
@@ -110,14 +105,14 @@ pub struct ServingPipeline {
     /// Int8 views of the encoder weights, present iff `precision` is
     /// [`Precision::Int8`]. Attached to every synchronous forward pass.
     quant: Option<Arc<QuantSet>>,
-    /// Latencies of every synchronous inference call.
+    /// Latency of every synchronous inference call: `len()` counts them
+    /// all, percentiles cover the most recent window.
     pub sync_latency: LatencyRecorder,
 }
 
 impl ServingPipeline {
     /// Deploys `model` with serving state for `num_nodes` nodes and a
-    /// propagation queue of `capacity` jobs. Pool width comes from
-    /// `APAN_PROP_THREADS` (default 1).
+    /// propagation queue of `capacity` jobs, drained by one worker.
     pub fn new(model: Apan, num_nodes: usize, capacity: usize) -> Self {
         let store = model.new_store(num_nodes);
         let graph = TemporalGraph::with_capacity(num_nodes, 1024);
@@ -136,13 +131,12 @@ impl ServingPipeline {
         graph: TemporalGraph,
         capacity: usize,
     ) -> Self {
-        Self::with_options(model, store, graph, capacity, 0)
+        Self::with_options(model, store, graph, capacity, 1)
     }
 
     /// [`ServingPipeline::with_state`] with an explicit propagation pool
-    /// width. `prop_threads == 0` defers to `APAN_PROP_THREADS`; any
-    /// width produces bit-identical serving state — parallelism changes
-    /// throughput, never results.
+    /// width, clamped to 1..=64. Any width produces bit-identical
+    /// serving state — parallelism changes throughput, never results.
     pub fn with_options(
         model: Apan,
         store: MailboxStore,
@@ -155,10 +149,7 @@ impl ServingPipeline {
             model.cfg.dim,
             "mailbox store width does not match model dimension"
         );
-        let threads = match prop_threads {
-            0 => prop_threads_from_env(),
-            n => n.min(64),
-        };
+        let threads = prop_threads.clamp(1, 64);
         // A configured mailbox budget turns on tiered residency: hot
         // pools bounded to the budget, the rest spilled to the cold
         // tier. Served bits are identical either way.
@@ -199,7 +190,7 @@ impl ServingPipeline {
             rng: StdRng::seed_from_u64(0),
             precision: Precision::F32,
             quant: None,
-            sync_latency: LatencyRecorder::new(),
+            sync_latency: LatencyRecorder::bounded(LATENCY_WINDOW),
         }
     }
 
@@ -758,6 +749,24 @@ mod tests {
         p.flush();
         assert_eq!(p.pending_jobs(), 0);
         assert_eq!(p.sync_latency.len(), 8);
+    }
+
+    #[test]
+    fn sync_latency_is_a_bounded_window() {
+        let mut p = ServingPipeline::new(model(), 8, 64);
+        let (b, f) = batch(0);
+        p.infer_batch(&b, &f);
+        // two windows of slow samples, then one window of fast ones: a
+        // recorder retaining at most one window has forgotten every
+        // slow sample (and the real one above), yet counted them all
+        for _ in 1..2 * LATENCY_WINDOW {
+            p.sync_latency.record(Duration::from_secs(1));
+        }
+        for _ in 0..LATENCY_WINDOW {
+            p.sync_latency.record(Duration::from_millis(1));
+        }
+        assert_eq!(p.sync_latency.len(), 3 * LATENCY_WINDOW);
+        assert_eq!(p.sync_latency.max(), Duration::from_millis(1));
     }
 
     #[cfg(not(feature = "trace-off"))]

@@ -17,7 +17,7 @@ use crate::shard::{ShardGuard, ShardedMailboxStore};
 use apan_tensor::backend::pool::parallel_rows;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
-use apan_tgraph::sampling::{sample_khop, sample_khop_targets, Strategy};
+use apan_tgraph::sampling::sample_khop_targets;
 use apan_tgraph::{EventId, NodeId, TemporalGraph, Time};
 
 /// One interaction to propagate, with its already-computed mail row.
@@ -44,8 +44,6 @@ pub struct Propagator {
     pub deliver_to_self: bool,
     /// Reduction operator for multiple mails to one node.
     pub reduce: MailReduce,
-    /// Sampling strategy along temporal edges.
-    pub strategy: Strategy,
 }
 
 impl Propagator {
@@ -57,7 +55,6 @@ impl Propagator {
             hops: cfg.hops,
             deliver_to_self: cfg.deliver_to_self,
             reduce: cfg.mail_reduce,
-            strategy: Strategy::MostRecent,
         }
     }
 
@@ -222,36 +219,15 @@ impl Propagator {
             out.push(inter.src);
             out.push(inter.dst);
         }
-        let seeds = [inter.src, inter.dst];
-        match self.strategy {
-            Strategy::MostRecent => sample_khop_targets(
-                graph,
-                &seeds,
-                inter.time,
-                self.sampled_neighbors,
-                self.hops,
-                cost,
-                out,
-            ),
-            // Uniform keeps the historical (rng-less) sample_khop path.
-            Strategy::Uniform => {
-                let layers = sample_khop(
-                    graph,
-                    &seeds,
-                    inter.time,
-                    self.sampled_neighbors,
-                    self.hops,
-                    self.strategy,
-                    None,
-                    cost,
-                );
-                for layer in layers {
-                    for edge in layer {
-                        out.push(edge.entry.neighbor);
-                    }
-                }
-            }
-        }
+        sample_khop_targets(
+            graph,
+            &[inter.src, inter.dst],
+            inter.time,
+            self.sampled_neighbors,
+            self.hops,
+            cost,
+            out,
+        );
     }
 }
 
@@ -416,7 +392,6 @@ mod tests {
             hops: 2,
             deliver_to_self: true,
             reduce: MailReduce::Mean,
-            strategy: Strategy::MostRecent,
         }
     }
 

@@ -74,6 +74,23 @@ pub struct ShardedMailboxStore {
     dim: usize,
     slots: usize,
     stats: Arc<TierStats>,
+    /// The cold tier every shard spills to; `None` when untiered.
+    cold: Option<Arc<Mutex<ColdTier>>>,
+}
+
+/// Node count the equivalent flat store would report: the largest
+/// global id any shard has grown to cover, plus one.
+fn flat_node_count(guards: &[MutexGuard<'_, TierShard>]) -> usize {
+    let s = guards.len();
+    guards
+        .iter()
+        .enumerate()
+        .map(|(i, g)| match g.covered() {
+            0 => 0,
+            l => (l - 1) * s + i + 1,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 impl ShardedMailboxStore {
@@ -151,6 +168,7 @@ impl ShardedMailboxStore {
             dim,
             slots,
             stats,
+            cold: tier.map(|(_, cold)| cold),
         })
     }
 
@@ -186,25 +204,21 @@ impl ShardedMailboxStore {
         let _gate = self.sync_gate.read();
         let guards = self.lock_all();
         let s = self.shards.len();
-        let n = guards
-            .iter()
-            .enumerate()
-            .map(|(i, g)| match g.covered() {
-                0 => 0,
-                l => (l - 1) * s + i + 1,
-            })
-            .max()
-            .unwrap_or(0);
         let update = guards[0].update_mode();
-        let mut flat = MailboxStore::new(n, self.slots, self.dim, update);
+        let mut flat = MailboxStore::new(flat_node_count(&guards), self.slots, self.dim, update);
         for (i, g) in guards.iter().enumerate() {
             for local in 0..g.covered() {
                 g.export_into_flat(&mut flat, local as NodeId, local * s + i);
             }
         }
-        // force-flush the (shared) cold tier's RAM tail so the
-        // checkpoint leaves physically complete segment files behind
-        guards[0].flush_cold();
+        // force-flush the cold tier's RAM tail (shard locks still held:
+        // shards before cold) so the checkpoint leaves physically
+        // complete segment files behind
+        if let Some(cold) = &self.cold {
+            cold.lock()
+                .flush()
+                .expect("cold tier flush failed during snapshot export");
+        }
         flat
     }
 
@@ -255,17 +269,15 @@ impl ShardedMailboxStore {
         }
     }
 
-    /// Builds the batched attention view for `nodes` as of `now`,
-    /// acquiring only the shards the batch touches, in ascending shard
-    /// order, one at a time. Bitwise identical to the flat
-    /// [`MailboxStore::read_batch`] on equal logical state. Reading a
-    /// spilled mailbox promotes it (it just proved itself hot).
-    pub fn read_batch(&self, nodes: &[NodeId], now: Time) -> MailboxView {
-        let b = nodes.len();
+    /// Visits each `(batch row, shard-local id)` of `nodes` under its
+    /// shard's lock: only the shards the batch touches, in ascending
+    /// shard order, each locked once.
+    fn for_each_by_shard(
+        &self,
+        nodes: &[NodeId],
+        mut visit: impl FnMut(&mut TierShard, usize, NodeId),
+    ) {
         let s = self.shards.len();
-        let mut mails = Tensor::zeros(b * self.slots, self.dim);
-        let mut lens = vec![0usize; b];
-        let mut ages = vec![0.0f32; b * self.slots];
         let mut todo: Vec<bool> = vec![false; s];
         for &node in nodes {
             todo[node as usize % s] = true;
@@ -274,53 +286,44 @@ impl ShardedMailboxStore {
             let mut sub = self.shards[shard].lock();
             for (bi, &node) in nodes.iter().enumerate() {
                 if node as usize % s == shard {
-                    let local = node / s as NodeId;
-                    lens[bi] = sub.read_mailbox_into(local, now, bi, &mut mails, &mut ages);
+                    visit(&mut sub, bi, node / s as NodeId);
                 }
             }
         }
+    }
+
+    /// Builds the batched attention view for `nodes` as of `now`.
+    /// Bitwise identical to the flat [`MailboxStore::read_batch`] on
+    /// equal logical state. Reading a spilled mailbox promotes it (it
+    /// just proved itself hot).
+    pub fn read_batch(&self, nodes: &[NodeId], now: Time) -> MailboxView {
+        let b = nodes.len();
+        let mut mails = Tensor::zeros(b * self.slots, self.dim);
+        let mut lens = vec![0usize; b];
+        let mut ages = vec![0.0f32; b * self.slots];
+        self.for_each_by_shard(nodes, |sub, bi, local| {
+            lens[bi] = sub.read_mailbox_into(local, now, bi, &mut mails, &mut ages);
+        });
         MailboxView { mails, lens, ages }
     }
 
     /// Gathers `z(t−)` for a batch into a `[B × d]` matrix (zeros for
     /// nodes a shard has not grown to yet), matching the flat store.
     pub fn embedding_batch(&self, nodes: &[NodeId]) -> Tensor {
-        let s = self.shards.len();
         let mut out = Tensor::zeros(nodes.len(), self.dim);
-        let mut todo: Vec<bool> = vec![false; s];
-        for &node in nodes {
-            todo[node as usize % s] = true;
-        }
-        for (shard, _) in todo.iter().enumerate().filter(|(_, &t)| t) {
-            let mut sub = self.shards[shard].lock();
-            for (bi, &node) in nodes.iter().enumerate() {
-                if node as usize % s == shard {
-                    let local = (node as usize / s) as NodeId;
-                    sub.copy_embedding_into(local, out.row_slice_mut(bi));
-                }
-            }
-        }
+        self.for_each_by_shard(nodes, |sub, bi, local| {
+            sub.copy_embedding_into(local, out.row_slice_mut(bi));
+        });
         out
     }
 
-    /// Stores new embeddings for `nodes` (rows of `z`) at time `t`,
-    /// locking each touched shard once, in ascending order.
+    /// Stores new embeddings for `nodes` (rows of `z`) at time `t`.
     pub fn set_embeddings(&self, nodes: &[NodeId], z: &Tensor, t: Time) {
         assert_eq!(z.rows(), nodes.len(), "row count mismatch");
         assert_eq!(z.cols(), self.dim, "embedding width mismatch");
-        let s = self.shards.len();
-        let mut todo: Vec<bool> = vec![false; s];
-        for &node in nodes {
-            todo[node as usize % s] = true;
-        }
-        for (shard, _) in todo.iter().enumerate().filter(|(_, &t)| t) {
-            let mut sub = self.shards[shard].lock();
-            for (bi, &node) in nodes.iter().enumerate() {
-                if node as usize % s == shard {
-                    sub.set_embedding(node / s as NodeId, z.row_slice(bi), t);
-                }
-            }
-        }
+        self.for_each_by_shard(nodes, |sub, bi, local| {
+            sub.set_embedding(local, z.row_slice(bi), t);
+        });
     }
 }
 
@@ -440,16 +443,7 @@ impl StoreReadGuard<'_> {
 
     /// Node count the equivalent flat store would report.
     pub fn num_nodes(&self) -> usize {
-        let s = self.guards.len();
-        self.guards
-            .iter()
-            .enumerate()
-            .map(|(i, g)| match g.covered() {
-                0 => 0,
-                l => (l - 1) * s + i + 1,
-            })
-            .max()
-            .unwrap_or(0)
+        flat_node_count(&self.guards)
     }
 
     /// When `node` last received a new embedding (0 if never grown).

@@ -798,9 +798,6 @@ struct TierState {
     /// + shard` recovers the global node id the cold tier is keyed by.
     shard: usize,
     num_shards: usize,
-    /// Logical shard-local node count; grows exactly like the flat
-    /// store's `ensure_node` so `to_flat` reconstructs the same size.
-    covered: usize,
     /// local id → hot slot.
     map: Vec<Option<u32>>,
     /// hot slot → local id (valid while the slot is bound).
@@ -827,7 +824,6 @@ impl TierState {
         cap: usize,
         shard: usize,
         num_shards: usize,
-        covered: usize,
         cold: Arc<Mutex<ColdTier>>,
         stats: Arc<TierStats>,
     ) -> Self {
@@ -835,7 +831,6 @@ impl TierState {
         Self {
             shard,
             num_shards,
-            covered,
             map: Vec::new(),
             slot_node: vec![NONE; cap],
             lru_prev: vec![NONE; cap],
@@ -953,23 +948,35 @@ impl TierState {
 }
 
 /// One mailbox shard with optional tiered residency. With no tier
-/// (`budget` unset) every call delegates straight to the inner flat
-/// [`MailboxStore`] — bitwise and structurally today's behavior. With a
-/// tier, the inner store is a fixed `cap`-slot pool and this type maps
-/// shard-local node ids onto pool slots, promoting from / evicting to
-/// the shared [`ColdTier`] as the working set moves.
+/// (`budget` unset) the inner flat [`MailboxStore`] is indexed by the
+/// shard-local node id itself — bitwise and structurally the untiered
+/// behavior. With a tier, the inner store is a fixed `cap`-slot pool
+/// and this type maps shard-local node ids onto pool slots, promoting
+/// from / evicting to the shared [`ColdTier`] as the working set moves.
+/// "Where does `local` live" is answered in three places only —
+/// [`Self::slot_for_write`], [`Self::slot_for_read`] and the
+/// non-promoting [`Self::peek`] — and every operation goes through one
+/// of them.
 ///
 /// All methods address *shard-local* node ids; the sharded store's
 /// guards translate global ids before calling in.
 pub(crate) struct TierShard {
     hot: MailboxStore,
     tier: Option<TierState>,
+    /// Logical shard-local node count (what an all-resident flat
+    /// store's `num_nodes` would report): grows on write exactly like
+    /// `ensure_node`, so `to_flat` reconstructs the same size.
+    covered: usize,
 }
 
 impl TierShard {
     /// An untiered shard wrapping `hot` directly.
     pub(crate) fn flat(hot: MailboxStore) -> Self {
-        Self { hot, tier: None }
+        Self {
+            covered: hot.num_nodes(),
+            hot,
+            tier: None,
+        }
     }
 
     /// A tiered shard: a `cap`-mailbox hot pool of the given geometry,
@@ -988,30 +995,31 @@ impl TierShard {
     ) -> Self {
         Self {
             hot: MailboxStore::new(cap, slots, dim, update),
-            tier: Some(TierState::new(cap, shard, num_shards, covered, cold, stats)),
+            tier: Some(TierState::new(cap, shard, num_shards, cold, stats)),
+            covered,
         }
     }
 
-    /// Logical shard-local node count (what the flat store's
-    /// `num_nodes` would report).
+    /// Logical shard-local node count.
     pub(crate) fn covered(&self) -> usize {
-        match &self.tier {
-            Some(t) => t.covered,
-            None => self.hot.num_nodes(),
-        }
+        self.covered
     }
 
     pub(crate) fn update_mode(&self) -> crate::config::MailboxUpdate {
         self.hot.update_mode()
     }
 
-    /// Resolves `local` to a hot slot for a write: grows the logical
-    /// cover (mirroring `ensure_node`), promotes a spilled mailbox, or
-    /// binds a fresh zeroed slot — evicting the LRU victim if the pool
-    /// is full.
-    fn resolve_write(&mut self, local: NodeId) -> u32 {
-        let t = self.tier.as_mut().expect("resolve on untiered shard");
-        t.covered = t.covered.max(local as usize + 1);
+    /// Where `local`'s state lives in `hot` for a write, growing the
+    /// logical cover (mirroring `ensure_node`). Untiered that is the id
+    /// itself; tiered it is a hot slot — the resident one, a spilled
+    /// mailbox promoted back, or a fresh zeroed one — evicting the LRU
+    /// victim if the pool is full.
+    fn slot_for_write(&mut self, local: NodeId) -> NodeId {
+        self.covered = self.covered.max(local as usize + 1);
+        let Some(t) = self.tier.as_mut() else {
+            self.hot.ensure_node(local);
+            return local;
+        };
         if t.map.len() <= local as usize {
             t.map.resize(local as usize + 1, None);
         }
@@ -1039,13 +1047,14 @@ impl TierShard {
         slot
     }
 
-    /// Resolves `local` for a read: returns its hot slot, promoting
-    /// from cold if a spilled record exists. A node with no state
-    /// anywhere returns `None` (the caller reads zeros) *without*
-    /// allocating — reads never grow the store, exactly like the flat
-    /// path's bounds check.
-    fn resolve_read(&mut self, local: NodeId) -> Option<u32> {
-        let t = self.tier.as_mut().expect("resolve on untiered shard");
+    /// Where `local`'s state lives in `hot` for a read, promoting a
+    /// spilled mailbox (it just proved itself hot). A node with no
+    /// state anywhere is `None` (the caller reads zeros) *without*
+    /// allocating — reads never grow the store.
+    fn slot_for_read(&mut self, local: NodeId) -> Option<NodeId> {
+        let Some(t) = self.tier.as_mut() else {
+            return ((local as usize) < self.hot.num_nodes()).then_some(local);
+        };
         if let Some(&Some(slot)) = t.map.get(local as usize) {
             t.touch(slot);
             return Some(slot);
@@ -1070,34 +1079,37 @@ impl TierShard {
         Some(slot)
     }
 
-    pub(crate) fn deliver(&mut self, local: NodeId, mail: &[f32], t: Time, origin: MailOrigin) {
-        match self.tier {
-            None => self.hot.deliver(local, mail, t, origin),
-            Some(_) => {
-                let slot = self.resolve_write(local);
-                self.hot.deliver(slot, mail, t, origin);
-            }
+    /// Runs `f` over `local`'s state *without promoting* — inspection
+    /// and export must not disturb residency. A resident mailbox is
+    /// read in place, a cold one is decoded from its checksummed record
+    /// into a standalone single-node store; `None` for a node with no
+    /// state anywhere.
+    fn peek<R>(&self, local: NodeId, f: impl FnOnce(&MailboxStore, NodeId) -> R) -> Option<R> {
+        let Some(t) = self.tier.as_ref() else {
+            return ((local as usize) < self.hot.num_nodes()).then(|| f(&self.hot, local));
+        };
+        if let Some(&Some(slot)) = t.map.get(local as usize) {
+            return Some(f(&self.hot, slot));
         }
+        let payload = t.cold.lock().peek(t.global(local))?;
+        let mut one = MailboxStore::new(1, self.hot.slots(), self.hot.dim(), self.update_mode());
+        one.import_node_bytes(0, &payload);
+        Some(f(&one, 0))
+    }
+
+    pub(crate) fn deliver(&mut self, local: NodeId, mail: &[f32], t: Time, origin: MailOrigin) {
+        let slot = self.slot_for_write(local);
+        self.hot.deliver(slot, mail, t, origin);
     }
 
     pub(crate) fn patch_late(&mut self, local: NodeId, mail: &[f32], t: Time, origin: MailOrigin) {
-        match self.tier {
-            None => self.hot.patch_late(local, mail, t, origin),
-            Some(_) => {
-                let slot = self.resolve_write(local);
-                self.hot.patch_late(slot, mail, t, origin);
-            }
-        }
+        let slot = self.slot_for_write(local);
+        self.hot.patch_late(slot, mail, t, origin);
     }
 
     pub(crate) fn set_embedding(&mut self, local: NodeId, row: &[f32], t: Time) {
-        match self.tier {
-            None => self.hot.set_embedding(local, row, t),
-            Some(_) => {
-                let slot = self.resolve_write(local);
-                self.hot.set_embedding(slot, row, t);
-            }
-        }
+        let slot = self.slot_for_write(local);
+        self.hot.set_embedding(slot, row, t);
     }
 
     /// See [`MailboxStore::read_mailbox_into`]; promotes a spilled
@@ -1110,152 +1122,67 @@ impl TierShard {
         mails: &mut apan_tensor::Tensor,
         ages: &mut [f32],
     ) -> usize {
-        match self.tier {
-            None => self.hot.read_mailbox_into(local, now, bi, mails, ages),
-            Some(_) => match self.resolve_read(local) {
-                Some(slot) => self.hot.read_mailbox_into(slot, now, bi, mails, ages),
-                None => 0,
-            },
+        match self.slot_for_read(local) {
+            Some(slot) => self.hot.read_mailbox_into(slot, now, bi, mails, ages),
+            None => 0,
         }
     }
 
     /// Copies `local`'s last embedding into `out` (left untouched —
     /// zeros — for a node with no state); promotes a spilled mailbox.
     pub(crate) fn copy_embedding_into(&mut self, local: NodeId, out: &mut [f32]) {
-        match self.tier {
-            None => {
-                if (local as usize) < self.hot.num_nodes() {
-                    out.copy_from_slice(self.hot.embedding(local));
-                }
-            }
-            Some(_) => {
-                if let Some(slot) = self.resolve_read(local) {
-                    out.copy_from_slice(self.hot.embedding(slot));
-                }
-            }
+        if let Some(slot) = self.slot_for_read(local) {
+            out.copy_from_slice(self.hot.embedding(slot));
         }
     }
 
     /// Scatters one node's state from a flat store into this shard
     /// (`from_flat` construction). Untouched (all-zero) nodes are
-    /// skipped in tier mode — they are representable as "no state
-    /// anywhere", so a freshly sized boot store never floods the cold
-    /// tier with empty mailboxes.
+    /// skipped — they are representable as "no state anywhere", so a
+    /// freshly sized boot store never floods the cold tier with empty
+    /// mailboxes (and an untiered shard is born zeroed anyway).
     pub(crate) fn import_node(&mut self, local: NodeId, flat: &MailboxStore, flat_node: usize) {
-        match self.tier {
-            None => {
-                self.hot.ensure_node(local);
-                self.hot.copy_node_from(local as usize, flat, flat_node);
-            }
-            Some(_) => {
-                if flat.node_is_zero(flat_node) {
-                    return;
-                }
-                let slot = self.resolve_write(local);
-                self.hot.copy_node_from(slot as usize, flat, flat_node);
-            }
+        if flat.node_is_zero(flat_node) {
+            return;
         }
-    }
-
-    /// Forces the shared cold tier's RAM tail onto disk (a no-op for an
-    /// untiered shard). The snapshot-export path calls this once so a
-    /// checkpoint leaves the spill log physically complete — the cold
-    /// half of "one consistent checkpoint".
-    pub(crate) fn flush_cold(&self) {
-        if let Some(t) = &self.tier {
-            t.cold
-                .lock()
-                .flush()
-                .expect("cold tier flush failed during snapshot export");
-        }
+        let slot = self.slot_for_write(local);
+        self.hot.copy_node_from(slot as usize, flat, flat_node);
     }
 
     /// Gathers one node's state into `flat[global_dst]` without
-    /// promoting — the `to_flat` / snapshot-export path, which must not
-    /// disturb residency. A cold mailbox is decoded straight from its
-    /// checksummed record; a node with no state anywhere stays zeros.
+    /// promoting — the `to_flat` / snapshot-export path. A node with no
+    /// state anywhere stays zeros.
     pub(crate) fn export_into_flat(
         &self,
         flat: &mut MailboxStore,
         local: NodeId,
         global_dst: usize,
     ) {
-        match &self.tier {
-            None => flat.copy_node_from(global_dst, &self.hot, local as usize),
-            Some(t) => {
-                if let Some(&Some(slot)) = t.map.get(local as usize) {
-                    flat.copy_node_from(global_dst, &self.hot, slot as usize);
-                } else if let Some(payload) = t.cold.lock().peek(t.global(local)) {
-                    flat.import_node_bytes(global_dst, &payload);
-                }
-            }
-        }
-    }
-
-    /// Decodes a node's state into a standalone single-node store for
-    /// the non-promoting inspection accessors below.
-    fn peek_node(&self, local: NodeId) -> Option<MailboxStore> {
-        let t = self.tier.as_ref()?;
-        if let Some(&Some(slot)) = t.map.get(local as usize) {
-            let mut one =
-                MailboxStore::new(1, self.hot.slots(), self.hot.dim(), self.update_mode());
-            one.copy_node_from(0, &self.hot, slot as usize);
-            return Some(one);
-        }
-        let payload = t.cold.lock().peek(t.global(local))?;
-        let mut one = MailboxStore::new(1, self.hot.slots(), self.hot.dim(), self.update_mode());
-        one.import_node_bytes(0, &payload);
-        Some(one)
+        self.peek(local, |state, n| {
+            flat.copy_node_from(global_dst, state, n as usize)
+        });
     }
 
     /// Mail count of `local` without promoting (0 if no state).
     pub(crate) fn peek_len(&self, local: NodeId) -> usize {
-        match &self.tier {
-            None => {
-                if (local as usize) < self.hot.num_nodes() {
-                    self.hot.len(local)
-                } else {
-                    0
-                }
-            }
-            Some(_) => self.peek_node(local).map_or(0, |one| one.len(0)),
-        }
+        self.peek(local, MailboxStore::len).unwrap_or(0)
     }
 
     /// Mails of `local`, oldest first, owned, without promoting.
     pub(crate) fn peek_mails_of(&self, local: NodeId) -> Vec<(Vec<f32>, Time, MailOrigin)> {
-        let owned = |s: &MailboxStore, n: NodeId| {
-            s.mails_of(n)
+        self.peek(local, |state, n| {
+            state
+                .mails_of(n)
                 .into_iter()
                 .map(|(m, t, o)| (m.to_vec(), t, o))
                 .collect()
-        };
-        match &self.tier {
-            None => {
-                if (local as usize) < self.hot.num_nodes() {
-                    owned(&self.hot, local)
-                } else {
-                    Vec::new()
-                }
-            }
-            Some(_) => self
-                .peek_node(local)
-                .map_or_else(Vec::new, |one| owned(&one, 0)),
-        }
+        })
+        .unwrap_or_default()
     }
 
     /// Last embedding-update time of `local` without promoting.
     pub(crate) fn peek_last_update(&self, local: NodeId) -> Time {
-        match &self.tier {
-            None => {
-                if (local as usize) < self.hot.num_nodes() {
-                    self.hot.last_update(local)
-                } else {
-                    0.0
-                }
-            }
-            Some(_) => self.peek_node(local).map_or(0.0, |one| one.last_update(0)),
-        }
+        self.peek(local, MailboxStore::last_update).unwrap_or(0.0)
     }
 }
 

@@ -32,7 +32,6 @@ use apan_core::propagator::{DeliveryPlan, Interaction, PropScratch, Propagator};
 use apan_core::shard::ShardedMailboxStore;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
-use apan_tgraph::sampling::Strategy as SampleStrategy;
 use apan_tgraph::TemporalGraph;
 use proptest::prelude::*;
 
@@ -234,7 +233,6 @@ proptest! {
                 1 => MailReduce::Sum,
                 _ => MailReduce::Mean,
             },
-            strategy: SampleStrategy::MostRecent,
         };
         let num_nodes = 16usize;
         let run_one = |graph: &TemporalGraph,

@@ -52,7 +52,7 @@ fn reference_propagate(
             inter.time,
             p.sampled_neighbors,
             p.hops,
-            p.strategy,
+            SampleStrategy::MostRecent,
             None,
             cost,
         );
@@ -132,7 +132,6 @@ proptest! {
             hops,
             deliver_to_self: self_flag == 1,
             reduce: match reduce_sel { 0 => MailReduce::Last, 1 => MailReduce::Sum, _ => MailReduce::Mean },
-            strategy: SampleStrategy::MostRecent,
         };
         let update = match update_sel {
             0 => MailboxUpdate::Fifo,

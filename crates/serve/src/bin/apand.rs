@@ -10,14 +10,12 @@
 //!       --snapshot-every-s 30 --max-batch 64 --deadline-us 500
 //! ```
 
-use apan_core::config::{ApanConfig, Precision};
+use apan_core::config::ApanConfig;
 use apan_core::model::Apan;
-use apan_serve::batcher::BatchPolicy;
 use apan_serve::server::ServeConfig;
 use apan_serve::ClusterMembership;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -47,64 +45,19 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
+/// Everything the flags decide. Each field starts from its library
+/// default ([`ServeConfig::default`], [`ApanConfig::new`]) and a flag
+/// overwrites it in place, so a default is declared in one place only.
 struct Args {
-    port: u16,
-    dim: usize,
-    slots: usize,
-    nodes: usize,
-    max_node: u32,
-    capacity: usize,
-    max_batch: usize,
-    deadline_us: u64,
-    high_water: usize,
-    snapshot: Option<PathBuf>,
-    snapshot_every_s: Option<u64>,
+    serve: ServeConfig,
+    model: ApanConfig,
     seed: u64,
-    infer_delay_us: u64,
-    prop_threads: usize,
-    trace_buffer: usize,
-    precision: Precision,
-    shard_id: usize,
-    cluster_size: usize,
-    peers: Vec<SocketAddr>,
-    lateness: Option<f64>,
-    mailbox_budget: Option<u64>,
-    mailbox_spill: Option<PathBuf>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self {
-            port: 7878,
-            dim: 32,
-            slots: 10,
-            nodes: 1024,
-            max_node: 1 << 20,
-            capacity: 256,
-            max_batch: 64,
-            deadline_us: 0,
-            high_water: 1024,
-            snapshot: None,
-            snapshot_every_s: None,
-            seed: 42,
-            infer_delay_us: 0,
-            prop_threads: 0,
-            trace_buffer: 8192,
-            precision: Precision::F32,
-            shard_id: 0,
-            cluster_size: 1,
-            peers: Vec::new(),
-            lateness: None,
-            mailbox_budget: None,
-            mailbox_spill: None,
-        }
-    }
 }
 
 const USAGE: &str = "usage: apand [--port N] [--dim N] [--slots N] [--nodes N] [--max-node N]
              [--capacity N] [--max-batch N] [--deadline-us N] [--high-water N]
              [--snapshot PATH] [--snapshot-every-s N] [--seed N] [--infer-delay-us N]
-             [--prop-threads N]   (0 = APAN_PROP_THREADS, default 1)
+             [--prop-threads N]   (propagation pool width, 1..=64)
              [--trace-buffer N]   (TRACE ring capacity in events; 0 disables spans)
              [--precision f32|int8]   (encoder weight precision, default f32)
              [--shard-id N] [--cluster-size N]   (this daemon's place in a cluster)
@@ -119,7 +72,14 @@ const USAGE: &str = "usage: apand [--port N] [--dim N] [--slots N] [--nodes N] [
                               per-process directory under the system temp dir)";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
+    let mut serve = ServeConfig {
+        addr: "0.0.0.0:7878".into(),
+        ..ServeConfig::default()
+    };
+    let mut model = ApanConfig::new(32);
+    model.dropout = 0.0; // serving is eval-mode only
+    let mut seed = 42;
+    let (mut shard_id, mut cluster_size, mut peers) = (0usize, 1usize, Vec::new());
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
@@ -133,35 +93,37 @@ fn parse_args() -> Result<Args, String> {
             v.parse().map_err(|_| format!("{flag}: bad number {v:?}"))
         };
         match flag.as_str() {
-            "--port" => args.port = num(&value)? as u16,
-            "--dim" => args.dim = num(&value)? as usize,
-            "--slots" => args.slots = num(&value)? as usize,
-            "--nodes" => args.nodes = num(&value)? as usize,
-            "--max-node" => args.max_node = num(&value)? as u32,
-            "--capacity" => args.capacity = num(&value)? as usize,
-            "--max-batch" => args.max_batch = num(&value)? as usize,
-            "--deadline-us" => args.deadline_us = num(&value)?,
-            "--high-water" => args.high_water = num(&value)? as usize,
-            "--snapshot" => args.snapshot = Some(PathBuf::from(value)),
-            "--snapshot-every-s" => args.snapshot_every_s = Some(num(&value)?),
-            "--seed" => args.seed = num(&value)?,
-            "--infer-delay-us" => args.infer_delay_us = num(&value)?,
-            "--prop-threads" => args.prop_threads = num(&value)? as usize,
-            "--trace-buffer" => args.trace_buffer = num(&value)? as usize,
-            "--precision" => args.precision = value.parse()?,
-            "--shard-id" => args.shard_id = num(&value)? as usize,
+            "--port" => serve.addr = format!("0.0.0.0:{}", num(&value)? as u16),
+            "--dim" => model.dim = num(&value)? as usize,
+            "--slots" => model.mailbox_slots = num(&value)? as usize,
+            "--nodes" => serve.num_nodes = num(&value)? as usize,
+            "--max-node" => serve.max_node = num(&value)? as u32,
+            "--capacity" => serve.capacity = num(&value)? as usize,
+            "--max-batch" => serve.policy.max_batch = num(&value)? as usize,
+            "--deadline-us" => serve.policy.batch_deadline = Duration::from_micros(num(&value)?),
+            "--high-water" => serve.high_water = num(&value)? as usize,
+            "--snapshot" => serve.snapshot_path = Some(PathBuf::from(value)),
+            "--snapshot-every-s" => {
+                serve.snapshot_every = Some(Duration::from_secs(num(&value)?));
+            }
+            "--seed" => seed = num(&value)?,
+            "--infer-delay-us" => serve.infer_delay = Duration::from_micros(num(&value)?),
+            "--prop-threads" => serve.prop_threads = num(&value)? as usize,
+            "--trace-buffer" => serve.trace_buffer = num(&value)? as usize,
+            "--precision" => serve.precision = value.parse()?,
+            "--shard-id" => shard_id = num(&value)? as usize,
             "--lateness" => {
                 let l: f64 = value.parse().map_err(|_| "bad --lateness".to_string())?;
                 if !l.is_finite() || l < 0.0 {
                     return Err("--lateness must be finite and non-negative".into());
                 }
-                args.lateness = Some(l);
+                serve.lateness = Some(l);
             }
-            "--cluster-size" => args.cluster_size = num(&value)? as usize,
-            "--mailbox-budget" => args.mailbox_budget = Some(num(&value)?),
-            "--mailbox-spill" => args.mailbox_spill = Some(PathBuf::from(value)),
+            "--cluster-size" => cluster_size = num(&value)? as usize,
+            "--mailbox-budget" => model.mailbox_budget = Some(num(&value)?),
+            "--mailbox-spill" => model.mailbox_spill = Some(PathBuf::from(value)),
             "--peers" => {
-                args.peers = value
+                peers = value
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| s.parse().map_err(|_| format!("--peers: bad address {s:?}")))
@@ -170,7 +132,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
-    Ok(args)
+    if cluster_size > 1 {
+        if shard_id >= cluster_size {
+            return Err(format!(
+                "--shard-id {shard_id} out of range for --cluster-size {cluster_size}"
+            ));
+        }
+        let mut m = ClusterMembership::new(shard_id, cluster_size);
+        m.peers = peers;
+        serve.cluster = Some(m);
+    }
+    Ok(Args { serve, model, seed })
 }
 
 fn main() {
@@ -181,50 +153,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    let mut cfg = ApanConfig::new(args.dim);
-    cfg.mailbox_slots = args.slots;
-    cfg.dropout = 0.0; // serving is eval-mode only
-    cfg.mailbox_budget = args.mailbox_budget;
-    cfg.mailbox_spill = args.mailbox_spill.clone();
     let mut rng = StdRng::seed_from_u64(args.seed);
-    let model = Apan::new(&cfg, &mut rng);
-
-    let serve_cfg = ServeConfig {
-        addr: format!("0.0.0.0:{}", args.port),
-        num_nodes: args.nodes,
-        max_node: args.max_node,
-        capacity: args.capacity,
-        policy: BatchPolicy {
-            max_batch: args.max_batch,
-            batch_deadline: Duration::from_micros(args.deadline_us),
-        },
-        high_water: args.high_water,
-        snapshot_path: args.snapshot,
-        snapshot_every: args.snapshot_every_s.map(Duration::from_secs),
-        infer_delay: Duration::from_micros(args.infer_delay_us),
-        prop_threads: args.prop_threads,
-        trace_buffer: args.trace_buffer,
-        precision: args.precision,
-        lateness: args.lateness,
-        cluster: (args.cluster_size > 1).then(|| {
-            if args.shard_id >= args.cluster_size {
-                eprintln!(
-                    "apand: --shard-id {} out of range for --cluster-size {}",
-                    args.shard_id, args.cluster_size
-                );
-                std::process::exit(2);
-            }
-            let mut m = ClusterMembership::new(args.shard_id, args.cluster_size);
-            m.peers = args.peers.clone();
-            m
-        }),
-        ..ServeConfig::default()
-    };
+    let model = Apan::new(&args.model, &mut rng);
 
     install_signal_handlers();
 
-    let handle = match apan_serve::start(model, serve_cfg) {
+    let handle = match apan_serve::start(model, args.serve) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("apand: failed to start: {e}");

@@ -20,7 +20,7 @@
 //!   ([`snapshot`]);
 //! * **an honest stats surface** — p50/p95/p99/max service latency,
 //!   queue depth, shed counts, and a batch-size histogram over the
-//!   `STATS` verb ([`server`]);
+//!   `STATS` verb ([`stats`]);
 //! * **first-class observability** — a `METRICS` verb rendering every
 //!   counter, gauge, and per-stage latency histogram as Prometheus text
 //!   exposition, and a `TRACE` verb draining per-request stage spans
@@ -35,9 +35,12 @@
 pub mod batcher;
 pub mod client;
 pub mod cluster_link;
+pub mod conn;
 pub mod proto;
 pub mod server;
 pub mod snapshot;
+pub mod stats;
+mod verbs;
 
 pub use client::{Client, ClientError};
 pub use cluster_link::ClusterMembership;

@@ -263,10 +263,7 @@ pub fn decode_infer_traced(
 /// Encodes a `DELIVER` payload: the cluster-global sequence number
 /// followed by the job's [`wire::encode_job`] bytes.
 pub fn encode_deliver(gseq: u64, job: &[u8]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(8 + job.len());
-    buf.put_u64_le(gseq);
-    buf.extend_from_slice(job);
-    buf.freeze().to_vec()
+    encode_deliver_traced(gseq, job, None)
 }
 
 /// Decodes a `DELIVER` payload. Total: the sequence header and the full
@@ -319,10 +316,7 @@ pub fn decode_deliver_traced(
 /// followed by an `INFER` payload carried verbatim — the gateway never
 /// re-encodes what the client sent, so routing cannot perturb bits.
 pub fn encode_route(gseq: u64, infer_payload: &[u8]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(8 + infer_payload.len());
-    buf.put_u64_le(gseq);
-    buf.extend_from_slice(infer_payload);
-    buf.freeze().to_vec()
+    encode_route_traced(gseq, infer_payload, None)
 }
 
 /// Decodes a `ROUTE` payload into the sequence number and the inner
@@ -357,13 +351,21 @@ pub fn encode_route_traced(gseq: u64, infer_payload: &[u8], trace_id: Option<u64
     buf.freeze().to_vec()
 }
 
+/// [`peek_infer_trailer`] with untagged and malformed payloads folded
+/// into one `None`.
+pub fn peek_infer_trace_tag(payload: &[u8]) -> Option<u64> {
+    peek_infer_trailer(payload).flatten()
+}
+
 /// Structurally skims an `INFER` payload for its trace-tag trailer
 /// without validating the batch: skips `n` interactions and the tensor
-/// by their declared sizes, then reads the tag. `None` for untagged or
-/// malformed payloads — the gateway uses this to decide whether to
-/// derive a trace id of its own, and malformed payloads are rejected
-/// downstream by the shard's full decode either way.
-pub fn peek_infer_trace_tag(payload: &[u8]) -> Option<u64> {
+/// by their declared sizes, then reads the tag. The outer `None` means
+/// the payload is torn somewhere (the shard's full decode will reject
+/// it); the inner value is the tag a well-formed payload carries. The
+/// gateway appends a trace id of its own only to `Some(None)` — a
+/// malformed payload is routed byte for byte, so the owner rejects it
+/// with exactly the message a direct `INFER` gets.
+pub fn peek_infer_trailer(payload: &[u8]) -> Option<Option<u64>> {
     let mut b = Bytes::copy_from_slice(payload);
     if b.remaining() < 4 {
         return None;
@@ -383,7 +385,7 @@ pub fn peek_infer_trace_tag(payload: &[u8]) -> Option<u64> {
         return None;
     }
     b.advance(elems);
-    wire::decode_trace_tag(&mut b).ok().flatten()
+    wire::decode_trace_tag(&mut b).ok()
 }
 
 /// Encodes a cluster `FLUSH` barrier payload: flush only once every
