@@ -144,15 +144,17 @@ pub struct ApanConfig {
     /// `None` (the default) keeps every mailbox in RAM; `Some(bytes)`
     /// bounds the hot pools to roughly that much mailbox state (at
     /// least one mailbox per shard) and spills the least-recently
-    /// touched mailboxes to a log-structured on-disk cold tier, so the
-    /// graph can exceed RAM. Tiering never changes served bits — only
+    /// touched mailboxes to an on-disk cold tier, so the graph can
+    /// exceed RAM. Tiering never changes served bits — only
     /// where mailbox bytes live.
     pub mailbox_budget: Option<u64>,
-    /// Directory for the cold tier's segment files when a budget is
-    /// set. `None` auto-creates a per-process directory in the system
-    /// temp dir (removed on clean shutdown); an explicit path is kept
-    /// across runs so a restart can verify and truncate a crashed
-    /// process's torn segment tail.
+    /// Directory for the cold tier's one scratch file when a budget is
+    /// set. The file is removed on clean shutdown and truncated on the
+    /// next boot after a crash — it is never read across runs; the
+    /// snapshot is the durable state. `None` auto-creates a per-process
+    /// directory in the system temp dir, removed on clean shutdown too;
+    /// an explicit directory is left in place (empty). One store per
+    /// directory.
     pub mailbox_spill: Option<std::path::PathBuf>,
 }
 

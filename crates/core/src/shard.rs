@@ -6,7 +6,8 @@
 //! only touches the shards its batch actually hits. Each shard is a
 //! [`TierShard`]: a plain flat [`MailboxStore`] when no residency
 //! budget is configured, or a bounded hot pool spilling its LRU tail to
-//! a shared log-structured cold tier when one is (see [`crate::tier`]).
+//! the store's direct-mapped spill file when one is (see
+//! [`crate::tier`]).
 //!
 //! The sharding *and* the tiering are pure layout transforms:
 //! `to_flat` reconstructs a flat store byte-identical (snapshot format
@@ -17,14 +18,14 @@
 //! mailbox's bytes round-trip losslessly through the cold tier.
 //!
 //! Lock discipline: multi-shard operations acquire shard mutexes in
-//! ascending shard order only, and the cold tier's mutex is only ever
-//! taken *while holding a shard mutex* (shards before cold) — which
-//! rules out lock-order inversions between concurrent readers, the
-//! sync path's embedding writes, and the propagation pool's
-//! shard-parallel deliveries.
+//! ascending shard order only — which rules out lock-order inversions
+//! between concurrent readers, the sync path's embedding writes, and
+//! the propagation pool's shard-parallel deliveries. The spill file is
+//! not a lock: shards share it through positioned I/O, each touching
+//! only its own nodes' offsets under its own mutex.
 
 use crate::mailbox::{MailOrigin, MailboxRead, MailboxStore, MailboxView};
-use crate::tier::{ColdTier, TierShard, TierStats};
+use crate::tier::{ColdFile, TierShard, TierStats};
 use apan_tensor::backend::pool::parse_positive;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, Time};
@@ -74,8 +75,6 @@ pub struct ShardedMailboxStore {
     dim: usize,
     slots: usize,
     stats: Arc<TierStats>,
-    /// The cold tier every shard spills to; `None` when untiered.
-    cold: Option<Arc<Mutex<ColdTier>>>,
 }
 
 /// Node count the equivalent flat store would report: the largest
@@ -106,11 +105,12 @@ impl ShardedMailboxStore {
     /// resident-memory budget. `budget = None` keeps every mailbox in
     /// RAM (identical to [`Self::from_flat`]); `Some(bytes)` bounds the
     /// hot pools to roughly `bytes` of mailbox state total (at least
-    /// one mailbox per shard) and spills the rest to a log-structured
-    /// cold tier under `spill_dir` — auto-created in the system temp
-    /// dir (and removed on drop) when `None`. Untouched (all-zero)
-    /// nodes are never spilled, so a freshly sized boot store costs no
-    /// cold I/O.
+    /// one mailbox per shard) and spills the rest to one scratch file
+    /// under `spill_dir`, truncating whatever a previous process left
+    /// there and removing the file on drop. With `None` the directory
+    /// is auto-created in the system temp dir and removed on drop too.
+    /// Untouched (all-zero) nodes are never spilled, so a freshly sized
+    /// boot store costs no cold I/O.
     ///
     /// Tiering only moves bytes between tiers: the resulting store is
     /// bitwise-indistinguishable from the all-resident one through
@@ -134,8 +134,7 @@ impl ShardedMailboxStore {
                     Some(d) => (d.to_path_buf(), false),
                     None => (default_spill_dir(), true),
                 };
-                let cold = ColdTier::open(&dir, slots, dim, own_dir, Arc::clone(&stats))?;
-                Some((cap, Arc::new(Mutex::new(cold))))
+                Some((cap, Arc::new(ColdFile::create(&dir, slots, dim, own_dir)?)))
             }
         };
         let shards = (0..num_shards)
@@ -168,7 +167,6 @@ impl ShardedMailboxStore {
             dim,
             slots,
             stats,
-            cold: tier.map(|(_, cold)| cold),
         })
     }
 
@@ -197,8 +195,7 @@ impl ShardedMailboxStore {
     /// what the serial (unsharded, all-resident) path would hold: the
     /// node count is the maximum id any shard grew to cover, plus the
     /// initial sizing. Cold mailboxes are decoded straight from their
-    /// checksummed records without promoting them — this *is* the cold
-    /// tier's force-flush into one consistent checkpoint, and it leaves
+    /// checksummed records without promoting them, so an export leaves
     /// residency untouched.
     pub fn to_flat(&self) -> MailboxStore {
         let _gate = self.sync_gate.read();
@@ -210,14 +207,6 @@ impl ShardedMailboxStore {
             for local in 0..g.covered() {
                 g.export_into_flat(&mut flat, local as NodeId, local * s + i);
             }
-        }
-        // force-flush the cold tier's RAM tail (shard locks still held:
-        // shards before cold) so the checkpoint leaves physically
-        // complete segment files behind
-        if let Some(cold) = &self.cold {
-            cold.lock()
-                .flush()
-                .expect("cold tier flush failed during snapshot export");
         }
         flat
     }
@@ -552,7 +541,38 @@ mod tests {
         let stats = sharded.tier_stats();
         assert!(stats.evictions.load(std::sync::atomic::Ordering::Relaxed) > 0);
         assert!(stats.promotions.load(std::sync::atomic::Ordering::Relaxed) > 0);
-        assert!(stats.cold_bytes.load(std::sync::atomic::Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn cold_bytes_counts_live_cold_records_exactly() {
+        use std::sync::atomic::Ordering::Relaxed;
+        // 2 shards × 1 hot slot; nodes 0..8 written once each, ascending
+        let (slots, dim) = (3, 4);
+        let flat = MailboxStore::new(0, slots, dim, MailboxUpdate::Fifo);
+        let sharded = ShardedMailboxStore::from_flat_tiered(&flat, 2, Some(0), None).unwrap();
+        let record_len = 4 + MailboxStore::node_payload_bytes(slots, dim) as u64 + 8;
+        let stats = sharded.tier_stats();
+        for node in 0..8u32 {
+            sharded.lock_shard(sharded.shard_of(node)).deliver(
+                node,
+                &[node as f32; 4],
+                f64::from(node),
+                MailOrigin::default(),
+            );
+        }
+        // each shard keeps its newest node hot and spilled the other 3
+        assert_eq!(stats.evictions.load(Relaxed), 6);
+        assert_eq!(stats.cold_bytes.load(Relaxed), 6 * record_len);
+        // promoting every cold node back takes its record out of the
+        // count; the pools being full, each promotion spills exactly one
+        // other mailbox, so the gauge ends where it started — it never
+        // accumulates superseded records
+        for node in 0..6u32 {
+            let _ = ShardedMailboxStore::read_batch(&sharded, &[node], 9.0);
+        }
+        assert_eq!(stats.promotions.load(Relaxed), 6);
+        assert_eq!(stats.evictions.load(Relaxed), 12);
+        assert_eq!(stats.cold_bytes.load(Relaxed), 6 * record_len);
     }
 
     #[test]

@@ -274,11 +274,11 @@ pub enum Stage {
     /// full park residency, so its histogram is the park-time
     /// distribution (`apan_reorder_park_ns`).
     ReorderRelease,
-    /// Tier store: exporting a cold record to the log-structured tier.
+    /// Tier store: exporting a cold record to the spill file.
     TierEvict,
     /// Tier store: re-importing a cold record into the hot tier.
     TierPromote,
-    /// Tier store: one cold-segment record read
+    /// Tier store: one cold record read
     /// (`apan_tier_cold_read_ns`).
     ColdRead,
 }

@@ -68,8 +68,10 @@ const USAGE: &str = "usage: apand [--port N] [--dim N] [--slots N] [--nodes N] [
              [--mailbox-budget BYTES]   (bound resident mailbox state to ~BYTES, spilling
                               the least-recently-touched mailboxes to an on-disk cold
                               tier; off by default — everything stays in RAM)
-             [--mailbox-spill DIR]   (cold-tier segment directory; default is a fresh
-                              per-process directory under the system temp dir)";
+             [--mailbox-spill DIR]   (directory for the cold tier's one scratch file, which
+                              is removed on clean shutdown and truncated on the next
+                              boot after a crash; default is a fresh per-process
+                              directory under the system temp dir, removed as well)";
 
 fn parse_args() -> Result<Args, String> {
     let mut serve = ServeConfig {

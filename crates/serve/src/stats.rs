@@ -234,7 +234,7 @@ pub(crate) fn register_scrape_views(shared: &Shared) {
         (
             "apan_tier_cold_read_ns",
             Stage::ColdRead,
-            "Cold-tier segment reads on mailbox access",
+            "Cold-tier record reads on mailbox access",
         ),
         (
             "apan_tier_evict_ns",
@@ -284,7 +284,7 @@ pub(crate) fn register_scrape_views(shared: &Shared) {
     let t = Arc::clone(&shared.tier);
     reg.gauge_fn(
         "apan_tier_cold_bytes",
-        "Live (non-superseded) record bytes in the cold tier's segment files",
+        "Bytes of live cold records: mailboxes currently spilled x record length",
         move || t.cold_bytes.load(Ordering::Relaxed) as f64,
     );
     let (shard_id, cluster_size) = shared.shard_identity;

@@ -1051,12 +1051,12 @@ fn tiered_serving_stays_on_the_all_resident_oracle() {
 }
 
 #[test]
-fn tiered_crash_and_warm_restart_with_a_torn_cold_segment_tail() {
-    // Crash the tiered daemon with a populated cold tier, then chop the
-    // newest segment file mid-record — a torn tail from the hard kill.
-    // The warm restart must digest-scan the spill directory, truncate
-    // the torn tail, rebuild serving state from the *snapshot* (the only
-    // durable truth), and continue bitwise on the oracle.
+fn tiered_crash_and_warm_restart_over_a_leftover_spill_file() {
+    // Crash the tiered daemon with a populated cold tier and leave what
+    // a hard kill would: its spill file, chopped mid-record and garbled.
+    // The warm restart must never read it — it truncates the file,
+    // rebuilds serving state from the *snapshot* (the only durable
+    // truth), and continues bitwise on the oracle.
     let seed = 9102;
     const TOTAL: usize = 24;
     const SNAP_AT: usize = 8;
@@ -1086,30 +1086,33 @@ fn tiered_crash_and_warm_restart_with_a_torn_cold_segment_tail() {
         client.stat_u64("tier_evictions").unwrap() > 0,
         "budget 0 must have spilled mailboxes before the crash"
     );
+    // the cold tier is one file; keep its bytes — the in-process crash
+    // below still runs destructors (which remove it), a real kill -9
+    // would not
+    let files: Vec<std::path::PathBuf> = std::fs::read_dir(&spill)
+        .expect("spill dir exists while the daemon runs")
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "one spill file per store: {files:?}");
+    let mut leftover = std::fs::read(&files[0]).unwrap();
+    assert!(
+        leftover.len() > 20,
+        "spill file must hold at least one record"
+    );
     handle.crash();
     trace.push(format!("crash after {CRASH_AT}"));
 
-    // the hard kill left the explicit spill directory behind; tear the
-    // newest segment mid-record, as an interrupted append would
-    let mut segs: Vec<std::path::PathBuf> = std::fs::read_dir(&spill)
-        .expect("spill dir survives a crash")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "log"))
-        .collect();
-    segs.sort();
-    let newest = segs.last().expect("cold tier must hold segments");
-    let len = std::fs::metadata(newest).unwrap().len();
-    assert!(len > 20, "segment must hold at least one record: {len}");
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(newest)
-        .unwrap();
-    f.set_len(len - 5).unwrap(); // mid-record chop
-    drop(f);
+    // chop mid-record, as an interrupted write would, and garble a
+    // stretch of what remains
+    let full = leftover.len();
+    leftover.truncate(full - 5);
+    for b in leftover.iter_mut().skip(7).step_by(13) {
+        *b ^= 0xFF;
+    }
+    std::fs::write(&files[0], &leftover).unwrap();
     trace.push(format!(
-        "tore cold segment tail ({} -> {} bytes)",
-        len,
-        len - 5
+        "left a chopped, garbled spill file ({full} -> {} bytes)",
+        leftover.len()
     ));
 
     // phase 2: warm restart over the same spill dir (different weight
@@ -1135,7 +1138,7 @@ fn tiered_crash_and_warm_restart_with_a_torn_cold_segment_tail() {
         &post,
         &expected_all[SNAP_AT..],
         &trace,
-        "tiered post-restart over a torn cold tail",
+        "tiered post-restart over a leftover spill file",
     );
     let _ = std::fs::remove_file(&snap);
     let _ = std::fs::remove_dir_all(&spill);

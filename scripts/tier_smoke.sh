@@ -7,7 +7,9 @@
 # Prometheus exposition that the tier actually cycled: evictions and
 # promotions both happened, and the resident gauge is nonzero. A daemon
 # that silently ignored the budget (or a tier that never spilled) fails
-# here even though every request succeeded.
+# here even though every request succeeded. It also checks the cold
+# tier's footprint: exactly one file in the spill directory while the
+# daemon runs, none after a clean SIGTERM.
 #
 # Usage: scripts/tier_smoke.sh [duration_s]
 set -euo pipefail
@@ -18,17 +20,19 @@ DURATION="${1:-2}"
 # working set, so the stream must evict and re-promote continuously.
 BUDGET="${TIER_BUDGET:-65536}"
 LOG="$(mktemp /tmp/apand_tier.XXXXXX.log)"
+SPILL="$(mktemp -d)"
 APID=""
 
 cleanup() {
   [ -n "$APID" ] && kill -TERM "$APID" 2>/dev/null && wait "$APID" 2>/dev/null
-  rm -f "$LOG"
+  rm -rf "$LOG" "$SPILL"
 }
 trap cleanup EXIT
 
 cargo build --release -p apan-serve --bins
 
-./target/release/apand --port 0 --dim 16 --mailbox-budget "$BUDGET" >"$LOG" 2>&1 &
+./target/release/apand --port 0 --dim 16 --mailbox-budget "$BUDGET" \
+  --mailbox-spill "$SPILL" >"$LOG" 2>&1 &
 APID=$!
 for _ in $(seq 50); do
   grep -q "listening on" "$LOG" 2>/dev/null && break
@@ -82,4 +86,19 @@ if [ -z "$PROMOTIONS" ] || [ "$PROMOTIONS" = "0" ]; then
   echo "tier_smoke: apan_tier_promotions_total is ${PROMOTIONS:-absent} — nothing ever came back from cold" >&2
   exit 1
 fi
-echo "tier_smoke: OK (resident=$RESIDENT evictions=$EVICTIONS promotions=$PROMOTIONS)"
+
+if [ "$(find "$SPILL" -mindepth 1 -type f | wc -l)" != 1 ] ||
+   [ "$(find "$SPILL" -mindepth 1 | wc -l)" != 1 ]; then
+  echo "tier_smoke: a running tiered daemon must keep exactly one spill file:" >&2
+  ls -la "$SPILL" >&2
+  exit 1
+fi
+kill -TERM "$APID"
+wait "$APID" 2>/dev/null || true
+APID=""
+if [ "$(find "$SPILL" -mindepth 1 | wc -l)" != 0 ]; then
+  echo "tier_smoke: a clean shutdown must remove the spill file:" >&2
+  ls -la "$SPILL" >&2
+  exit 1
+fi
+echo "tier_smoke: OK (resident=$RESIDENT evictions=$EVICTIONS promotions=$PROMOTIONS, one spill file, removed on SIGTERM)"
