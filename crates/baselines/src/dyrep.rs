@@ -6,9 +6,9 @@
 //! the memory itself (the "id" readout in TGN's taxonomy), keeping the
 //! inference path query-free like JODIE but with structure-aware updates.
 
-use crate::harness::DynamicModel;
 use crate::heads::TaskHeads;
 use crate::memory::NodeMemory;
+use apan_core::train::DynamicModel;
 use apan_nn::{Fwd, ParamStore};
 use apan_tensor::{Tensor, Var};
 use apan_tgraph::cost::QueryCost;
@@ -106,6 +106,7 @@ impl DynamicModel for DyRep {
         _data: &apan_data::TemporalDataset,
         nodes: &[NodeId],
         _visible: Time,
+        _now: Time,
         _rng: &mut StdRng,
         _cost: &mut QueryCost,
     ) -> Var {
@@ -189,7 +190,7 @@ impl DynamicModel for DyRep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::dedup_nodes;
+    use apan_core::model::dedup_nodes;
     use rand::SeedableRng;
 
     fn tiny_data() -> apan_data::TemporalDataset {
@@ -227,7 +228,15 @@ mod tests {
         let mut embed_cost = QueryCost::new();
         {
             let mut fwd = Fwd::new(model.params(), false);
-            let z = model.embed(&mut fwd, &data, &[0, 1], 5.0, &mut rng, &mut embed_cost);
+            let z = model.embed(
+                &mut fwd,
+                &data,
+                &[0, 1],
+                5.0,
+                5.0,
+                &mut rng,
+                &mut embed_cost,
+            );
             assert_eq!(fwd.g.value(z).shape(), (2, 6));
         }
         assert_eq!(embed_cost.queries, 0);

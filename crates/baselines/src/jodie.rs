@@ -6,9 +6,9 @@
 //! is entirely node-local — no graph queries — which is why JODIE sits on
 //! the fast-but-less-accurate end of the latency/AP plane.
 
-use crate::harness::DynamicModel;
 use crate::heads::TaskHeads;
 use crate::memory::NodeMemory;
+use apan_core::train::DynamicModel;
 use apan_nn::{Fwd, ParamId, ParamStore};
 use apan_tensor::{Tensor, Var};
 use apan_tgraph::cost::QueryCost;
@@ -113,6 +113,7 @@ impl DynamicModel for Jodie {
         _data: &apan_data::TemporalDataset,
         nodes: &[NodeId],
         visible: Time,
+        _now: Time,
         _rng: &mut StdRng,
         _cost: &mut QueryCost,
     ) -> Var {
@@ -199,7 +200,7 @@ mod tests {
         model.reset(&data);
         let mut cost = QueryCost::new();
         let mut fwd = Fwd::new(model.params(), false);
-        let z = model.embed(&mut fwd, &data, &[0, 1, 2], 10.0, &mut rng, &mut cost);
+        let z = model.embed(&mut fwd, &data, &[0, 1, 2], 10.0, 10.0, &mut rng, &mut cost);
         assert_eq!(fwd.g.value(z).shape(), (3, 6));
         assert_eq!(cost.queries, 0, "JODIE inference must be query-free");
     }
@@ -213,7 +214,7 @@ mod tests {
         let events = &data.graph.events()[..10];
         let src: Vec<NodeId> = events.iter().map(|e| e.src).collect();
         let dst: Vec<NodeId> = events.iter().map(|e| e.dst).collect();
-        let (unique, maps) = crate::harness::dedup_nodes(&[&src, &dst]);
+        let (unique, maps) = apan_core::model::dedup_nodes(&[&src, &dst]);
         let z = Tensor::zeros(unique.len(), 6);
         let mut cost = QueryCost::new();
         model.post_step(&data, events, &unique, &maps, &z, &mut cost);
@@ -224,6 +225,7 @@ mod tests {
             &mut fwd,
             &data,
             &[touched],
+            events[9].time,
             events[9].time,
             &mut rng,
             &mut cost,
@@ -244,7 +246,7 @@ mod tests {
         let events = &data.graph.events()[..5];
         let src: Vec<NodeId> = events.iter().map(|e| e.src).collect();
         let dst: Vec<NodeId> = events.iter().map(|e| e.dst).collect();
-        let (unique, maps) = crate::harness::dedup_nodes(&[&src, &dst]);
+        let (unique, maps) = apan_core::model::dedup_nodes(&[&src, &dst]);
         let z = Tensor::zeros(unique.len(), 6);
         let mut cost = QueryCost::new();
         model.post_step(&data, events, &unique, &maps, &z, &mut cost);
@@ -252,8 +254,16 @@ mod tests {
 
         let node = unique[0];
         let mut fwd = Fwd::new(model.params(), false);
-        let z1 = model.embed(&mut fwd, &data, &[node], 100.0, &mut rng, &mut cost);
-        let z2 = model.embed(&mut fwd, &data, &[node], 10_000.0, &mut rng, &mut cost);
+        let z1 = model.embed(&mut fwd, &data, &[node], 100.0, 100.0, &mut rng, &mut cost);
+        let z2 = model.embed(
+            &mut fwd,
+            &data,
+            &[node],
+            10_000.0,
+            10_000.0,
+            &mut rng,
+            &mut cost,
+        );
         let (a, b) = (fwd.g.value(z1).clone(), fwd.g.value(z2).clone());
         assert!(!a.allclose(&b, 1e-9), "Δt should shift the projection");
     }

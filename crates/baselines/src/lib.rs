@@ -4,7 +4,7 @@
 //! against (Tables 2–3, Figures 6–7), sharing the `apan-tensor`/`apan-nn`
 //! substrate so comparisons are apples-to-apples.
 //!
-//! ## Dynamic (CTDG) models — [`harness::DynamicModel`] implementations
+//! ## Dynamic (CTDG) models — [`apan_core::train::DynamicModel`] implementations
 //!
 //! * [`jodie::Jodie`] — per-node RNN memory with time-projected
 //!   embeddings; no graph queries at inference.
@@ -15,8 +15,9 @@
 //!   inference* (the latency pattern APAN is built to avoid).
 //! * [`tgn::Tgn`] — TGAT-style one-layer attention on top of a GRU
 //!   node memory; also queries the graph at inference.
-//! * [`apan_adapter::ApanDyn`] — adapter putting `apan-core`'s APAN
-//!   behind the same trait, for uniform benchmarking.
+//!
+//! APAN itself implements the same trait next to its definition
+//! (`apan_core::train::ApanDyn`).
 //!
 //! ## Static models (on the collapsed training graph)
 //!
@@ -26,17 +27,15 @@
 //! * [`walks`]/[`skipgram`]/[`deepwalk`] — DeepWalk, Node2Vec and the
 //!   temporal-walk CTDNE, trained with skip-gram negative sampling.
 //!
-//! The [`harness`] module trains and evaluates any [`harness::DynamicModel`]
-//! with the exact protocol used for APAN itself (same splits, same
-//! negative sampler, same metrics, same cost accounting), which is what
-//! the table/figure benches build on.
+//! [`apan_core::train`] trains and evaluates any `DynamicModel` — these
+//! and APAN alike — under one protocol (same splits, same negative
+//! sampler, same metrics, same cost accounting), which is what the
+//! table/figure benches build on.
 
-pub mod apan_adapter;
 pub mod deepwalk;
 pub mod dyrep;
 pub mod gat;
 pub mod gcn;
-pub mod harness;
 pub mod heads;
 pub mod jodie;
 pub mod memory;
@@ -48,5 +47,3 @@ pub mod temporal_attention;
 pub mod tgat;
 pub mod tgn;
 pub mod walks;
-
-pub use harness::DynamicModel;

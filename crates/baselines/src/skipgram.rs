@@ -3,6 +3,7 @@
 //! gradient is two rank-1 updates per pair, and the classic formulation
 //! is both faster and simpler than taping it.
 
+use apan_tensor::ops::stable_sigmoid;
 use apan_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -31,15 +32,6 @@ impl Default for SgnsConfig {
             lr: 0.025,
             epochs: 2,
         }
-    }
-}
-
-fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 
@@ -99,7 +91,7 @@ pub fn train_sgns(
                         let vc = w_in.row_slice(center as usize);
                         let vo = w_out.row_slice(target);
                         let dot: f32 = vc.iter().zip(vo).map(|(a, b)| a * b).sum();
-                        let g = (sigmoid(dot) - label) * cfg.lr;
+                        let g = (stable_sigmoid(dot) - label) * cfg.lr;
                         for (gc, &o) in grad_center.iter_mut().zip(vo) {
                             *gc += g * o;
                         }

@@ -10,6 +10,7 @@ use crate::static_graph::StaticGraph;
 use apan_data::{ChronoSplit, NegativeSampler, TemporalDataset};
 use apan_metrics::{accuracy, average_precision, roc_auc};
 use apan_nn::{Adam, Fwd, Optimizer, ParamStore};
+use apan_tensor::ops::stable_sigmoid;
 use apan_tensor::{Tensor, Var};
 use apan_tgraph::NodeId;
 use rand::rngs::StdRng;
@@ -43,15 +44,6 @@ pub struct StaticOutcome {
     pub test_acc: f64,
     /// Final training loss.
     pub final_loss: f32,
-}
-
-fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
 }
 
 /// Samples `k` negative pairs for training: sources from the positive
@@ -173,9 +165,9 @@ fn score_stream(
     let mut labels = Vec::new();
     for e in &data.graph.events()[range.clone()] {
         let neg = sampler.sample(e.dst, rng).unwrap_or(e.dst);
-        scores.push(sigmoid(scale * dot(e.src, e.dst) + bias));
+        scores.push(stable_sigmoid(scale * dot(e.src, e.dst) + bias));
         labels.push(true);
-        scores.push(sigmoid(scale * dot(e.src, neg) + bias));
+        scores.push(stable_sigmoid(scale * dot(e.src, neg) + bias));
         labels.push(false);
         sampler.observe(e.dst);
     }
@@ -207,7 +199,7 @@ pub fn evaluate_frozen_embeddings(
         for _ in 0..300 {
             let (mut gs, mut gb) = (0.0f32, 0.0f32);
             for &(d, t) in &dots {
-                let p = sigmoid(scale * d + bias);
+                let p = stable_sigmoid(scale * d + bias);
                 gs += (p - t) * d;
                 gb += p - t;
             }
@@ -296,7 +288,7 @@ pub fn static_classification_auc(
             };
             let x = input_row(eid);
             let logit: f32 = w.iter().zip(&x).map(|(wi, xi)| wi * xi).sum::<f32>() + b;
-            let p = sigmoid(logit);
+            let p = stable_sigmoid(logit);
             for (g, &xi) in gw.iter_mut().zip(&x) {
                 *g += (p - t) * xi;
             }
@@ -312,7 +304,7 @@ pub fn static_classification_auc(
         .iter()
         .map(|&eid| {
             let x = input_row(eid);
-            sigmoid(w.iter().zip(&x).map(|(wi, xi)| wi * xi).sum::<f32>() + b)
+            stable_sigmoid(w.iter().zip(&x).map(|(wi, xi)| wi * xi).sum::<f32>() + b)
         })
         .collect();
     roc_auc(&scores, &test_lab)

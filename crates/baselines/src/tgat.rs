@@ -11,9 +11,9 @@
 //! recursive lower-layer embedding of the node itself); the receptive
 //! field and the query cost are identical to the original formulation.
 
-use crate::harness::DynamicModel;
 use crate::heads::TaskHeads;
 use crate::temporal_attention::{sample_level, SampledLevel, TemporalAttentionLayer};
+use apan_core::train::DynamicModel;
 use apan_nn::{Fwd, ParamStore, TimeEncoding};
 use apan_tensor::{Tensor, Var};
 use apan_tgraph::cost::QueryCost;
@@ -122,6 +122,7 @@ impl DynamicModel for Tgat {
         data: &apan_data::TemporalDataset,
         nodes: &[NodeId],
         visible: Time,
+        _now: Time,
         rng: &mut StdRng,
         cost: &mut QueryCost,
     ) -> Var {
@@ -234,7 +235,7 @@ mod tests {
             let mut m = Tgat::new(6, layers, 2, 12, 0.0, &mut rng);
             m.reset(&data);
             let mut fwd = Fwd::new(m.params(), false);
-            let z = m.embed(&mut fwd, &data, &[0, 1, 2, 3], t, &mut rng, cost);
+            let z = m.embed(&mut fwd, &data, &[0, 1, 2, 3], t, t, &mut rng, cost);
             assert_eq!(fwd.g.value(z).shape(), (4, 6));
         }
         assert!(
@@ -260,8 +261,8 @@ mod tests {
         let late = data.graph.max_time();
         let node = events[5].src;
         let mut fwd = Fwd::new(m.params(), false);
-        let z1 = m.embed(&mut fwd, &data, &[node], early, &mut rng, &mut cost);
-        let z2 = m.embed(&mut fwd, &data, &[node], late, &mut rng, &mut cost);
+        let z1 = m.embed(&mut fwd, &data, &[node], early, early, &mut rng, &mut cost);
+        let z2 = m.embed(&mut fwd, &data, &[node], late, late, &mut rng, &mut cost);
         let a = fwd.g.value(z1).clone();
         let b = fwd.g.value(z2).clone();
         assert!(

@@ -7,11 +7,11 @@
 //! slow to serve — TGN is the model APAN's Figure 6 headline compares
 //! against (8.7× at 2 layers).
 
-use crate::harness::DynamicModel;
 use crate::heads::TaskHeads;
 use crate::memory::NodeMemory;
 use crate::temporal_attention::{sample_level, SampledLevel, TemporalAttentionLayer};
 use crate::tgat::Tgat;
+use apan_core::train::DynamicModel;
 use apan_nn::{Fwd, ParamStore};
 use apan_tensor::{Tensor, Var};
 use apan_tgraph::cost::QueryCost;
@@ -106,6 +106,7 @@ impl DynamicModel for Tgn {
         data: &apan_data::TemporalDataset,
         nodes: &[NodeId],
         visible: Time,
+        _now: Time,
         rng: &mut StdRng,
         cost: &mut QueryCost,
     ) -> Var {
@@ -214,7 +215,7 @@ impl DynamicModel for Tgn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::dedup_nodes;
+    use apan_core::model::dedup_nodes;
     use rand::SeedableRng;
 
     fn tiny_data() -> apan_data::TemporalDataset {
@@ -255,6 +256,7 @@ mod tests {
             &data,
             &[0, 1, 2],
             data.graph.max_time(),
+            data.graph.max_time(),
             &mut rng,
             &mut cost,
         );
@@ -275,7 +277,7 @@ mod tests {
 
         let before = {
             let mut fwd = Fwd::new(m.params(), false);
-            let z = m.embed(&mut fwd, &data, &[node], t, &mut rng, &mut cost);
+            let z = m.embed(&mut fwd, &data, &[node], t, t, &mut rng, &mut cost);
             fwd.g.value(z).clone()
         };
         let src: Vec<NodeId> = events.iter().map(|e| e.src).collect();
@@ -285,7 +287,7 @@ mod tests {
         m.post_step(&data, events, &unique, &maps, &zeros, &mut cost);
         let after = {
             let mut fwd = Fwd::new(m.params(), false);
-            let z = m.embed(&mut fwd, &data, &[node], t, &mut rng, &mut cost);
+            let z = m.embed(&mut fwd, &data, &[node], t, t, &mut rng, &mut cost);
             fwd.g.value(z).clone()
         };
         assert!(

@@ -1,9 +1,8 @@
 //! Inductive-evaluation plumbing: unseen-node pairs are flagged and the
 //! subset metrics behave.
 
-use apan_baselines::apan_adapter::ApanDyn;
-use apan_baselines::harness::{self, HarnessConfig, ScoreLog};
 use apan_core::config::ApanConfig;
+use apan_core::train::{train_link_prediction, ApanDyn, ScoreLog, TrainConfig};
 use apan_data::generators::GenConfig;
 use apan_data::{ChronoSplit, LabelKind, SplitFractions};
 use rand::rngs::StdRng;
@@ -78,14 +77,14 @@ fn training_reports_inductive_ap_when_unseen_nodes_exist() {
     mcfg.mlp_hidden = 16;
     mcfg.dropout = 0.0;
     let mut model = ApanDyn::new(&mcfg, &mut rng);
-    let hc = HarnessConfig {
+    let tc = TrainConfig {
         epochs: 1,
         batch_size: 50,
         lr: 3e-3,
         patience: 1,
         grad_clip: 5.0,
     };
-    let out = harness::train_link_prediction(&mut model, &data, &split, &hc, &mut rng);
+    let out = train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
     // transductive subset always exists; inductive exists when test events
     // touch unseen nodes (guaranteed by the assert above only for val+test
     // union, so allow None but require consistency if present)

@@ -5,8 +5,8 @@
 //! (Accuracy is irrelevant here — models are untrained; the computation
 //! shape is identical to the trained case.)
 
-use apan_baselines::harness::dedup_nodes;
 use apan_bench::{dynamic_zoo, wiki_like, BenchEnv};
+use apan_core::model::dedup_nodes;
 use apan_nn::Fwd;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::NodeId;
@@ -39,6 +39,7 @@ fn bench_sync_path(c: &mut Criterion) {
     let src: Vec<NodeId> = events.iter().map(|e| e.src).collect();
     let dst: Vec<NodeId> = events.iter().map(|e| e.dst).collect();
     let visible = events.first().expect("non-empty").time;
+    let now = events.last().expect("non-empty").time;
     let (unique, maps) = dedup_nodes(&[&src, &dst]);
 
     let mut group = c.benchmark_group("sync_inference_batch200");
@@ -53,10 +54,13 @@ fn bench_sync_path(c: &mut Criterion) {
                 let s: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
                 let d: Vec<NodeId> = chunk.iter().map(|e| e.dst).collect();
                 let v = chunk.first().expect("non-empty").time;
+                let t = chunk.last().expect("non-empty").time;
                 let (u, m) = dedup_nodes(&[&s, &d]);
                 let z = {
                     let mut fwd = Fwd::new(zm.model.params(), false);
-                    let zv = zm.model.embed(&mut fwd, &data, &u, v, &mut rng, &mut cost);
+                    let zv = zm
+                        .model
+                        .embed(&mut fwd, &data, &u, v, t, &mut rng, &mut cost);
                     fwd.g.value(zv).clone()
                 };
                 zm.model.post_step(&data, chunk, &u, &m, &z, &mut cost);
@@ -69,7 +73,7 @@ fn bench_sync_path(c: &mut Criterion) {
                 let mut fwd = Fwd::new(zm.model.params(), false);
                 let z = zm
                     .model
-                    .embed(&mut fwd, &data, &unique, visible, &mut rng, &mut cost);
+                    .embed(&mut fwd, &data, &unique, visible, now, &mut rng, &mut cost);
                 let zi = fwd.g.gather_rows(z, &maps[0]);
                 let zj = fwd.g.gather_rows(z, &maps[1]);
                 let logits = zm.model.score_links(&mut fwd, zi, zj, &mut rng);

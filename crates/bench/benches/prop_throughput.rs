@@ -110,15 +110,7 @@ fn workload(hops: usize) -> Workload {
     let data = wiki_like(&env, 0);
     let events = data.graph.events();
     let start = events.len() - 200;
-    let batch: Vec<Interaction> = events[start..]
-        .iter()
-        .map(|e| Interaction {
-            src: e.src,
-            dst: e.dst,
-            time: e.time,
-            eid: e.eid,
-        })
-        .collect();
+    let batch = events[start..].to_vec();
     let mut prop = Propagator::from_config(&ApanConfig::new(48));
     prop.hops = hops;
     prop.reduce = MailReduce::Mean;

@@ -6,7 +6,7 @@
 use apan_bench::{wiki_like, BenchEnv};
 use apan_core::config::{ApanConfig, MailReduce};
 use apan_core::mailbox::MailboxStore;
-use apan_core::propagator::{Interaction, Propagator};
+use apan_core::propagator::Propagator;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -30,15 +30,7 @@ fn bench_propagate(c: &mut Criterion) {
     let data = wiki_like(&env, 0);
     let events = data.graph.events();
     let start = events.len() - 200;
-    let batch: Vec<Interaction> = events[start..]
-        .iter()
-        .map(|e| Interaction {
-            src: e.src,
-            dst: e.dst,
-            time: e.time,
-            eid: e.eid,
-        })
-        .collect();
+    let batch = &events[start..];
     let mails = Tensor::ones(200, 48);
 
     let mut group = c.benchmark_group("propagate_batch200");
@@ -56,7 +48,7 @@ fn bench_propagate(c: &mut Criterion) {
             );
             bencher.iter(|| {
                 let mut cost = QueryCost::new();
-                black_box(prop.propagate_batch(&data.graph, &mut store, &batch, &mails, &mut cost))
+                black_box(prop.propagate_batch(&data.graph, &mut store, batch, &mails, &mut cost))
             });
         });
     }

@@ -3,10 +3,9 @@
 //! and self-delivery. Each variant trains on the Wikipedia-analogue
 //! dataset and reports test AP.
 
-use apan_baselines::apan_adapter::ApanDyn;
-use apan_baselines::harness::{self, HarnessConfig};
 use apan_bench::{wiki_like, write_json, BenchEnv, Table};
 use apan_core::config::{ApanConfig, MailReduce, MailboxUpdate, SlotEncoding};
+use apan_core::train::{self, ApanDyn, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,7 +67,7 @@ fn main() {
     let labels: Vec<&str> = vs.iter().map(|(n, _)| n.as_str()).collect();
     let mut table = Table::new("Ablations: APAN test AP (%)", &["test-AP"], &labels);
 
-    let hc = HarnessConfig {
+    let tc = TrainConfig {
         epochs: env.epochs,
         batch_size: env.batch,
         lr: env.lr,
@@ -81,7 +80,7 @@ fn main() {
         for (ri, (name, cfg)) in vs.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(seed * 41 + ri as u64);
             let mut model = ApanDyn::new(cfg, &mut rng);
-            let out = harness::train_link_prediction(&mut model, &data, &split, &hc, &mut rng);
+            let out = train::train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
             table.push(ri, 0, out.test_ap);
             println!("[seed {seed}] {name:<34} AP {:.4}", out.test_ap);
         }

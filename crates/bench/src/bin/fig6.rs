@@ -9,9 +9,9 @@
 //! left — accuracy near TGN at a fraction of the latency (8.7× vs TGN-2l
 //! on their testbed).
 
-use apan_baselines::harness::{self, HarnessConfig};
 use apan_bench::zoo::{model_enabled, model_filter};
 use apan_bench::{dynamic_zoo, wiki_like, write_json, BenchEnv};
+use apan_core::train::{self, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use apan_tgraph::cost::LatencyModel;
 use rand::rngs::StdRng;
@@ -37,7 +37,7 @@ fn main() {
 
     let data = wiki_like(&env, 0);
     let split = ChronoSplit::new(&data, SplitFractions::paper_default());
-    let hc = HarnessConfig {
+    let tc = TrainConfig {
         epochs: env.epochs,
         batch_size: env.batch,
         lr: env.lr,
@@ -51,20 +51,14 @@ fn main() {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(k as u64);
-        harness::train_link_prediction(zm.model.as_mut(), &data, &split, &hc, &mut rng);
+        train::train_link_prediction(zm.model.as_mut(), &data, &split, &tc, &mut rng);
 
         // compute-only timing
         let free = LatencyModel::free();
-        let (_, rec_free, _) = harness::measure_inference(
-            zm.model.as_mut(),
-            &data,
-            &split,
-            env.batch,
-            &free,
-            &mut rng,
-        );
+        let (_, rec_free, _) =
+            train::measure_inference(zm.model.as_mut(), &data, &split, env.batch, &free, &mut rng);
         // modelled graph-store latency added
-        let (ap, rec_model, cost) = harness::measure_inference(
+        let (ap, rec_model, cost) = train::measure_inference(
             zm.model.as_mut(),
             &data,
             &split,

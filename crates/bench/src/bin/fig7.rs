@@ -7,9 +7,9 @@
 //! Batch sizes are scaled to the dataset: the paper uses 100–2000 on the
 //! full 157k-event stream.
 
-use apan_baselines::harness::{self, HarnessConfig};
 use apan_bench::zoo::{model_enabled, model_filter};
 use apan_bench::{dynamic_zoo, wiki_like, write_json, BenchEnv, Table};
+use apan_core::train::{self, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ fn main() {
         let data = wiki_like(&env, seed);
         let split = ChronoSplit::new(&data, SplitFractions::paper_default());
         for (ci, &bs) in batch_sizes.iter().enumerate() {
-            let hc = HarnessConfig {
+            let tc = TrainConfig {
                 epochs: env.epochs,
                 batch_size: bs,
                 lr: env.lr,
@@ -55,7 +55,7 @@ fn main() {
                 }
                 let mut rng = StdRng::seed_from_u64(seed * 613 + k as u64);
                 let out =
-                    harness::train_link_prediction(zm.model.as_mut(), &data, &split, &hc, &mut rng);
+                    train::train_link_prediction(zm.model.as_mut(), &data, &split, &tc, &mut rng);
                 table.push(ri, ci, out.test_ap);
                 println!(
                     "[seed {seed}] {:>8} bs={bs}: AP {:.4}",

@@ -7,10 +7,9 @@
 //! recent history (small slots suffice) and most-recent sampling already
 //! captures the time-variant signal.
 
-use apan_baselines::apan_adapter::ApanDyn;
-use apan_baselines::harness::{self, HarnessConfig};
 use apan_bench::{wiki_like, write_json, BenchEnv, Table};
 use apan_core::config::ApanConfig;
+use apan_core::train::{self, ApanDyn, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +29,7 @@ fn main() {
         &row_refs,
     );
 
-    let hc = HarnessConfig {
+    let tc = TrainConfig {
         epochs: env.epochs,
         batch_size: env.batch,
         lr: env.lr,
@@ -49,7 +48,7 @@ fn main() {
                 cfg.dropout = 0.1;
                 let mut rng = StdRng::seed_from_u64(seed * 1009 + (ri * 4 + ci) as u64);
                 let mut model = ApanDyn::new(&cfg, &mut rng);
-                let out = harness::train_link_prediction(&mut model, &data, &split, &hc, &mut rng);
+                let out = train::train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
                 table.push(ri, ci, out.test_ap);
                 println!(
                     "[seed {seed}] neigh={neighbors} slots={slots}: AP {:.4}",

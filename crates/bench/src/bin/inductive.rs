@@ -9,9 +9,9 @@
 //! fresh node has empty state), and every model drops relative to its
 //! transductive figure.
 
-use apan_baselines::harness::{self, HarnessConfig};
 use apan_bench::zoo::{model_enabled, model_filter};
 use apan_bench::{dynamic_zoo, wiki_like, write_json, BenchEnv};
+use apan_core::train::{self, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +40,7 @@ fn main() {
         split.unseen_nodes.len(),
         split.train_nodes.len()
     );
-    let hc = HarnessConfig {
+    let tc = TrainConfig {
         epochs: env.epochs,
         batch_size: env.batch,
         lr: env.lr,
@@ -54,7 +54,7 @@ fn main() {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(k as u64);
-        let out = harness::train_link_prediction(zm.model.as_mut(), &data, &split, &hc, &mut rng);
+        let out = train::train_link_prediction(zm.model.as_mut(), &data, &split, &tc, &mut rng);
         println!(
             "{:>9}: AP {:.4} | transductive {} | inductive {}",
             zm.name,

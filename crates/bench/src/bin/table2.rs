@@ -8,13 +8,13 @@ use apan_baselines::deepwalk::{
 };
 use apan_baselines::gat::Gat;
 use apan_baselines::gcn::Gae;
-use apan_baselines::harness::{self, HarnessConfig};
 use apan_baselines::sage::Sage;
 use apan_baselines::static_harness::{
     evaluate_frozen_embeddings, train_static_link, StaticOutcome,
 };
 use apan_bench::zoo::{model_enabled, model_filter};
 use apan_bench::{dynamic_zoo, reddit_like, wiki_like, write_json, BenchEnv, Table};
+use apan_core::train::{self, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions, TemporalDataset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,7 +108,7 @@ fn main() {
                 );
             }
 
-            let hc = HarnessConfig {
+            let tc = TrainConfig {
                 epochs: env.epochs,
                 batch_size: env.batch,
                 lr: env.lr,
@@ -121,7 +121,7 @@ fn main() {
                 }
                 let mut rng = StdRng::seed_from_u64(seed * 101 + k as u64);
                 let out =
-                    harness::train_link_prediction(zm.model.as_mut(), &data, &split, &hc, &mut rng);
+                    train::train_link_prediction(zm.model.as_mut(), &data, &split, &tc, &mut rng);
                 let ri = static_names.len() + k;
                 table.push(ri, acc_col, out.test_acc);
                 table.push(ri, ap_col, out.test_ap);

@@ -4,10 +4,10 @@
 //! replayed embeddings (the TGAT/TGN protocol the paper follows).
 
 use apan_baselines::deepwalk::{ctdne_embeddings, WalkConfig};
-use apan_baselines::harness::{self, HarnessConfig};
 use apan_baselines::static_harness::static_classification_auc;
 use apan_bench::zoo::{model_enabled, model_filter};
 use apan_bench::{alipay_like, dynamic_zoo, reddit_like, wiki_like, write_json, BenchEnv, Table};
+use apan_core::train::{self, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +56,7 @@ fn main() {
                 println!("[seed {seed}] {:>9} {}: auc {:.4}", "CTDNE", data.name, auc);
             }
 
-            let hc = HarnessConfig {
+            let tc = TrainConfig {
                 epochs: env.epochs,
                 batch_size: env.batch,
                 lr: env.lr,
@@ -68,12 +68,12 @@ fn main() {
                     continue;
                 }
                 let mut rng = StdRng::seed_from_u64(seed * 311 + k as u64);
-                harness::train_link_prediction(zm.model.as_mut(), &data, &split, &hc, &mut rng);
-                let out = harness::train_classification(
+                train::train_link_prediction(zm.model.as_mut(), &data, &split, &tc, &mut rng);
+                let out = train::train_classification(
                     zm.model.as_mut(),
                     &data,
                     &split,
-                    &hc,
+                    &tc,
                     decoder_steps,
                     &mut rng,
                 );

@@ -2,13 +2,12 @@
 //! binaries.
 
 use crate::env::BenchEnv;
-use apan_baselines::apan_adapter::ApanDyn;
 use apan_baselines::dyrep::DyRep;
-use apan_baselines::harness::DynamicModel;
 use apan_baselines::jodie::Jodie;
 use apan_baselines::tgat::Tgat;
 use apan_baselines::tgn::Tgn;
 use apan_core::config::ApanConfig;
+use apan_core::train::{ApanDyn, DynamicModel};
 use apan_data::generators::{generate_seeded, GenConfig};
 use apan_data::{LabelKind, TemporalDataset};
 use rand::rngs::StdRng;

@@ -20,16 +20,17 @@
 //!   per receiving node, and enqueued FIFO.
 //!
 //! [`model`] ties the pieces into the full [`model::Apan`] network,
-//! [`train`] implements the paper's training/evaluation protocols
-//! (link prediction with time-varying negative sampling, node/edge
-//! classification), and [`pipeline`] is the real-time serving deployment:
+//! [`train`] is the one training/evaluation protocol APAN and every
+//! baseline run under (link prediction with time-varying negative
+//! sampling, node/edge classification, inference latency), and
+//! [`pipeline`] is the real-time serving deployment:
 //! a synchronous inference path plus a background propagation worker
 //! connected by a channel, exactly the architecture of Fig. 2(b).
 //!
 //! ## Quick start
 //!
 //! ```no_run
-//! use apan_core::{config::ApanConfig, model::Apan, train};
+//! use apan_core::{config::ApanConfig, train};
 //! use apan_data::{generators::wikipedia, split::{ChronoSplit, SplitFractions}};
 //! use rand::SeedableRng;
 //!
@@ -37,10 +38,10 @@
 //! let split = ChronoSplit::new(&data, SplitFractions::paper_default());
 //! let cfg = ApanConfig::for_dataset(&data);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let mut model = Apan::new(&cfg, &mut rng);
-//! let report = train::train_link_prediction(
-//!     &mut model, &data, &split, &train::TrainConfig::default(), &mut rng);
-//! println!("test AP = {:.4}", report.test_ap);
+//! let mut apan = train::ApanDyn::new(&cfg, &mut rng);
+//! let out = train::train_link_prediction(
+//!     &mut apan, &data, &split, &train::TrainConfig::default(), &mut rng);
+//! println!("test AP = {:.4}", out.test_ap);
 //! ```
 
 pub mod config;

@@ -29,6 +29,7 @@ use crate::propagator::Interaction;
 use crate::shard::{shards_from_env, ShardedMailboxStore};
 use apan_metrics::{Clock, LatencyRecorder, ObsHub, Stage};
 use apan_nn::{Fwd, QuantSet};
+use apan_tensor::ops::stable_sigmoid;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, TemporalGraph};
 use crossbeam::channel::{bounded, Sender};
@@ -425,7 +426,7 @@ impl ServingPipeline {
                 .value(logits)
                 .data()
                 .iter()
-                .map(|&x| crate::train::sigmoid(x))
+                .map(|&x| stable_sigmoid(x))
                 .collect();
             (fwd.g.value(enc.z).clone(), scores, t_encode1)
         };

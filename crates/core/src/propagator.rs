@@ -18,20 +18,11 @@ use apan_tensor::backend::pool::parallel_rows;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::sampling::sample_khop_targets;
-use apan_tgraph::{EventId, NodeId, TemporalGraph, Time};
+use apan_tgraph::{NodeId, TemporalGraph, Time};
 
-/// One interaction to propagate, with its already-computed mail row.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Interaction {
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// Interaction time.
-    pub time: Time,
-    /// Event id (for mail origins / interpretability).
-    pub eid: EventId,
-}
+/// One interaction to propagate: the event-log record itself (`eid`
+/// feeds mail origins / interpretability).
+pub type Interaction = apan_tgraph::Event;
 
 /// Configuration slice of the propagator.
 #[derive(Clone, Copy, Debug)]

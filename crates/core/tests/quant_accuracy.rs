@@ -11,7 +11,7 @@ use apan_core::config::{ApanConfig, Precision};
 use apan_core::model::{dedup_nodes, Apan};
 use apan_core::pipeline::ServingPipeline;
 use apan_core::propagator::Interaction;
-use apan_core::train::{train_link_prediction, TrainConfig};
+use apan_core::train::{train_link_prediction, ApanDyn, TrainConfig};
 use apan_data::generators::{generate_seeded, GenConfig};
 use apan_data::{ChronoSplit, LabelKind, SplitFractions, TemporalDataset};
 use apan_metrics::average_precision;
@@ -59,7 +59,7 @@ fn model_cfg() -> ApanConfig {
 
 fn trained_model(data: &TemporalDataset, split: &ChronoSplit) -> Apan {
     let mut rng = StdRng::seed_from_u64(0);
-    let mut model = Apan::new(&model_cfg(), &mut rng);
+    let mut apan = ApanDyn::new(&model_cfg(), &mut rng);
     let tc = TrainConfig {
         epochs: 6,
         batch_size: 30,
@@ -67,8 +67,8 @@ fn trained_model(data: &TemporalDataset, split: &ChronoSplit) -> Apan {
         patience: 6,
         grad_clip: 5.0,
     };
-    train_link_prediction(&mut model, data, split, &tc, &mut rng);
-    model
+    train_link_prediction(&mut apan, data, split, &tc, &mut rng);
+    apan.model
 }
 
 /// Replays `range` of the event stream in eval mode, scoring each positive
@@ -126,20 +126,11 @@ fn replay_ap(
         }
 
         let z_val = fwd.g.value(enc.z).clone();
-        let interactions: Vec<Interaction> = batch
-            .iter()
-            .map(|e| Interaction {
-                src: e.src,
-                dst: e.dst,
-                time: e.time,
-                eid: e.eid,
-            })
-            .collect();
         let feats = data.feature_batch(&eids);
         model.post_step(
             &mut store,
             &data.graph,
-            &interactions,
+            batch,
             &unique,
             &z_val,
             &maps[0],

@@ -60,7 +60,7 @@ fn request(k: usize) -> (Vec<Interaction>, Tensor) {
 /// Runs requests `range` against a fresh client, flushing after each so
 /// asynchronous propagation is serialized (determinism harness — plain
 /// serving never needs this).
-fn run_range(addr: std::net::SocketAddr, range: std::ops::Range<usize>) -> Vec<u32> {
+fn infer_range(addr: std::net::SocketAddr, range: std::ops::Range<usize>) -> Vec<u32> {
     let mut client = Client::connect(addr).expect("connect");
     let mut bits = Vec::new();
     for k in range {
@@ -103,7 +103,7 @@ fn kill_and_warm_restart_is_bitwise_identical() {
     let reference = {
         let handle = apan_serve::start(model(42), ServeConfig::default()).expect("start");
         let addr = handle.addr();
-        let bits = run_range(addr, 0..TOTAL);
+        let bits = infer_range(addr, 0..TOTAL);
         handle.shutdown();
         bits
     };
@@ -120,7 +120,7 @@ fn kill_and_warm_restart_is_bitwise_identical() {
     let first = {
         let handle = apan_serve::start(model(42), cfg.clone()).expect("start");
         let addr = handle.addr();
-        let bits = run_range(addr, 0..CUT);
+        let bits = infer_range(addr, 0..CUT);
         let mut client = Client::connect(addr).expect("connect");
         client.shutdown_server().expect("shutdown verb");
         handle.join();
@@ -133,7 +133,7 @@ fn kill_and_warm_restart_is_bitwise_identical() {
         // on warm restart (same architecture, different init).
         let handle = apan_serve::start(model(43), cfg).expect("warm restart");
         let addr = handle.addr();
-        let bits = run_range(addr, CUT..TOTAL);
+        let bits = infer_range(addr, CUT..TOTAL);
         handle.shutdown();
         bits
     };
@@ -166,7 +166,7 @@ fn warm_restart_accepts_stale_and_unset_times() {
     };
     {
         let handle = apan_serve::start(model(11), cfg.clone()).expect("start");
-        let _ = run_range(handle.addr(), 0..5); // newest event time = 10
+        let _ = infer_range(handle.addr(), 0..5); // newest event time = 10
         let mut client = Client::connect(handle.addr()).expect("connect");
         client.shutdown_server().expect("shutdown verb");
         handle.join();
@@ -827,8 +827,8 @@ fn int8_precision_serves_and_reports_its_gauge() {
     )
     .expect("start int8");
 
-    let f32_bits = run_range(f32_handle.addr(), 0..8);
-    let i8_bits = run_range(i8_handle.addr(), 0..8);
+    let f32_bits = infer_range(f32_handle.addr(), 0..8);
+    let i8_bits = infer_range(i8_handle.addr(), 0..8);
     assert_eq!(f32_bits.len(), i8_bits.len());
 
     // The int8 encoder really ran (scores differ in low bits)…

@@ -13,7 +13,6 @@
 //! * [`Graph::attn_mix`]    — `o[b] = Σ_i a[b, i] · v[b·m + i]`
 
 use crate::graph::{Graph, Var};
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 use rand::Rng;
 
@@ -780,9 +779,6 @@ pub fn stable_sigmoid(x: f32) -> f32 {
         e / (1.0 + e)
     }
 }
-
-#[allow(unused)]
-fn _shape_check(s: Shape) {}
 
 #[cfg(test)]
 mod tests {

@@ -7,8 +7,7 @@
 //! ```
 
 use apan_repro::core::config::ApanConfig;
-use apan_repro::core::model::Apan;
-use apan_repro::core::train::{train_classification, train_link_prediction, TrainConfig};
+use apan_repro::core::train::{train_classification, train_link_prediction, ApanDyn, TrainConfig};
 use apan_repro::data::generators::GenConfig;
 use apan_repro::data::{ChronoSplit, LabelKind, SplitFractions};
 use rand::rngs::StdRng;
@@ -51,7 +50,7 @@ fn main() {
 
     let cfg = ApanConfig::for_dataset(&data);
     let mut rng = StdRng::seed_from_u64(0);
-    let mut model = Apan::new(&cfg, &mut rng);
+    let mut model = ApanDyn::new(&cfg, &mut rng);
 
     // Stage 1: self-supervised embedding training on the stream itself.
     let tc = TrainConfig {

@@ -8,8 +8,7 @@
 
 use apan_repro::core::config::ApanConfig;
 use apan_repro::core::interpret::explain_node;
-use apan_repro::core::model::Apan;
-use apan_repro::core::train::{train_link_prediction, TrainConfig};
+use apan_repro::core::train::{train_link_prediction, ApanDyn, TrainConfig};
 use apan_repro::data::generators::GenConfig;
 use apan_repro::data::{ChronoSplit, LabelKind, SplitFractions};
 use rand::rngs::StdRng;
@@ -42,7 +41,7 @@ fn main() {
 
     let cfg = ApanConfig::for_dataset(&data);
     let mut rng = StdRng::seed_from_u64(0);
-    let mut model = Apan::new(&cfg, &mut rng);
+    let mut apan = ApanDyn::new(&cfg, &mut rng);
     let tc = TrainConfig {
         epochs: 5,
         batch_size: 100,
@@ -50,7 +49,8 @@ fn main() {
         patience: 5,
         grad_clip: 5.0,
     };
-    train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
+    train_link_prediction(&mut apan, &data, &split, &tc, &mut rng);
+    let model = apan.model;
 
     // Roll the serving state through the full stream once, then explain
     // the most active node.
@@ -67,20 +67,11 @@ fn main() {
             let out = model.encode(&mut fwd, &store, &unique, now, &mut rng);
             fwd.g.value(out.z).clone()
         };
-        let batch: Vec<apan_repro::core::propagator::Interaction> = chunk
-            .iter()
-            .map(|e| apan_repro::core::propagator::Interaction {
-                src: e.src,
-                dst: e.dst,
-                time: e.time,
-                eid: e.eid,
-            })
-            .collect();
         let feats = data.feature_batch(&eids);
         model.post_step(
             &mut store,
             &data.graph,
-            &batch,
+            chunk,
             &unique,
             &z,
             &maps[0],

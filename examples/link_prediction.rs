@@ -6,13 +6,12 @@
 //! cargo run --release --example link_prediction
 //! ```
 
-use apan_repro::baselines::apan_adapter::ApanDyn;
 use apan_repro::baselines::dyrep::DyRep;
-use apan_repro::baselines::harness::{self, DynamicModel, HarnessConfig};
 use apan_repro::baselines::jodie::Jodie;
 use apan_repro::baselines::tgat::Tgat;
 use apan_repro::baselines::tgn::Tgn;
 use apan_repro::core::config::ApanConfig;
+use apan_repro::core::train::{train_link_prediction, ApanDyn, DynamicModel, TrainConfig};
 use apan_repro::data::generators::GenConfig;
 use apan_repro::data::{ChronoSplit, LabelKind, SplitFractions};
 use rand::rngs::StdRng;
@@ -56,7 +55,7 @@ fn main() {
         Box::new(Tgn::new(d, 1, 2, 80, 0.1, &mut rng)),
     ];
 
-    let hc = HarnessConfig {
+    let tc = TrainConfig {
         epochs: 8,
         batch_size: 100,
         lr: 3e-3,
@@ -69,7 +68,7 @@ fn main() {
     );
     for model in &mut models {
         let mut run_rng = StdRng::seed_from_u64(1);
-        let out = harness::train_link_prediction(model.as_mut(), &data, &split, &hc, &mut run_rng);
+        let out = train_link_prediction(model.as_mut(), &data, &split, &tc, &mut run_rng);
         println!(
             "{:<10} {:>8.4} {:>8.4} {:>14} {:>14}",
             model.name(),

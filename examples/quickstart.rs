@@ -6,8 +6,7 @@
 //! ```
 
 use apan_repro::core::config::ApanConfig;
-use apan_repro::core::model::Apan;
-use apan_repro::core::train::{train_link_prediction, TrainConfig};
+use apan_repro::core::train::{train_link_prediction, ApanDyn, TrainConfig};
 use apan_repro::data::generators::GenConfig;
 use apan_repro::data::{ChronoSplit, LabelKind, SplitFractions};
 use rand::rngs::StdRng;
@@ -58,8 +57,11 @@ fn main() {
     cfg.mailbox_slots = 10;
     cfg.sampled_neighbors = 10;
     let mut rng = StdRng::seed_from_u64(0);
-    let mut model = Apan::new(&cfg, &mut rng);
-    println!("model: {} trainable parameters", model.num_parameters());
+    let mut apan = ApanDyn::new(&cfg, &mut rng);
+    println!(
+        "model: {} trainable parameters",
+        apan.model.num_parameters()
+    );
 
     // 3. Train for link prediction (self-supervised: real interactions vs
     //    time-varying negative destinations).
@@ -70,7 +72,7 @@ fn main() {
         patience: 10,
         grad_clip: 5.0,
     };
-    let report = train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
+    let report = train_link_prediction(&mut apan, &data, &split, &tc, &mut rng);
     println!(
         "training: best epoch {} of {}, val AP {:.4}",
         report.best_epoch + 1,
@@ -83,6 +85,6 @@ fn main() {
     );
     println!(
         "asynchronous-link work during the test replay: {} graph queries, {} rows touched — all off the inference path",
-        report.test_propagation_cost.queries, report.test_propagation_cost.rows_touched
+        report.test_cost.post.queries, report.test_cost.post.rows_touched
     );
 }

@@ -9,8 +9,7 @@
 
 use apan_repro::core::config::ApanConfig;
 use apan_repro::core::model::Apan;
-use apan_repro::core::propagator::Interaction;
-use apan_repro::core::train::{train_link_prediction, TrainConfig};
+use apan_repro::core::train::{train_link_prediction, ApanDyn, TrainConfig};
 use apan_repro::data::generators::GenConfig;
 use apan_repro::data::{ChronoSplit, LabelKind, SplitFractions};
 use apan_repro::serve::client::json_u64_field;
@@ -46,7 +45,7 @@ fn main() {
     // Offline: train the model.
     let cfg = ApanConfig::for_dataset(&data);
     let mut rng = StdRng::seed_from_u64(0);
-    let mut model = Apan::new(&cfg, &mut rng);
+    let mut apan = ApanDyn::new(&cfg, &mut rng);
     let tc = TrainConfig {
         epochs: 6,
         batch_size: 100,
@@ -54,7 +53,7 @@ fn main() {
         patience: 6,
         grad_clip: 5.0,
     };
-    let report = train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
+    let report = train_link_prediction(&mut apan, &data, &split, &tc, &mut rng);
     println!("trained: test AP {:.4}\n", report.test_ap);
 
     // Online: boot the daemon on an ephemeral port with a snapshot
@@ -66,7 +65,7 @@ fn main() {
         snapshot_path: Some(snap.clone()),
         ..ServeConfig::default()
     };
-    let handle = apan_repro::serve::start(model, serve_cfg.clone()).expect("start daemon");
+    let handle = apan_repro::serve::start(apan.model, serve_cfg.clone()).expect("start daemon");
     println!("daemon listening on {}", handle.addr());
     let mut client = Client::connect(handle.addr()).expect("connect");
 
@@ -75,18 +74,9 @@ fn main() {
     let serve_chunks = |client: &mut Client, events: &[apan_repro::tgraph::Event]| -> usize {
         let mut served = 0usize;
         for chunk in events.chunks(200) {
-            let interactions: Vec<Interaction> = chunk
-                .iter()
-                .map(|e| Interaction {
-                    src: e.src,
-                    dst: e.dst,
-                    time: e.time,
-                    eid: e.eid,
-                })
-                .collect();
             let eids: Vec<u32> = chunk.iter().map(|e| e.eid).collect();
             let feats = data.feature_batch(&eids);
-            served += client.infer(&interactions, &feats).expect("infer").len();
+            served += client.infer(chunk, &feats).expect("infer").len();
         }
         served
     };

@@ -14,10 +14,8 @@
 //! baseline.
 
 use apan_repro::core::config::ApanConfig;
-use apan_repro::core::model::Apan;
 use apan_repro::core::pipeline::ServingPipeline;
-use apan_repro::core::propagator::Interaction;
-use apan_repro::core::train::{train_link_prediction, TrainConfig};
+use apan_repro::core::train::{replay, train_link_prediction, ApanDyn, TrainConfig};
 use apan_repro::data::generators::{alipay, reddit, wikipedia};
 use apan_repro::data::loader::{load_jodie_csv, write_jodie_csv};
 use apan_repro::data::stats::DatasetStats;
@@ -88,14 +86,14 @@ fn load_data(args: &Args) -> Result<(TemporalDataset, SplitFractions), String> {
     }
 }
 
-fn build_model(args: &Args, ds: &TemporalDataset) -> Result<(Apan, StdRng), String> {
+fn build_model(args: &Args, ds: &TemporalDataset) -> Result<(ApanDyn, StdRng), String> {
     let seed: u64 = args.get_parsed("seed", 0)?;
     let mut cfg = ApanConfig::for_dataset(ds);
     cfg.mailbox_slots = args.get_parsed("slots", cfg.mailbox_slots)?;
     cfg.sampled_neighbors = args.get_parsed("neighbors", cfg.sampled_neighbors)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let model = Apan::new(&cfg, &mut rng);
-    Ok((model, rng))
+    let apan = ApanDyn::new(&cfg, &mut rng);
+    Ok((apan, rng))
 }
 
 fn train_config(args: &Args) -> Result<TrainConfig, String> {
@@ -129,15 +127,15 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 fn cmd_train(args: &Args) -> Result<(), String> {
     let (ds, fractions) = load_data(args)?;
     let split = ChronoSplit::new(&ds, fractions);
-    let (mut model, mut rng) = build_model(args, &ds)?;
+    let (mut apan, mut rng) = build_model(args, &ds)?;
     let tc = train_config(args)?;
     println!(
         "training on {} ({} events, {} parameters)…",
         ds.name,
         ds.num_events(),
-        model.num_parameters()
+        apan.model.num_parameters()
     );
-    let report = train_link_prediction(&mut model, &ds, &split, &tc, &mut rng);
+    let report = train_link_prediction(&mut apan, &ds, &split, &tc, &mut rng);
     println!(
         "best epoch {}: val AP {:.4} | test AP {:.4} acc {:.4}",
         report.best_epoch + 1,
@@ -146,7 +144,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         report.test_acc
     );
     if let Some(path) = args.get("checkpoint") {
-        model
+        apan.model
             .save_checkpoint(&PathBuf::from(path))
             .map_err(|e| e.to_string())?;
         println!("checkpoint saved to {path}");
@@ -158,20 +156,17 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     let ckpt = args.get("checkpoint").ok_or("eval requires --checkpoint")?;
     let (ds, fractions) = load_data(args)?;
     let split = ChronoSplit::new(&ds, fractions);
-    let (mut model, mut rng) = build_model(args, &ds)?;
-    model
+    let (mut apan, mut rng) = build_model(args, &ds)?;
+    apan.model
         .load_checkpoint(&PathBuf::from(ckpt))
         .map_err(|e| e.to_string())?;
-    // replay with zero epochs of training: evaluate only
-    let tc = TrainConfig {
-        epochs: 1,
-        lr: 0.0,
-        ..train_config(args)?
-    };
-    let report = train_link_prediction(&mut model, &ds, &split, &tc, &mut rng);
+    let batch = train_config(args)?.batch_size;
+    let run = replay(&mut apan, &ds, &split, batch, None, &mut rng);
     println!(
         "eval on {}: test AP {:.4} acc {:.4}",
-        ds.name, report.test_ap, report.test_acc
+        ds.name,
+        run.test.ap(),
+        run.test.accuracy()
     );
     Ok(())
 }
@@ -179,32 +174,23 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let (ds, fractions) = load_data(args)?;
     let split = ChronoSplit::new(&ds, fractions);
-    let (mut model, mut rng) = build_model(args, &ds)?;
+    let (mut apan, mut rng) = build_model(args, &ds)?;
     if let Some(ckpt) = args.get("checkpoint") {
-        model
+        apan.model
             .load_checkpoint(&PathBuf::from(ckpt))
             .map_err(|e| e.to_string())?;
     } else {
         let tc = train_config(args)?;
         println!("no checkpoint given; training first…");
-        train_link_prediction(&mut model, &ds, &split, &tc, &mut rng);
+        train_link_prediction(&mut apan, &ds, &split, &tc, &mut rng);
     }
     let batch: usize = args.get_parsed("serve-batch", 200)?;
-    let mut pipeline = ServingPipeline::new(model, ds.num_nodes(), 64);
+    let mut pipeline = ServingPipeline::new(apan.model, ds.num_nodes(), 64);
     let events = &ds.graph.events()[split.test.clone()];
     for chunk in events.chunks(batch) {
-        let interactions: Vec<Interaction> = chunk
-            .iter()
-            .map(|e| Interaction {
-                src: e.src,
-                dst: e.dst,
-                time: e.time,
-                eid: e.eid,
-            })
-            .collect();
         let eids: Vec<u32> = chunk.iter().map(|e| e.eid).collect();
         let feats = ds.feature_batch(&eids);
-        pipeline.infer_batch(&interactions, &feats);
+        pipeline.infer_batch(chunk, &feats);
     }
     println!(
         "served {} events in batches of {batch}: sync latency mean {:?} p50 {:?} p95 {:?}",

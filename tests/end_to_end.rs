@@ -2,10 +2,9 @@
 //! generation through training, evaluation, and serving.
 
 use apan_repro::core::config::ApanConfig;
-use apan_repro::core::model::Apan;
 use apan_repro::core::pipeline::ServingPipeline;
 use apan_repro::core::propagator::Interaction;
-use apan_repro::core::train::{train_classification, train_link_prediction, TrainConfig};
+use apan_repro::core::train::{train_classification, train_link_prediction, ApanDyn, TrainConfig};
 use apan_repro::data::generators::GenConfig;
 use apan_repro::data::{ChronoSplit, LabelKind, SplitFractions};
 use apan_repro::tensor::Tensor;
@@ -37,13 +36,13 @@ fn small_dataset(seed: u64) -> apan_repro::data::TemporalDataset {
     apan_repro::data::generators::generate_seeded(&cfg, seed)
 }
 
-fn small_model(rng: &mut StdRng) -> Apan {
+fn small_model(rng: &mut StdRng) -> ApanDyn {
     let mut cfg = ApanConfig::new(8);
     cfg.mailbox_slots = 5;
     cfg.sampled_neighbors = 5;
     cfg.mlp_hidden = 24;
     cfg.dropout = 0.0;
-    Apan::new(&cfg, rng)
+    ApanDyn::new(&cfg, rng)
 }
 
 #[test]
@@ -80,22 +79,13 @@ fn trained_model_deploys_into_pipeline() {
     };
     train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
 
-    let mut pipeline = ServingPipeline::new(model, data.num_nodes(), 32);
+    let mut pipeline = ServingPipeline::new(model.model, data.num_nodes(), 32);
     let events = &data.graph.events()[split.test.clone()];
     let mut total_scores = 0usize;
     for chunk in events.chunks(50) {
-        let batch: Vec<Interaction> = chunk
-            .iter()
-            .map(|e| Interaction {
-                src: e.src,
-                dst: e.dst,
-                time: e.time,
-                eid: e.eid,
-            })
-            .collect();
         let eids: Vec<u32> = chunk.iter().map(|e| e.eid).collect();
         let feats = data.feature_batch(&eids);
-        let result = pipeline.infer_batch(&batch, &feats);
+        let result = pipeline.infer_batch(chunk, &feats);
         assert_eq!(result.scores.len(), chunk.len());
         assert!(result.scores.iter().all(|s| s.is_finite()));
         total_scores += result.scores.len();
@@ -131,8 +121,8 @@ fn different_seeds_give_different_models() {
     let mut rng_b = StdRng::seed_from_u64(1);
     let a = small_model(&mut rng_a);
     let b = small_model(&mut rng_b);
-    let (wa, _, ta) = a.params.iter().next().unwrap();
-    let tb = b.params.get(wa);
+    let (wa, _, ta) = a.model.params.iter().next().unwrap();
+    let tb = b.model.params.get(wa);
     assert!(!ta.allclose(tb, 1e-9));
 }
 
@@ -227,21 +217,12 @@ fn serving_graph_can_be_pruned_for_bounded_memory() {
     };
     train_link_prediction(&mut model, &data, &split, &tc, &mut rng);
 
-    let mut pipeline = ServingPipeline::new(model, data.num_nodes(), 32);
+    let mut pipeline = ServingPipeline::new(model.model, data.num_nodes(), 32);
     let events = &data.graph.events()[split.test.clone()];
     for chunk in events.chunks(50) {
-        let batch: Vec<Interaction> = chunk
-            .iter()
-            .map(|e| Interaction {
-                src: e.src,
-                dst: e.dst,
-                time: e.time,
-                eid: e.eid,
-            })
-            .collect();
         let eids: Vec<u32> = chunk.iter().map(|e| e.eid).collect();
         let feats = data.feature_batch(&eids);
-        pipeline.infer_batch(&batch, &feats);
+        pipeline.infer_batch(chunk, &feats);
     }
     pipeline.flush();
     // prune everything older than the midpoint of the served window
