@@ -10,14 +10,13 @@
 //! all-resident store — tiering may move bytes, never change them — and
 //! on the store-accounted residency staying within the budget's
 //! hot-pool capacity. Running the bench writes `BENCH_tier.json` (to
-//! `APAN_OUT_DIR`, default `bench-results/`) with ops/sec, residency,
+//! `APAN_OUT`, default `bench-results/`) with ops/sec, residency,
 //! cold-tier counters, and the process RSS high-water mark per phase.
 
 use apan_bench::{write_json, BenchEnv};
 use apan_core::config::MailboxUpdate;
 use apan_core::mailbox::{MailOrigin, MailboxStore};
 use apan_core::shard::ShardedMailboxStore;
-use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
 
 // Geometry sized so the working set (~4.5 MB) dwarfs every hot-pool
@@ -154,24 +153,6 @@ fn phases() -> [(&'static str, Option<u64>); 3] {
         ("budget_10pct", Some(ws / 10)),
     ]
 }
-
-fn bench_tier(c: &mut Criterion) {
-    let ops = skewed_stream();
-    let mut group = c.benchmark_group("mailbox_tier_zipf");
-    for (label, budget) in phases() {
-        group.bench_with_input(BenchmarkId::new(label, OPS), &budget, |bencher, &b| {
-            bencher.iter(|| {
-                let store = fresh_tiered(b);
-                black_box(run_stream(&store, &ops))
-            });
-        });
-    }
-    group.finish();
-}
-
-// ----------------------------------------------------------------------
-// Machine-readable report
-// ----------------------------------------------------------------------
 
 #[derive(serde::Serialize)]
 struct TierPhase {
@@ -322,12 +303,6 @@ fn write_report() {
     }
 }
 
-// Expanded by hand instead of `criterion_group!/criterion_main!` so the
-// JSON report (and its bitwise + residency gates) runs after the
-// criterion groups in both bench mode and `cargo test`'s smoke mode.
 fn main() {
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_tier(&mut criterion);
-    criterion.final_summary();
     write_report();
 }

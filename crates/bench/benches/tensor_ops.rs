@@ -1,8 +1,10 @@
-//! Substrate microbenches: matmul, softmax, attention kernels, autodiff
-//! overhead. Sanity checks that the numerical core is not the bottleneck
-//! story of Figure 6.
+//! GEMM kernel guard: the backend's gain over the seed kernel, the
+//! SIMD-vs-scalar and int8-vs-f32 ratios at the encoder's serving
+//! shapes, all in one `BENCH_tensor.json` (to `APAN_OUT`, default
+//! `bench-results/`) whose row structure `scripts/bench_smoke.sh` holds
+//! to the committed baseline.
 //!
-//! Two comparison axes were added with the compute backend:
+//! Two comparison axes:
 //!
 //! * **seed vs backend** — `seed_matmul` below is a frozen copy of the
 //!   pre-backend naive `i-k-j` kernel (zero-skip included), so the
@@ -10,17 +12,11 @@
 //! * **serial vs parallel** — the same kernels at `APAN_THREADS = 1`
 //!   versus all available cores. Results are bit-identical either way;
 //!   only the wall clock moves.
-//!
-//! Besides the criterion groups, running this bench writes a
-//! machine-readable `BENCH_tensor.json` (to `APAN_OUT_DIR`, default
-//! `bench-results/`) with ns/iter for the key kernels, so the trajectory
-//! across PRs can be tracked without parsing criterion's output.
 
-use apan_bench::{write_json, BenchEnv};
+use apan_bench::{time_ns, write_json, BenchEnv};
 use apan_tensor::backend::pool::set_num_threads;
 use apan_tensor::backend::{self, quant, SimdMode};
-use apan_tensor::{Graph, Tensor};
-use criterion::{BenchmarkId, Criterion};
+use apan_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -52,144 +48,6 @@ fn all_cores() -> usize {
         .unwrap_or(1)
 }
 
-fn bench_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul");
-    let mut rng = StdRng::seed_from_u64(0);
-    for &n in &[32usize, 128, 256] {
-        let a = Tensor::randn(n, n, 1.0, &mut rng);
-        let b = Tensor::randn(n, n, 1.0, &mut rng);
-        group.bench_with_input(BenchmarkId::new("seed", n), &n, |bencher, _| {
-            bencher.iter(|| black_box(seed_matmul(&a, &b)));
-        });
-        group.bench_with_input(BenchmarkId::new("serial", n), &n, |bencher, _| {
-            set_num_threads(1);
-            bencher.iter(|| black_box(a.matmul(&b)));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |bencher, _| {
-            set_num_threads(all_cores());
-            bencher.iter(|| black_box(a.matmul(&b)));
-            set_num_threads(1);
-        });
-    }
-    group.finish();
-}
-
-/// The GEMM shapes the APAN encoder actually issues per batch
-/// (batch 200, d = 100, heads = 2, m = 10 mailbox slots): the Q/K/V and
-/// output projections are `[200×100]·[100×100]`, the MLP head widens to
-/// `[200×100]·[100×200]`.
-fn bench_encoder_shapes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("encoder_gemm");
-    let mut rng = StdRng::seed_from_u64(4);
-    for (label, m, k, n) in [
-        ("proj_200x100x100", 200usize, 100usize, 100usize),
-        ("mlp_200x100x200", 200, 100, 200),
-        ("mails_2000x100x100", 2000, 100, 100),
-    ] {
-        let a = Tensor::randn(m, k, 1.0, &mut rng);
-        let b = Tensor::randn(k, n, 1.0, &mut rng);
-        let bias = Tensor::randn(1, n, 1.0, &mut rng);
-        group.bench_function(BenchmarkId::new("seed", label), |bencher| {
-            bencher.iter(|| black_box(seed_matmul(&a, &b)));
-        });
-        group.bench_function(BenchmarkId::new("serial", label), |bencher| {
-            set_num_threads(1);
-            bencher.iter(|| black_box(a.matmul(&b)));
-        });
-        group.bench_function(BenchmarkId::new("parallel", label), |bencher| {
-            set_num_threads(all_cores());
-            bencher.iter(|| black_box(a.matmul(&b)));
-            set_num_threads(1);
-        });
-        group.bench_function(BenchmarkId::new("fused_bias", label), |bencher| {
-            set_num_threads(1);
-            bencher.iter(|| black_box(a.matmul_bias(&b, &bias)));
-        });
-        // The backward pair for this GEMM: dA = G·Bᵀ and dW = AᵀG,
-        // via the transpose-free kernels.
-        let g = Tensor::randn(m, n, 1.0, &mut rng);
-        group.bench_function(BenchmarkId::new("backward_da_bt", label), |bencher| {
-            set_num_threads(1);
-            bencher.iter(|| black_box(g.matmul_bt(&b)));
-        });
-        group.bench_function(BenchmarkId::new("backward_dw_tn", label), |bencher| {
-            set_num_threads(1);
-            bencher.iter(|| black_box(a.matmul_tn(&g)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_softmax(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let t = Tensor::randn(200, 64, 1.0, &mut rng);
-    c.bench_function("softmax_rows_200x64", |bencher| {
-        bencher.iter(|| black_box(t.softmax_rows()));
-    });
-}
-
-fn attention_pass(q: &Tensor, k: &Tensor, v: &Tensor, m: usize) -> f32 {
-    let mut g = Graph::new();
-    let qv = g.constant(q.clone());
-    let kv = g.constant(k.clone());
-    let vv = g.constant(v.clone());
-    let s = g.attn_scores(qv, kv, m);
-    let a = g.softmax_rows(s);
-    let o = g.attn_mix(a, vv, m);
-    g.value(o).sum()
-}
-
-fn bench_attention_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fused_attention");
-    let mut rng = StdRng::seed_from_u64(2);
-    // Legacy shape (d=48) plus the encoder's per-head shape: d=100 over
-    // heads=2 → d_h=50, B=200 queries, m=10 mailbox slots.
-    for (label, b, m, dh) in [
-        ("B200_m10_d48", 200usize, 10usize, 48usize),
-        ("B200_m10_d50_head", 200, 10, 50),
-    ] {
-        let q = Tensor::randn(b, dh, 1.0, &mut rng);
-        let k = Tensor::randn(b * m, dh, 1.0, &mut rng);
-        let v = Tensor::randn(b * m, dh, 1.0, &mut rng);
-        group.bench_function(BenchmarkId::new("serial", label), |bencher| {
-            set_num_threads(1);
-            bencher.iter(|| black_box(attention_pass(&q, &k, &v, m)));
-        });
-        group.bench_function(BenchmarkId::new("parallel", label), |bencher| {
-            set_num_threads(all_cores());
-            bencher.iter(|| black_box(attention_pass(&q, &k, &v, m)));
-            set_num_threads(1);
-        });
-    }
-    group.finish();
-}
-
-fn bench_autodiff_overhead(c: &mut Criterion) {
-    // forward+backward of a 2-layer MLP batch vs forward only
-    let mut rng = StdRng::seed_from_u64(3);
-    let x = Tensor::randn(200, 48, 1.0, &mut rng);
-    let w1 = Tensor::randn(48, 80, 0.2, &mut rng);
-    let w2 = Tensor::randn(80, 48, 0.2, &mut rng);
-    c.bench_function("mlp_forward_backward_200x48", |bencher| {
-        bencher.iter(|| {
-            let mut g = Graph::new();
-            let xv = g.constant(x.clone());
-            let w1v = g.leaf(w1.clone(), true);
-            let w2v = g.leaf(w2.clone(), true);
-            let h = g.matmul(xv, w1v);
-            let h = g.relu(h);
-            let y = g.matmul(h, w2v);
-            let loss = g.mean_all(y);
-            g.backward(loss);
-            black_box(g.grad(w1v).map(|t| t.sum()))
-        });
-    });
-}
-
-// ----------------------------------------------------------------------
-// Machine-readable report
-// ----------------------------------------------------------------------
-
 #[derive(serde::Serialize)]
 struct KernelTiming {
     kernel: String,
@@ -210,17 +68,6 @@ struct KernelTiming {
 struct TensorReport {
     bench: &'static str,
     timings: Vec<KernelTiming>,
-}
-
-/// Times `f` with a plain wall clock (median-free, but stable enough to
-/// track a trajectory across PRs; criterion remains the precise tool).
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm up (pool spawn, caches)
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 fn write_report() {
@@ -370,16 +217,6 @@ fn write_report() {
     }
 }
 
-// Expanded by hand instead of `criterion_group!/criterion_main!` so the
-// JSON report runs after the criterion groups in both bench mode and
-// `cargo test`'s one-iteration smoke mode.
 fn main() {
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_matmul(&mut criterion);
-    bench_encoder_shapes(&mut criterion);
-    bench_softmax(&mut criterion);
-    bench_attention_kernels(&mut criterion);
-    bench_autodiff_overhead(&mut criterion);
-    criterion.final_summary();
     write_report();
 }

@@ -19,7 +19,7 @@
 //! obs smoke script compares the two files and holds the dormant path
 //! to within 2% of that baseline.
 
-use apan_bench::{write_json, BenchEnv};
+use apan_bench::{time_ns, write_json, BenchEnv};
 use apan_core::config::ApanConfig;
 use apan_core::model::Apan;
 use apan_core::pipeline::ServingPipeline;
@@ -27,7 +27,6 @@ use apan_core::propagator::Interaction;
 use apan_core::AdmitKind;
 use apan_metrics::{ObsHub, Stage, TraceSink};
 use apan_tensor::Tensor;
-use criterion::Criterion;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -64,15 +63,6 @@ fn request(k: u64) -> (Vec<Interaction>, Tensor) {
     (interactions, Tensor::from_vec(BATCH, DIM, data))
 }
 
-fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm up (pool spawn, caches)
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
 /// Drives `iters` inference requests through a fresh pipeline, flushing
 /// propagation every iteration, and returns ns per request. The figure
 /// is the **minimum** over `repeats` back-to-back timings: scheduler
@@ -97,43 +87,6 @@ fn infer_ns(iters: usize, repeats: usize, sink: Option<usize>) -> f64 {
         best = best.min(ns);
     }
     best
-}
-
-fn bench_trace(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trace_overhead");
-    let hub = ObsHub::new();
-    hub.install_sink(TraceSink::new(1 << 16));
-    let t0 = hub.stamp();
-    let t1 = hub.stamp();
-    group.bench_function("stage_record", |b| {
-        b.iter(|| hub.stage_record(Stage::Encode, black_box(42), t0, t1))
-    });
-    group.bench_function("dormant_stamp", |b| {
-        let dormant = ObsHub::new();
-        b.iter(|| black_box(dormant.stamp()))
-    });
-    group.bench_function("infer_no_sink", |b| {
-        let mut p = pipeline();
-        let mut k = 0u64;
-        b.iter(|| {
-            let (interactions, feats) = request(k);
-            k += 1;
-            black_box(p.infer_batch(&interactions, &feats));
-            p.flush();
-        })
-    });
-    group.bench_function("infer_with_sink", |b| {
-        let mut p = pipeline();
-        p.obs().install_sink(TraceSink::new(1 << 14));
-        let mut k = 0u64;
-        b.iter(|| {
-            let (interactions, feats) = request(k);
-            k += 1;
-            black_box(p.infer_batch_admitted(&interactions, &feats, &IN_ORDER, k, None));
-            p.flush();
-        })
-    });
-    group.finish();
 }
 
 #[derive(serde::Serialize)]
@@ -214,12 +167,6 @@ fn write_report() {
     }
 }
 
-// Expanded by hand instead of `criterion_group!/criterion_main!` so the
-// JSON report (and its wiring asserts) runs after the criterion groups
-// in both bench mode and `cargo test`'s one-iteration smoke mode.
 fn main() {
-    let mut criterion = Criterion::default().configure_from_args();
-    bench_trace(&mut criterion);
-    criterion.final_summary();
     write_report();
 }

@@ -13,7 +13,12 @@
 //! | §3.6 ablations | design-choice ablations | `… --bin ablations` |
 //! | supplementary | transductive vs inductive AP | `… --bin inductive` |
 //!
-//! Criterion microbenches live in `benches/` (`cargo bench -p apan-bench`).
+//! `benches/` holds three guards, plain timed mains whose reports gate on
+//! a correctness check: `tensor_ops` (`BENCH_tensor.json`),
+//! `trace_overhead` (`BENCH_trace.json`) and `mailbox_tier`
+//! (`BENCH_tier.json`). Beside them, `ablation` prints the operation-level
+//! cost of each reduce / update / slot-encoding variant. Serving-layer
+//! timings come from `apan-perf` (`benchmarks/perf/`).
 //!
 //! ## Scaling knobs (environment variables)
 //!
@@ -34,5 +39,5 @@ pub mod report;
 pub mod zoo;
 
 pub use env::BenchEnv;
-pub use report::{write_json, Cell, Table};
+pub use report::{time_ns, write_json, Cell, Table};
 pub use zoo::{alipay_like, dynamic_zoo, reddit_like, wiki_like, ZooModel};

@@ -1,4 +1,5 @@
-//! Plain-text table rendering and JSON result dumps.
+//! Plain-text table rendering, JSON result dumps, and the wall clock
+//! the bench mains time with.
 
 use apan_metrics::MeanStd;
 use serde::Serialize;
@@ -95,6 +96,17 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
     }
     let json = serde_json::to_string_pretty(value).expect("serializable");
     std::fs::write(path, json)
+}
+
+/// Mean wall-clock nanoseconds per call of `f` over `iters` calls,
+/// after one untimed warm-up call (pool spawn, caches).
+pub fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 #[cfg(test)]

@@ -6,12 +6,15 @@
 //! shard counts, and worker-pool widths, the rewritten planner plus both
 //! apply paths (flat serial, sharded parallel) must produce **bitwise
 //! identical** mailbox snapshots and identical query-cost accounting.
+//! One deterministic case adds what the small random graphs cannot: the
+//! default shard count on a realistic 200-event batch.
 
-use apan_core::config::{MailReduce, MailboxUpdate};
+use apan_core::config::{ApanConfig, MailReduce, MailboxUpdate};
 use apan_core::mail::reduce_mails;
 use apan_core::mailbox::{MailOrigin, MailboxStore};
 use apan_core::propagator::{DeliveryPlan, Interaction, PropScratch, Propagator};
-use apan_core::shard::ShardedMailboxStore;
+use apan_core::shard::{ShardedMailboxStore, DEFAULT_SHARDS};
+use apan_data::generators::wikipedia;
 use apan_tensor::backend::pool::set_num_threads;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
@@ -156,7 +159,7 @@ proptest! {
         prop_assert_eq!(snapshot_bytes(&flat_store), ref_snap.clone());
 
         // 3. sharded parallel apply, at several shard counts
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [1usize, 2, 4, 8, DEFAULT_SHARDS] {
             let empty = MailboxStore::new(NODES as usize, slots, dim, update);
             let sharded = ShardedMailboxStore::from_flat(&empty, shards);
             let mut cost = QueryCost::new();
@@ -175,4 +178,65 @@ proptest! {
             );
         }
     }
+}
+
+/// The last 200 events of a wiki-like stream, propagated over the whole
+/// stream's graph into a store at the default shard count: bitwise equal
+/// to the serial reference at hops 1 and 2 and pool widths 1 and 2.
+#[test]
+fn wiki_batch_at_default_shards_is_bitwise_serial() {
+    const BATCH: usize = 200;
+    const DIM: usize = 48;
+    let data = wikipedia(0.01, 0);
+    let events = data.graph.events();
+    let batch = events[events.len() - BATCH..].to_vec();
+    let mails = Tensor::from_vec(
+        BATCH,
+        DIM,
+        (0..BATCH * DIM)
+            .map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0)
+            .collect(),
+    );
+    let fresh = || MailboxStore::new(data.num_nodes(), 10, DIM, MailboxUpdate::Fifo);
+    for hops in [1usize, 2] {
+        let mut prop = Propagator::from_config(&ApanConfig::new(DIM));
+        prop.hops = hops;
+        prop.reduce = MailReduce::Mean;
+
+        let mut ref_store = fresh();
+        let mut ref_cost = QueryCost::new();
+        let ref_deliveries = reference_propagate(
+            &prop,
+            &data.graph,
+            &mut ref_store,
+            &batch,
+            &mails,
+            &mut ref_cost,
+        );
+        let ref_snap = snapshot_bytes(&ref_store);
+
+        for threads in [1usize, 2] {
+            set_num_threads(threads);
+            let sharded = ShardedMailboxStore::from_flat(&fresh(), DEFAULT_SHARDS);
+            let mut cost = QueryCost::new();
+            let mut scratch = PropScratch::default();
+            let mut plan = DeliveryPlan::default();
+            prop.plan_batch(
+                &data.graph,
+                &batch,
+                &mails,
+                &mut cost,
+                &mut scratch,
+                &mut plan,
+            );
+            let deliveries = plan.apply_sharded(&sharded);
+            assert_eq!(deliveries, ref_deliveries, "hops={hops} threads={threads}");
+            assert_eq!(cost, ref_cost, "hops={hops} threads={threads}");
+            assert!(
+                snapshot_bytes(&sharded.to_flat()) == ref_snap,
+                "hops={hops} threads={threads}: sharded store diverged from the serial reference"
+            );
+        }
+    }
+    set_num_threads(1);
 }
