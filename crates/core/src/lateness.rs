@@ -41,17 +41,17 @@ pub(crate) struct LateEntry {
     pub(crate) parked_at: Duration,
 }
 
-/// The reorder buffer shared by the pipeline and its workers. All
-/// mutation happens under a commit ticket (or with the link drained),
-/// so the buffer evolves in one deterministic global order no matter
-/// the pool width.
+/// The reorder buffer shared by the pipeline and its propagation
+/// worker. All mutation happens on the worker, after a job's deliveries
+/// (or with the link drained), so the buffer evolves in one
+/// deterministic global order.
 pub(crate) struct LateState {
     /// Lateness bound `L` in event-time units. Must match the admission
     /// window: an entry is released once `watermark - lateness` passes
     /// its event time, the earliest instant no not-yet-arrived admissible
     /// event can still precede it.
     lateness: f64,
-    /// Max in-order event time committed by the pool so far.
+    /// Max in-order event time committed by the link so far.
     watermark: f64,
     /// Buffered entries, sorted by event time; equal times stay in
     /// arrival order, matching the serial replay's tie rule.

@@ -1,12 +1,12 @@
 //! The asynchronous link (Fig. 2b): owned propagation jobs handed from
-//! the synchronous path to a pool of ticketed workers.
+//! the synchronous path to one propagation worker.
 //!
 //! A job is one admitted batch's asynchronous effects — graph inserts
 //! and the k-hop mail propagation — carried as owned tensors, so the
-//! hand-off is a channel send. Sampling runs concurrently across
-//! workers; sequence tickets ([`SeqGates`]) keep graph inserts and
-//! mailbox commits in submission order, so the pool is bitwise
-//! identical to a single worker at any width (`prop_threads`).
+//! hand-off is a channel send. The worker drains the channel in FIFO
+//! order, so graph inserts and mailbox commits happen in submission
+//! order. Parallelism lives inside a job: planning and shard-parallel
+//! delivery run on the tensor thread pool (`APAN_THREADS`).
 
 use crate::config::MailContent;
 use crate::lateness::LateState;
@@ -44,18 +44,6 @@ pub(crate) struct PropagateJob {
     /// `prop_lag` histogram measures mail age from here to mailbox
     /// commit.
     pub(crate) admitted: Duration,
-}
-
-pub(crate) enum Job {
-    /// A job under its commit ticket, issued at submission: deliveries
-    /// land in `seq` order no matter which worker runs the job, so
-    /// N-threaded serving is bitwise identical to the single-worker
-    /// pipeline.
-    Propagate {
-        seq: u64,
-        job: Box<PropagateJob>,
-    },
-    Shutdown,
 }
 
 /// Statistics accumulated by the propagation worker.
@@ -112,78 +100,6 @@ impl PendingJobs {
     }
 }
 
-/// Sequence tickets ordering the propagation pool.
-///
-/// Sampling runs concurrently across workers; graph inserts and mailbox
-/// commits each advance in strict job order. A job may insert its events
-/// while earlier jobs are still sampling **only** when its earliest event
-/// time is at or past every inserted event so far — temporal queries are
-/// strictly-before-`t`, so such an early insert is invisible to any
-/// in-flight sampler and the pipelined schedule stays bitwise identical
-/// to the serial one. Otherwise the job waits for all earlier commits.
-struct SeqGates {
-    state: Mutex<GateState>,
-    turned: Condvar,
-}
-
-struct GateState {
-    insert_turn: u64,
-    commit_turn: u64,
-    /// Max event time inserted so far (the fast-path watermark).
-    max_time: f64,
-}
-
-impl SeqGates {
-    fn new(max_time: f64) -> Self {
-        Self {
-            state: Mutex::new(GateState {
-                insert_turn: 0,
-                commit_turn: 0,
-                max_time,
-            }),
-            turned: Condvar::new(),
-        }
-    }
-
-    /// Blocks until job `seq` may insert its events (earliest at
-    /// `min_time`) into the temporal graph.
-    fn wait_insert(&self, seq: u64, min_time: f64) {
-        let mut st = self.state.lock();
-        while st.insert_turn != seq {
-            self.turned.wait(&mut st);
-        }
-        // Once it is our insert turn the watermark is frozen (later jobs
-        // cannot insert before us), so this check is race-free.
-        if min_time < st.max_time {
-            while st.commit_turn != seq {
-                self.turned.wait(&mut st);
-            }
-        }
-    }
-
-    fn insert_done(&self, seq: u64, batch_max: f64) {
-        let mut st = self.state.lock();
-        if batch_max > st.max_time {
-            st.max_time = batch_max;
-        }
-        st.insert_turn = seq + 1;
-        self.turned.notify_all();
-    }
-
-    fn wait_commit(&self, seq: u64) {
-        let mut st = self.state.lock();
-        while st.commit_turn != seq {
-            self.turned.wait(&mut st);
-        }
-    }
-
-    fn commit_done(&self, seq: u64) {
-        let mut st = self.state.lock();
-        st.commit_turn = seq + 1;
-        self.turned.notify_all();
-    }
-}
-
 /// The link's counters and reorder buffer: what outlives the pipeline's
 /// move into a serving loop, kept apart from the serving state so a
 /// [`PropLink`] does not keep the mailbox store alive.
@@ -200,7 +116,7 @@ pub(crate) struct LinkState {
 pub struct PropLink(pub(crate) Arc<LinkState>);
 
 impl PropLink {
-    /// Snapshot of the pool's accumulated statistics.
+    /// Snapshot of the link's accumulated statistics.
     pub fn stats(&self) -> PropStats {
         *self.0.stats.lock()
     }
@@ -222,13 +138,12 @@ impl PropLink {
 }
 
 /// Everything the asynchronous link shares: the serving state it
-/// mutates, its ordering gates and counters, and the propagation
-/// config. The pipeline and every pool worker hold one `Arc` of it.
+/// mutates, its counters, and the propagation config. The pipeline and
+/// the propagation worker each hold one `Arc` of it.
 pub(crate) struct Link {
     pub(crate) state: Arc<LinkState>,
     pub(crate) store: Arc<ShardedMailboxStore>,
     pub(crate) graph: Arc<RwLock<TemporalGraph>>,
-    gates: SeqGates,
     propagator: Propagator,
     mail_content: MailContent,
     /// The injectable clock behind every stamp, the per-stage
@@ -236,7 +151,7 @@ pub(crate) struct Link {
     pub(crate) obs: ObsHub,
 }
 
-/// A worker's reusable planning buffers, plus the deliveries and query
+/// The worker's reusable planning buffers, plus the deliveries and query
 /// cost of the job (or snapshot-cut release) it is serving.
 #[derive(Default)]
 struct Work {
@@ -261,7 +176,6 @@ impl Link {
                 late: Mutex::new(LateState::new(graph.max_time())),
             }),
             store,
-            gates: SeqGates::new(graph.max_time()),
             graph: Arc::new(RwLock::new(graph)),
             propagator,
             mail_content,
@@ -285,9 +199,9 @@ impl Link {
 
     /// Releases the reorder-buffer entries whose window has closed
     /// (every entry when `force`): each is planned alone and
-    /// patch-applied at its time-sorted mailbox position. The caller
-    /// holds the commit turn or has drained the link. Returns the
-    /// number of entries released.
+    /// patch-applied at its time-sorted mailbox position. Runs on the
+    /// worker after a job's deliveries, or with the link drained.
+    /// Returns the number of entries released.
     fn release_late(&self, ls: &mut LateState, force: bool, work: &mut Work) -> usize {
         let due = ls.take_due(force);
         let released = due.len();
@@ -327,9 +241,8 @@ impl Link {
         released
     }
 
-    /// One job: insert (ticketed) → sample (concurrent) → commit
-    /// (ticketed).
-    fn run_job(&self, seq: u64, job: &PropagateJob, work: &mut Work) {
+    /// One job: graph insert → plan → deliver, in submission order.
+    fn run_job(&self, job: &PropagateJob, work: &mut Work) {
         let obs = &self.obs;
         // φ runs here, off the synchronous path.
         let built;
@@ -346,21 +259,10 @@ impl Link {
             }
         };
         let is_late = |idx: usize| job.late.binary_search(&(idx as u32)).is_ok();
-        let (min_t, max_t) = job
-            .interactions
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), i| {
-                (lo.min(i.time), hi.max(i.time))
-            });
-        // `commit` span: the ordered temporal-graph event commit,
-        // including any wait for the insert ticket. Late events splice
-        // into the time-sorted log here, at arrival: a job carrying one
-        // has `min_t` below the gate watermark, so `wait_insert` holds
-        // it on the slow path until every earlier job has fully
-        // committed — no concurrent sampler can observe the splice
-        // mid-flight, and every later sampler deterministically does.
+        // `commit` span: the temporal-graph event commit. Late events
+        // splice into the time-sorted log here, at arrival, after every
+        // earlier job has fully delivered, so every later plan sees them.
         let t_commit0 = obs.stamp();
-        self.gates.wait_insert(seq, min_t);
         {
             let mut g = self.graph.write();
             for (idx, i) in job.interactions.iter().enumerate() {
@@ -371,10 +273,9 @@ impl Link {
                 }
             }
         }
-        self.gates.insert_done(seq, max_t);
         let t_commit1 = obs.stamp();
         obs.stage_record(Stage::Commit, job.trace_id, t_commit0, t_commit1);
-        // Sampling — the expensive part — runs outside both gates. Only
+        // Sampling — the expensive part — runs on the tensor pool. Only
         // the in-order subset is planned now; late events wait in the
         // reorder buffer until no earlier-timed event can still arrive.
         let inorder: Option<(Vec<Interaction>, Tensor)> = (!job.late.is_empty()).then(|| {
@@ -391,16 +292,14 @@ impl Link {
         self.plan(work, batch, batch_mails);
         let t_plan1 = obs.stamp();
         obs.stage_record(Stage::Plan, job.trace_id, t_commit1, t_plan1);
-        self.gates.wait_commit(seq);
-        // `deliver` span: applying the plan to the sharded mailbox (the
-        // commit-ticket wait before it is queueing, not delivery work).
-        // Tier traffic triggered by the deliveries is attributed to this
-        // job's trace (the commit turn serializes deliveries, so the
-        // attribution is exact on this path).
+        // `deliver` span: applying the plan to the sharded mailbox. Tier
+        // traffic triggered by the deliveries is attributed to this job's
+        // trace (one worker serializes deliveries, so the attribution is
+        // exact on this path).
         self.store.tier_stats().set_trace(job.trace_id);
         let t_deliver0 = obs.stamp();
         work.deliveries += work.plan.apply_sharded(&self.store);
-        // Reorder-buffer maintenance runs inside the commit turn, so
+        // Reorder-buffer maintenance follows the job's deliveries, so
         // entries enqueue and release in one deterministic global order.
         {
             let mut ls = self.state.late.lock();
@@ -423,7 +322,6 @@ impl Link {
             self.release_late(&mut ls, false, work);
         }
         let t_deliver1 = obs.stamp();
-        self.gates.commit_done(seq);
         obs.stage_record(Stage::Deliver, job.trace_id, t_deliver0, t_deliver1);
         // Every mail in this plan committed at the same instant; its age
         // is the time since the triggering request was admitted.
@@ -433,11 +331,13 @@ impl Link {
     }
 }
 
-/// One propagation-pool worker. Its planning buffers live for the whole
-/// thread, so steady-state jobs allocate almost nothing.
-pub(crate) fn propagation_worker(rx: Receiver<Job>, link: Arc<Link>) {
+/// The propagation worker: runs jobs in channel (submission) order
+/// until every sender is dropped and the queue is empty. Its planning
+/// buffers live for the whole thread, so steady-state jobs allocate
+/// almost nothing.
+pub(crate) fn propagation_worker(rx: Receiver<Box<PropagateJob>>, link: Arc<Link>) {
     let mut work = Work::default();
-    while let Ok(Job::Propagate { seq, job }) = rx.recv() {
-        link.run_job(seq, &job, &mut work);
+    while let Ok(job) = rx.recv() {
+        link.run_job(&job, &mut work);
     }
 }

@@ -6,12 +6,12 @@
 //!   batch of arriving interactions, reads only mailbox state, runs the
 //!   encoder + decoder, stores the fresh embeddings, and returns scores —
 //!   its wall-clock time is what Figure 6 reports as "inference speed";
-//! * the **asynchronous link** (`link.rs`) is a pool of background
-//!   workers fed through a bounded channel; they insert the events into
-//!   the temporal graph and run the k-hop mail propagation, off the
-//!   user-facing path. The hand-off is an owned job — the batch's
-//!   embedding rows and edge features move across the channel as
-//!   tensors. Only a cluster owner forwarding a job to its peer
+//! * the **asynchronous link** (`link.rs`) is one background worker fed
+//!   through a bounded channel; it inserts the events into the temporal
+//!   graph and runs the k-hop mail propagation, off the user-facing
+//!   path, one job at a time in submission order. The hand-off is an
+//!   owned job — the batch's embedding rows and edge features move
+//!   across the channel as tensors. Only a cluster owner forwarding a job to its peer
 //!   replicas serializes it ([`wire`]), and
 //!   [`ServingPipeline::submit_remote`] is where those bytes come back
 //!   in and are validated.
@@ -22,7 +22,7 @@
 //! grow without bound.
 
 use crate::config::Precision;
-use crate::link::{propagation_worker, Job, Link, PropagateJob};
+use crate::link::{propagation_worker, Link, PropagateJob};
 use crate::mailbox::MailboxStore;
 use crate::model::{dedup_nodes, Apan};
 use crate::propagator::Interaction;
@@ -90,16 +90,17 @@ fn remote_job_nodes(
     (shapes_ok && late_ok).then_some(unique)
 }
 
-/// A deployed APAN model: synchronous inference plus a pool of
-/// propagation workers ordered by sequence tickets.
+/// A deployed APAN model: synchronous inference plus one propagation
+/// worker draining its jobs in submission order.
 pub struct ServingPipeline {
     model: Arc<Apan>,
-    /// Serving state, ordering gates, counters and the observability
-    /// hub, shared with every propagation worker.
+    /// Serving state, counters and the observability hub, shared with
+    /// the propagation worker.
     link: Arc<Link>,
-    tx: Sender<Job>,
-    workers: Vec<JoinHandle<()>>,
-    next_seq: u64,
+    /// Feeds the worker; dropping it stops the worker once the queue
+    /// has drained.
+    tx: Option<Sender<Box<PropagateJob>>>,
+    worker: Option<JoinHandle<()>>,
     rng: StdRng,
     /// Active encoder precision; [`ServingPipeline::set_precision`].
     precision: Precision,
@@ -132,25 +133,11 @@ impl ServingPipeline {
         graph: TemporalGraph,
         capacity: usize,
     ) -> Self {
-        Self::with_options(model, store, graph, capacity, 1)
-    }
-
-    /// [`ServingPipeline::with_state`] with an explicit propagation pool
-    /// width, clamped to 1..=64. Any width produces bit-identical
-    /// serving state — parallelism changes throughput, never results.
-    pub fn with_options(
-        model: Apan,
-        store: MailboxStore,
-        graph: TemporalGraph,
-        capacity: usize,
-        prop_threads: usize,
-    ) -> Self {
         assert_eq!(
             store.dim(),
             model.cfg.dim,
             "mailbox store width does not match model dimension"
         );
-        let threads = prop_threads.clamp(1, 64);
         // A configured mailbox budget turns on tiered residency: hot
         // pools bounded to the budget, the rest spilled to the cold
         // tier. Served bits are identical either way.
@@ -174,20 +161,17 @@ impl ServingPipeline {
             model.cfg.mail_content,
             obs,
         ));
-        let (tx, rx) = bounded::<Job>(capacity.max(1));
-        let workers = (0..threads)
-            .map(|_| {
-                let (rx, link) = (rx.clone(), Arc::clone(&link));
-                std::thread::spawn(move || propagation_worker(rx, link))
-            })
-            .collect();
+        let (tx, rx) = bounded(capacity.max(1));
+        let worker = {
+            let link = Arc::clone(&link);
+            std::thread::spawn(move || propagation_worker(rx, link))
+        };
 
         Self {
             model: Arc::new(model),
             link,
-            tx,
-            workers,
-            next_seq: 0,
+            tx: Some(tx),
+            worker: Some(worker),
             rng: StdRng::seed_from_u64(0),
             precision: Precision::F32,
             quant: None,
@@ -219,8 +203,8 @@ impl ServingPipeline {
     }
 
     /// Replaces the time source behind `sync_time` stamps and every
-    /// stage span — including the propagation workers', which share the
-    /// hub. The deterministic simulation harness injects the scenario's
+    /// stage span — including the propagation worker's, which shares
+    /// the hub. The deterministic simulation harness injects the scenario's
     /// virtual clock here so the pipeline's latency numbers move on
     /// simulated time along with the rest of the serving stack.
     pub fn set_clock(&mut self, clock: Clock) {
@@ -229,7 +213,7 @@ impl ServingPipeline {
 
     /// The pipeline's observability hub: stage histograms, `prop_lag`,
     /// the injectable clock, and the optional trace sink. Clones share
-    /// state with the pipeline and its workers, so a serving daemon can
+    /// state with the pipeline and its worker, so a serving daemon can
     /// render METRICS from its own handle.
     pub fn obs(&self) -> ObsHub {
         self.link.obs.clone()
@@ -301,17 +285,15 @@ impl ServingPipeline {
 
     /// Applies a propagation job replicated from a peer: replays the
     /// sync path's embedding write-back from the job's embedding rows,
-    /// then queues the job on the asynchronous link under the next local
-    /// sequence ticket. Feeding every replica the same job stream in the
-    /// same order keeps their serving state bitwise identical to one
-    /// process serving the merged stream.
+    /// then queues the job on the asynchronous link. Feeding every
+    /// replica the same job stream in the same order keeps their serving
+    /// state bitwise identical to one process serving the merged stream.
     ///
     /// This is where outside bytes enter the link, and the only place
     /// they are checked: a job that fails to decode or is inconsistent
     /// (see `remote_job_nodes`) is dropped whole — counted in
-    /// [`PropStats::decode_errors`], no state touched, no sequence
-    /// ticket consumed. Empty jobs (cluster hole-fillers for a failed
-    /// owner) are no-ops.
+    /// [`PropStats::decode_errors`], no state touched, nothing queued.
+    /// Empty jobs (cluster hole-fillers for a failed owner) are no-ops.
     pub fn submit_remote(&mut self, job: wire::WireJob, trace_id: u64) {
         if job.interactions.is_empty() {
             return;
@@ -350,14 +332,12 @@ impl ServingPipeline {
         }));
     }
 
-    /// Queues a job on the asynchronous link under the next sequence
-    /// ticket.
+    /// Queues a job on the asynchronous link.
     fn submit_job(&mut self, job: Box<PropagateJob>) {
         self.link.state.pending.increment();
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.tx
-            .send(Job::Propagate { seq, job })
+            .as_ref()
+            .and_then(|tx| tx.send(job).ok())
             .expect("propagation worker alive");
     }
 
@@ -504,8 +484,7 @@ impl ServingPipeline {
 
     /// Blocks until the asynchronous link has drained. Sleeps on a
     /// condvar signalled by the worker, so a draining pipeline costs no
-    /// CPU — the old implementation spun on `yield_now`, stealing cycles
-    /// from the propagation worker it was waiting for.
+    /// CPU the propagation worker could use.
     pub fn flush(&self) {
         self.link.state.pending.wait_drained();
     }
@@ -576,30 +555,22 @@ impl ServingPipeline {
         Arc::clone(&self.link.graph)
     }
 
-    /// Live counters for the propagation link (pool stats + queue depth),
-    /// detached from the pipeline's lifetime.
+    /// Live counters for the propagation link (worker stats + queue
+    /// depth), detached from the pipeline's lifetime.
     pub fn prop_link(&self) -> PropLink {
         PropLink(Arc::clone(&self.link.state))
     }
 
-    /// Width of the propagation pool.
-    pub fn prop_threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Stops the pool and returns its accumulated statistics.
+    /// Stops the worker and returns its accumulated statistics.
     pub fn shutdown(mut self) -> PropStats {
         self.flush();
-        self.stop_workers();
+        self.stop_worker();
         self.prop_link().stats()
     }
 
-    fn stop_workers(&mut self) {
-        let workers = std::mem::take(&mut self.workers);
-        for _ in 0..workers.len() {
-            let _ = self.tx.send(Job::Shutdown);
-        }
-        for worker in workers {
+    fn stop_worker(&mut self) {
+        self.tx = None;
+        if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
     }
@@ -607,7 +578,7 @@ impl ServingPipeline {
 
 impl Drop for ServingPipeline {
     fn drop(&mut self) {
-        self.stop_workers();
+        self.stop_worker();
     }
 }
 
@@ -890,58 +861,25 @@ mod tests {
     }
 
     #[test]
-    fn pool_width_does_not_change_bits_when_flushed() {
-        // with a flush between batches the whole serving loop is
-        // deterministic; any pool width must reproduce it exactly
-        let run = |threads: usize| {
-            let m = model();
-            let store = m.new_store(8);
-            let graph = TemporalGraph::with_capacity(8, 1024);
-            let mut p = ServingPipeline::with_options(m, store, graph, 16, threads);
-            let mut bits = Vec::new();
-            for k in 0..6 {
-                let (b, f) = batch(k);
-                let r = p.infer_batch(&b, &f);
-                p.flush();
-                bits.push(r.scores.iter().map(|s| s.to_bits()).collect::<Vec<u32>>());
-            }
-            let snap = snapshot(&p);
-            let stats = p.shutdown();
-            (bits, snap, stats.jobs, stats.deliveries)
-        };
-        let base = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), base, "pool width {threads} changed bits");
-        }
-    }
-
-    #[test]
     fn pipelined_commits_are_deterministic_without_flush() {
         // FeatureOnly mails depend only on the event stream, not on the
-        // (timing-sensitive) synchronous embeddings — so with jobs freely
-        // in flight, the final mailbox contents must still be identical
-        // for every pool width. This exercises the ticketed fast path.
-        let run = |threads: usize| {
-            let m = fmodel();
-            let store = m.new_store(8);
-            let graph = TemporalGraph::with_capacity(8, 1024);
-            let mut p = ServingPipeline::with_options(m, store, graph, 4, threads);
+        // (timing-sensitive) synchronous embeddings — so a backlog of
+        // unflushed jobs must end in the same mailbox and graph state as
+        // the same stream flushed after every batch.
+        let run = |flush_each: bool| {
+            let mut p = ServingPipeline::new(fmodel(), 8, 4);
             for k in 0..30 {
                 let (b, f) = batch(k);
                 p.infer_batch(&b, &f);
+                if flush_each {
+                    p.flush();
+                }
             }
             let state = prop_state(&p);
             assert_eq!(p.prop_link().stats().jobs, 30);
             state
         };
-        let base = run(1);
-        for threads in [2, 8] {
-            assert_eq!(
-                run(threads),
-                base,
-                "pool width {threads} changed mailbox bits"
-            );
-        }
+        assert_eq!(run(false), run(true));
     }
 
     fn fmodel() -> Apan {
@@ -1135,16 +1073,12 @@ mod tests {
     }
 
     #[test]
-    fn late_jobs_are_deterministic_across_pool_widths() {
-        // no flushes: jobs (some carrying late events) pile into the
-        // pool freely; any width must produce identical mailbox bits.
-        // FeatureOnly keeps mails independent of the timing-sensitive
-        // sync embeddings, as in the in-order pipelining test above.
-        let run = |threads: usize| {
-            let m = fmodel();
-            let store = m.new_store(16);
-            let graph = TemporalGraph::with_capacity(16, 1024);
-            let mut p = ServingPipeline::with_options(m, store, graph, 4, threads);
+    fn late_jobs_are_deterministic_without_flush() {
+        // the backlog test above with a late event in every job: the
+        // reorder buffer must park and release the same entries whether
+        // or not the link drains between batches
+        let run = |flush_each: bool| {
+            let mut p = ServingPipeline::new(fmodel(), 16, 4);
             p.set_lateness(Some(5.0));
             for k in 0..30u64 {
                 let t = k as f64 + 10.0;
@@ -1165,15 +1099,15 @@ mod tests {
                 let feats = Tensor::from_rows(&[&[t as f32; 8], &[(t - 4.0) as f32; 8]]);
                 let kinds = [AdmitKind::InOrder, AdmitKind::Late];
                 p.infer_batch_admitted(&ints, &feats, &kinds, 0, None);
+                if flush_each {
+                    p.flush();
+                }
             }
             let state = prop_state(&p);
             let stats = p.shutdown();
             (state, stats.jobs, stats.deliveries)
         };
-        let base = run(1);
-        for threads in [2, 8] {
-            assert_eq!(run(threads), base, "pool width {threads} changed bits");
-        }
+        assert_eq!(run(false), run(true));
     }
 
     /// A valid forwarded job for `batch(k)`, as a peer receives it.
@@ -1234,9 +1168,9 @@ mod tests {
             assert_eq!(stats.jobs, 1, "{what}");
             assert_eq!(snapshot(&peer), before, "{what}: state moved");
         }
-        // no ticket was consumed: the next valid job commits (a skipped
-        // sequence number would park it forever) and lands bitwise
-        // where it does on a peer that never saw the malformed ones
+        // nothing was queued: the next valid job commits and lands
+        // bitwise where it does on a peer that never saw the malformed
+        // ones
         peer.submit_remote(good.clone(), 0);
         reference.submit_remote(good, 0);
         assert_eq!(snapshot(&peer), snapshot(&reference));

@@ -76,10 +76,9 @@ impl Propagator {
 
     /// Computes the full delivery set for a batch — every destination
     /// node, its reduced payload, and its delivery time/origin — without
-    /// touching any mailbox. The graph is only *read*, so planning for
-    /// job `k+1` may overlap applying job `k` (the serving pipeline's
-    /// pipelining), and the per-interaction `sample_khop` fan-out runs on
-    /// the shared worker pool.
+    /// touching any mailbox. The graph is only *read*, and the
+    /// per-interaction `sample_khop` fan-out runs on the shared tensor
+    /// thread pool.
     ///
     /// ## Determinism
     /// Bitwise identical to the historical serial path for any thread
@@ -222,8 +221,9 @@ impl Propagator {
     }
 }
 
-/// Reusable buffers for [`Propagator::plan_batch`] — hold one per worker
-/// thread so repeated planning performs no steady-state allocation.
+/// Reusable buffers for [`Propagator::plan_batch`] — hold one per
+/// planning loop so repeated planning performs no steady-state
+/// allocation.
 #[derive(Default)]
 pub struct PropScratch {
     /// Per-interaction target slots (slot r = interaction r's targets).

@@ -1,4 +1,4 @@
-//! Sharded mailbox store for the parallel propagation link.
+//! Sharded mailbox store behind the serving pipeline.
 //!
 //! [`ShardedMailboxStore`] splits node state across `S` independently
 //! locked shards by `node_id % S`, so concurrent deliveries to
@@ -20,7 +20,7 @@
 //! Lock discipline: multi-shard operations acquire shard mutexes in
 //! ascending shard order only — which rules out lock-order inversions
 //! between concurrent readers, the sync path's embedding writes, and
-//! the propagation pool's shard-parallel deliveries. The spill file is
+//! the propagation worker's shard-parallel deliveries. The spill file is
 //! not a lock: shards share it through positioned I/O, each touching
 //! only its own nodes' offsets under its own mutex.
 

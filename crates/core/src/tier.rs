@@ -72,7 +72,7 @@ pub struct TierStats {
     /// dormant: span helpers bail on one load, no clock read.
     obs: OnceLock<ObsHub>,
     /// Trace id of the request currently driving tier traffic (set by
-    /// the pipeline under its ordering tickets). Best-effort
+    /// the sync path and the propagation worker). Best-effort
     /// attribution: concurrent sync reads and deliveries share the cell.
     trace: AtomicU64,
 }

@@ -57,7 +57,6 @@ struct Args {
 const USAGE: &str = "usage: apand [--port N] [--dim N] [--slots N] [--nodes N] [--max-node N]
              [--capacity N] [--max-batch N] [--deadline-us N] [--high-water N]
              [--snapshot PATH] [--snapshot-every-s N] [--seed N] [--infer-delay-us N]
-             [--prop-threads N]   (propagation pool width, 1..=64)
              [--trace-buffer N]   (TRACE ring capacity in events; 0 disables spans)
              [--precision f32|int8]   (encoder weight precision, default f32)
              [--shard-id N] [--cluster-size N]   (this daemon's place in a cluster)
@@ -73,7 +72,19 @@ const USAGE: &str = "usage: apand [--port N] [--dim N] [--slots N] [--nodes N] [
                               boot after a crash; default is a fresh per-process
                               directory under the system temp dir, removed as well)";
 
-fn parse_args() -> Result<Args, String> {
+/// Parses `value` as an integer of the flag's target type: a number
+/// that does not fit is an error, never a wrapped value.
+fn num<T: TryFrom<u64>>(flag: &str, value: &str) -> Result<T, String> {
+    let n: u64 = value
+        .parse()
+        .map_err(|_| format!("{flag}: bad number {value:?}"))?;
+    T::try_from(n)
+        .map_err(|_| format!("{flag}: {n} does not fit in {}", std::any::type_name::<T>()))
+}
+
+/// Parses the command line (without the program name). A model shape
+/// [`Apan::new`] would reject is reported here, before boot.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut serve = ServeConfig {
         addr: "0.0.0.0:7878".into(),
         ..ServeConfig::default()
@@ -82,7 +93,7 @@ fn parse_args() -> Result<Args, String> {
     model.dropout = 0.0; // serving is eval-mode only
     let mut seed = 42;
     let (mut shard_id, mut cluster_size, mut peers) = (0usize, 1usize, Vec::new());
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
             println!("{USAGE}");
@@ -91,29 +102,27 @@ fn parse_args() -> Result<Args, String> {
         let value = it
             .next()
             .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))?;
-        let num = |v: &str| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("{flag}: bad number {v:?}"))
-        };
         match flag.as_str() {
-            "--port" => serve.addr = format!("0.0.0.0:{}", num(&value)? as u16),
-            "--dim" => model.dim = num(&value)? as usize,
-            "--slots" => model.mailbox_slots = num(&value)? as usize,
-            "--nodes" => serve.num_nodes = num(&value)? as usize,
-            "--max-node" => serve.max_node = num(&value)? as u32,
-            "--capacity" => serve.capacity = num(&value)? as usize,
-            "--max-batch" => serve.policy.max_batch = num(&value)? as usize,
-            "--deadline-us" => serve.policy.batch_deadline = Duration::from_micros(num(&value)?),
-            "--high-water" => serve.high_water = num(&value)? as usize,
+            "--port" => serve.addr = format!("0.0.0.0:{}", num::<u16>(&flag, &value)?),
+            "--dim" => model.dim = num(&flag, &value)?,
+            "--slots" => model.mailbox_slots = num(&flag, &value)?,
+            "--nodes" => serve.num_nodes = num(&flag, &value)?,
+            "--max-node" => serve.max_node = num(&flag, &value)?,
+            "--capacity" => serve.capacity = num(&flag, &value)?,
+            "--max-batch" => serve.policy.max_batch = num(&flag, &value)?,
+            "--deadline-us" => {
+                serve.policy.batch_deadline = Duration::from_micros(num(&flag, &value)?)
+            }
+            "--high-water" => serve.high_water = num(&flag, &value)?,
             "--snapshot" => serve.snapshot_path = Some(PathBuf::from(value)),
             "--snapshot-every-s" => {
-                serve.snapshot_every = Some(Duration::from_secs(num(&value)?));
+                serve.snapshot_every = Some(Duration::from_secs(num(&flag, &value)?));
             }
-            "--seed" => seed = num(&value)?,
-            "--infer-delay-us" => serve.infer_delay = Duration::from_micros(num(&value)?),
-            "--prop-threads" => serve.prop_threads = num(&value)? as usize,
-            "--trace-buffer" => serve.trace_buffer = num(&value)? as usize,
+            "--seed" => seed = num(&flag, &value)?,
+            "--infer-delay-us" => serve.infer_delay = Duration::from_micros(num(&flag, &value)?),
+            "--trace-buffer" => serve.trace_buffer = num(&flag, &value)?,
             "--precision" => serve.precision = value.parse()?,
-            "--shard-id" => shard_id = num(&value)? as usize,
+            "--shard-id" => shard_id = num(&flag, &value)?,
             "--lateness" => {
                 let l: f64 = value.parse().map_err(|_| "bad --lateness".to_string())?;
                 if !l.is_finite() || l < 0.0 {
@@ -121,8 +130,8 @@ fn parse_args() -> Result<Args, String> {
                 }
                 serve.lateness = Some(l);
             }
-            "--cluster-size" => cluster_size = num(&value)? as usize,
-            "--mailbox-budget" => model.mailbox_budget = Some(num(&value)?),
+            "--cluster-size" => cluster_size = num(&flag, &value)?,
+            "--mailbox-budget" => model.mailbox_budget = Some(num(&flag, &value)?),
             "--mailbox-spill" => model.mailbox_spill = Some(PathBuf::from(value)),
             "--peers" => {
                 peers = value
@@ -134,6 +143,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
+    model.validate()?;
     if cluster_size > 1 {
         if shard_id >= cluster_size {
             return Err(format!(
@@ -148,7 +158,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("apand: {e}");
@@ -181,4 +191,44 @@ fn main() {
         handle.join();
     }
     println!("apand stopped");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected_not_wrapped() {
+        for line in ["--port 70000", "--max-node 4294967296"] {
+            let err = parse(line).err().expect(line);
+            assert!(err.contains("does not fit"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn model_shapes_apan_new_would_reject_fail_to_parse() {
+        for (line, why) in [("--dim 33", "divisible"), ("--slots 0", "slot")] {
+            let err = parse(line).err().expect(line);
+            assert!(err.contains(why), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_valid_command_line_sets_every_field_it_names() {
+        let args = parse(
+            "--port 7979 --dim 16 --slots 4 --max-node 4294967295 \
+             --deadline-us 250 --lateness 2.5 --shard-id 1 --cluster-size 3",
+        )
+        .unwrap();
+        assert_eq!(args.serve.addr, "0.0.0.0:7979");
+        assert_eq!((args.model.dim, args.model.mailbox_slots), (16, 4));
+        assert_eq!(args.serve.max_node, u32::MAX);
+        assert_eq!(args.serve.policy.batch_deadline, Duration::from_micros(250));
+        assert_eq!(args.serve.lateness, Some(2.5));
+        assert!(args.serve.cluster.is_some());
+    }
 }

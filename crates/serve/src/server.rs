@@ -55,9 +55,6 @@ pub struct ServeConfig {
     pub max_node: u32,
     /// Propagation-channel capacity (backpressure on the async link).
     pub capacity: usize,
-    /// Propagation pool width, clamped to 1..=64. Any width serves
-    /// bit-identical state — the pool changes throughput, never results.
-    pub prop_threads: usize,
     /// Micro-batch closing policy.
     pub policy: BatchPolicy,
     /// Admission-control high-water mark (pending inference requests).
@@ -115,7 +112,6 @@ impl Default for ServeConfig {
             num_nodes: 1024,
             max_node: 1 << 20,
             capacity: 256,
-            prop_threads: 1,
             policy: BatchPolicy::default(),
             high_water: 1024,
             lateness: None,
@@ -152,7 +148,7 @@ pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     pub(crate) dim: usize,
     pub(crate) mailbox_slots: usize,
-    /// Live counters of the propagation pool, valid after the pipeline
+    /// Live counters of the propagation link, valid after the pipeline
     /// moves into the batcher thread.
     pub(crate) prop: PropLink,
     /// Mailbox tier counters (residency, evictions, promotions, cold
@@ -258,8 +254,7 @@ pub fn start(mut model: Apan, cfg: ServeConfig) -> Result<ServerHandle, StartErr
             TemporalGraph::with_capacity(cfg.num_nodes, 1024),
         ),
     };
-    let mut pipeline =
-        ServingPipeline::with_options(model, store, graph, cfg.capacity, cfg.prop_threads);
+    let mut pipeline = ServingPipeline::with_state(model, store, graph, cfg.capacity);
     // sync-path latency stamps and stage spans run on the daemon clock
     pipeline.set_clock(cfg.clock.clone());
     pipeline.set_precision(cfg.precision);
@@ -574,7 +569,7 @@ fn batcher_loop(mut pipeline: ServingPipeline, shared: &Shared) {
     shared.peers.stop();
     let stats = pipeline.shutdown();
     eprintln!(
-        "apan-serve: propagation pool retired ({} jobs, {} deliveries)",
+        "apan-serve: propagation worker retired ({} jobs, {} deliveries)",
         stats.jobs, stats.deliveries
     );
 }

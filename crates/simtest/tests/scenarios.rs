@@ -263,63 +263,6 @@ fn crash_and_warm_restart_at_seeded_kill_points() {
 }
 
 #[test]
-fn wide_propagation_pool_stays_on_the_oracle_across_crash_restart() {
-    // The propagation pool must be invisible to the oracle: a daemon
-    // running 4 propagation workers, crashed mid-stream and warm
-    // restarted (still at width 4), serves the exact score bits of the
-    // single-threaded reference pipeline.
-    let seed = 1010;
-    const TOTAL: usize = 24;
-    const SNAP_AT: usize = 8;
-    const CRASH_AT: usize = 13;
-    let snap = temp_snap("wide_pool.snap");
-    let cfg = ServeConfig {
-        snapshot_path: Some(snap.clone()),
-        prop_threads: 4,
-        ..base_cfg()
-    };
-    let mut trace = Trace::new();
-
-    let handle = start(WEIGHTS, cfg.clone());
-    let mut client = ChaosClient::connect(handle.addr()).expect("connect");
-    let mut pre = Vec::new();
-    for k in 0..CRASH_AT {
-        pre.push(client.deliver(seed, k).expect("deliver"));
-        trace.push(format!("deliver {k}"));
-        if k + 1 == SNAP_AT {
-            assert!(client.snapshot().expect("snapshot verb"), "snapshot failed");
-            trace.push(format!("snapshot after {SNAP_AT}"));
-        }
-    }
-    handle.crash();
-    trace.push(format!("crash after {CRASH_AT}"));
-
-    let handle = start(WEIGHTS + 1, cfg);
-    let mut client = ChaosClient::connect(handle.addr()).expect("reconnect");
-    let mut post = Vec::new();
-    for k in CRASH_AT..TOTAL {
-        post.push(client.deliver(seed, k).expect("deliver after restart"));
-        trace.push(format!("deliver {k} (after restart)"));
-    }
-    handle.shutdown();
-
-    let pre_eff: Vec<usize> = (0..CRASH_AT).collect();
-    let expected_pre = reference_bits(WEIGHTS, seed, &pre_eff);
-    assert_oracle(&pre, &expected_pre, &trace, "wide-pool pre-crash");
-
-    let mut replay_eff: Vec<usize> = (0..SNAP_AT).collect();
-    replay_eff.extend(CRASH_AT..TOTAL);
-    let expected_all = reference_bits(WEIGHTS, seed, &replay_eff);
-    assert_oracle(
-        &post,
-        &expected_all[SNAP_AT..],
-        &trace,
-        "wide-pool post-restart",
-    );
-    let _ = std::fs::remove_file(&snap);
-}
-
-#[test]
 fn torn_snapshot_leaves_previous_snapshot_authoritative() {
     let seed = 707;
     let snap = temp_snap("torn.snap");

@@ -144,7 +144,7 @@ pub fn sample_khop(
 /// allocation.
 ///
 /// Restricted to [`Strategy::MostRecent`] (APAN's delivery strategy),
-/// which needs no rng, so the call is reentrant: the propagation pool
+/// which needs no rng, so the call is reentrant: propagation planning
 /// fans these out across threads against a read-locked graph.
 /// `QueryCost` accounting is identical to `sample_khop`, so per-call
 /// costs merged across a batch sum to exactly the serial totals.
