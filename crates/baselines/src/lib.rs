@@ -32,6 +32,8 @@
 //! sampler, same metrics, same cost accounting), which is what the
 //! table/figure benches build on.
 
+#![forbid(unsafe_code)]
+
 pub mod deepwalk;
 pub mod dyrep;
 pub mod gat;

@@ -34,6 +34,8 @@
 //! * `APAN_NEIGHBORS` — sampled neighbours / mailbox slots (default 5)
 //! * `APAN_OUT` — directory for JSON result dumps (default `bench-results`)
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod report;
 pub mod zoo;

@@ -25,6 +25,8 @@
 //! * [`timeline`] — merges per-process `TRACE` drains into one causal
 //!   timeline per request with a critical-path breakdown.
 
+#![forbid(unsafe_code)]
+
 pub mod gateway;
 pub mod proxy;
 pub mod timeline;

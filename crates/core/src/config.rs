@@ -24,8 +24,6 @@ pub enum MailContent {
     /// The raw edge feature only (ablation: how much do the embedded
     /// endpoints actually contribute?).
     FeatureOnly,
-    /// `e_ij + ½(z_i + z_j)` — damped endpoint mixing.
-    DampedSum,
 }
 
 /// How a node's mailbox absorbs a reduced mail (ψ in Eq. 6).
@@ -135,11 +133,6 @@ pub struct ApanConfig {
     pub mailbox_update: MailboxUpdate,
     /// Slot-order encoding fed to the attention encoder.
     pub slot_encoding: SlotEncoding,
-    /// Pass the encoder output through `tanh`, bounding the embeddings
-    /// that recirculate through mails. Stabilizes the recurrent state
-    /// loop (mails contain embeddings; unbounded embeddings make the
-    /// input distribution drift under the model during training).
-    pub bound_embeddings: bool,
     /// Resident-memory budget for serving mailbox state, in bytes.
     /// `None` (the default) keeps every mailbox in RAM; `Some(bytes)`
     /// bounds the hot pools to roughly that much mailbox state (at
@@ -174,7 +167,6 @@ impl ApanConfig {
             mail_reduce: MailReduce::Mean,
             mailbox_update: MailboxUpdate::Fifo,
             slot_encoding: SlotEncoding::Positional,
-            bound_embeddings: true,
             mailbox_budget: None,
             mailbox_spill: None,
         }

@@ -37,7 +37,6 @@ pub struct ApanEncoder {
     dim: usize,
     slot_encoding: SlotEncoding,
     dropout: f32,
-    bound: bool,
 }
 
 /// Encoder output: embeddings plus per-head attention weights.
@@ -70,7 +69,6 @@ impl ApanEncoder {
             dim: cfg.dim,
             slot_encoding: cfg.slot_encoding,
             dropout: cfg.dropout,
-            bound: cfg.bound_embeddings,
         }
     }
 
@@ -123,12 +121,10 @@ impl ApanEncoder {
             fwd.g.dropout(normed, self.dropout, train, rng)
         };
 
-        // MLP head → final temporal embedding (optionally tanh-bounded so
-        // the embeddings recirculating through mails cannot blow up).
-        let mut z = self.head.forward(fwd, normed, rng);
-        if self.bound {
-            z = fwd.g.tanh(z);
-        }
+        // MLP head → final temporal embedding, tanh-bounded so the
+        // embeddings recirculating through mails cannot blow up.
+        let z = self.head.forward(fwd, normed, rng);
+        let z = fwd.g.tanh(z);
         EncoderOutput {
             z,
             attn: attn_out.weights,

@@ -44,6 +44,8 @@
 //! println!("test AP = {:.4}", out.test_ap);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod decoder;
 pub mod encoder;

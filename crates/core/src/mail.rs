@@ -8,8 +8,8 @@ use apan_tensor::Tensor;
 /// `mail = z_i(t) + e_ij(t) + z_j(t)`; summation over concatenation keeps
 /// the mailbox footprint at `d` per slot, at the cost of pinning the node
 /// embedding dimension to the edge feature dimension and letting noisy
-/// early-training embeddings mask the features — the other variants exist
-/// to quantify exactly that trade-off.
+/// early-training embeddings mask the features — [`MailContent::FeatureOnly`]
+/// exists to quantify exactly that trade-off.
 ///
 /// # Panics
 /// Panics if the three matrices disagree in shape.
@@ -29,13 +29,6 @@ pub fn make_mails_with(
             out
         }
         MailContent::FeatureOnly => edge_feats.clone(),
-        MailContent::DampedSum => {
-            let mut out = z_src.clone();
-            out.add_assign(z_dst);
-            out.scale_assign(0.5);
-            out.add_assign(edge_feats);
-            out
-        }
     }
 }
 

@@ -14,7 +14,7 @@ use crate::config::{ApanConfig, MailReduce};
 use crate::mail::reduce_mails_slice;
 use crate::mailbox::{MailOrigin, MailboxStore};
 use crate::shard::{ShardGuard, ShardedMailboxStore};
-use apan_tensor::backend::pool::parallel_rows;
+use apan_tensor::backend::pool::{parallel_rows, parallel_rows_mut};
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::sampling::sample_khop_targets;
@@ -89,7 +89,8 @@ impl Propagator {
     /// reproduces exactly the sorted/deduped ascending row list the old
     /// `HashMap` inbox produced per node, so every reduction consumes
     /// the same rows in the same order; (4) each payload row is reduced
-    /// independently into a disjoint output row.
+    /// independently into a disjoint output row, handed to its task by
+    /// `parallel_rows_mut`.
     pub fn plan_batch(
         &self,
         graph: &TemporalGraph,
@@ -104,31 +105,19 @@ impl Propagator {
 
         // Phase 1: fan per-interaction target collection across the pool.
         // Slot r of the scratch receives interaction r's targets in push
-        // order (src, dst if deliver_to_self, then k-hop level by level).
-        if scratch.per_inter_targets.len() < b {
-            scratch.per_inter_targets.resize_with(b, Vec::new);
-            scratch.per_inter_cost.resize(b, QueryCost::default());
+        // order (src, dst if deliver_to_self, then k-hop level by level)
+        // and its query cost.
+        if scratch.slots.len() < b {
+            scratch.slots.resize_with(b, Default::default);
         }
-        for r in 0..b {
-            scratch.per_inter_targets[r].clear();
-            scratch.per_inter_cost[r] = QueryCost::default();
-        }
-        {
-            let targets_ptr = SendSlot(scratch.per_inter_targets.as_mut_ptr());
-            let cost_ptr = SendSlot(scratch.per_inter_cost.as_mut_ptr());
-            let me = *self;
-            parallel_rows(b, 1, &|start, end| {
-                #[allow(clippy::needless_range_loop)] // r indexes two slot arrays
-                for r in start..end {
-                    // SAFETY: row ranges from parallel_rows are disjoint,
-                    // so each slot index r is written by exactly one task.
-                    let targets = unsafe { targets_ptr.at(r) };
-                    let c = unsafe { cost_ptr.at(r) };
-                    me.collect_targets(graph, &batch[r], c, targets);
-                }
-            });
-        }
-        for c in &scratch.per_inter_cost[..b] {
+        parallel_rows_mut(&mut scratch.slots[..b], 1, 1, |start, end, slots| {
+            for ((targets, c), inter) in slots.iter_mut().zip(&batch[start..end]) {
+                targets.clear();
+                *c = QueryCost::default();
+                self.collect_targets(graph, inter, c, targets);
+            }
+        });
+        for (_, c) in &scratch.slots[..b] {
             *cost += *c;
         }
 
@@ -136,7 +125,7 @@ impl Propagator {
         // After sort+dedup, each node's group is its ascending distinct
         // row list — exactly what sort_unstable+dedup per node produced.
         scratch.pairs.clear();
-        for (r, targets) in scratch.per_inter_targets[..b].iter().enumerate() {
+        for (r, (targets, _)) in scratch.slots[..b].iter().enumerate() {
             for &node in targets {
                 scratch.pairs.push((node, r as u32));
             }
@@ -177,22 +166,12 @@ impl Propagator {
         plan.dim = d;
         plan.payload.clear();
         plan.payload.resize(plan.nodes.len() * d, 0.0);
-        {
-            let payload_ptr = SendSlot(plan.payload.as_mut_ptr());
-            let groups = &scratch.groups;
-            let rows_flat = &scratch.rows;
-            let reduce = self.reduce;
-            parallel_rows(plan.nodes.len(), 8, &|start, end| {
-                #[allow(clippy::needless_range_loop)] // gi also indexes payload
-                for gi in start..end {
-                    let (gs, ge) = groups[gi];
-                    let rows = &rows_flat[gs as usize..ge as usize];
-                    // SAFETY: payload row gi is written by exactly one task.
-                    let out = unsafe { payload_ptr.slice(gi * d, d) };
-                    reduce_mails_slice(mails, rows, reduce, out);
-                }
-            });
-        }
+        let (groups, rows) = (&scratch.groups, &scratch.rows);
+        parallel_rows_mut(&mut plan.payload, d, 8, |start, end, payload| {
+            for (&(gs, ge), out) in groups[start..end].iter().zip(payload.chunks_exact_mut(d)) {
+                reduce_mails_slice(mails, &rows[gs as usize..ge as usize], self.reduce, out);
+            }
+        });
     }
 
     /// Appends interaction `inter`'s delivery targets (push order: src,
@@ -226,10 +205,9 @@ impl Propagator {
 /// allocation.
 #[derive(Default)]
 pub struct PropScratch {
-    /// Per-interaction target slots (slot r = interaction r's targets).
-    per_inter_targets: Vec<Vec<NodeId>>,
-    /// Per-interaction query-cost cells, merged in batch order.
-    per_inter_cost: Vec<QueryCost>,
+    /// Per-interaction slots: slot r holds interaction r's targets and
+    /// its query cost (costs are merged in batch order).
+    slots: Vec<(Vec<NodeId>, QueryCost)>,
     /// Sorted, deduped `(destination, mail row)` pairs.
     pairs: Vec<(NodeId, u32)>,
     /// Row indices grouped per destination node (ascending within group).
@@ -325,41 +303,6 @@ impl DeliveryPlan {
             }
         });
         self.nodes.len()
-    }
-}
-
-/// A raw pointer to disjointly-indexed slots, passable to pool tasks.
-/// Methods take `self` so closures capture the whole (Sync) wrapper, not
-/// the bare pointer field.
-struct SendSlot<T>(*mut T);
-unsafe impl<T> Send for SendSlot<T> {}
-unsafe impl<T> Sync for SendSlot<T> {}
-
-// manual (derive would demand `T: Copy`; the pointee is never copied)
-impl<T> Clone for SendSlot<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendSlot<T> {}
-
-impl<T> SendSlot<T> {
-    /// Slot `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds and no other thread may touch slot `i`
-    /// while the reference lives.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(self, i: usize) -> &'static mut T {
-        &mut *self.0.add(i)
-    }
-
-    /// The contiguous slots `[start, start + len)`.
-    ///
-    /// # Safety
-    /// As [`SendSlot::at`], for the whole range.
-    unsafe fn slice(self, start: usize, len: usize) -> &'static mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(start), len)
     }
 }
 

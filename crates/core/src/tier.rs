@@ -39,8 +39,6 @@
 //! all-resident store for any budget, touch order, or thread count.
 //! See DESIGN.md §6.16.
 
-#![forbid(unsafe_code)]
-
 use crate::mailbox::{MailOrigin, MailboxStore};
 use apan_metrics::{ObsHub, Stage};
 use apan_tgraph::{NodeId, Time};

@@ -28,6 +28,8 @@
 //! Every generator accepts a `scale` factor so benches run at laptop scale
 //! while `--scale 1.0` approximates the paper's row counts.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod generators;
 pub mod loader;

@@ -18,6 +18,8 @@
 //! histogram recording paths down to nothing; the `trace_overhead`
 //! bench uses that build as its baseline.
 
+#![forbid(unsafe_code)]
+
 pub mod classification;
 pub mod clock;
 pub mod latency;

@@ -625,11 +625,6 @@ impl ObsHub {
         self.stage_hist(stage).snapshot()
     }
 
-    /// The mail-age-at-delivery histogram.
-    pub fn prop_lag_hist(&self) -> &Histogram {
-        &self.inner.prop_lag
-    }
-
     /// Snapshot of the `prop_lag` histogram.
     pub fn prop_lag_snapshot(&self) -> HistogramSnapshot {
         self.inner.prop_lag.snapshot()

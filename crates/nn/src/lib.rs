@@ -3,7 +3,7 @@
 //! Neural-network building blocks on top of [`apan_tensor`]: a parameter
 //! store, layers (linear, MLP, multi-head mailbox attention, layer norm,
 //! embeddings, functional time encoding, GRU cell), initializers, and
-//! optimizers (Adam, SGD).
+//! the Adam optimizer.
 //!
 //! ## Parameter model
 //!
@@ -32,6 +32,8 @@
 //! adam.step(&mut store, &grads);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attention;
 pub mod embedding;
 pub mod gru;
@@ -51,7 +53,7 @@ pub use gru::GruCell;
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNorm;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use param::{Fwd, GradSet, ParamId, ParamStore};
 pub use quant::{QuantMat, QuantSet};
 pub use serialize::{

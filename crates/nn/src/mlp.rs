@@ -67,17 +67,6 @@ impl Mlp {
         }
     }
 
-    /// Zeroes the final layer's weights and bias so the network initially
-    /// outputs zero. Useful when the output feeds a recurrent state loop
-    /// (e.g. APAN's mails contain the embeddings the encoder produces):
-    /// starting at zero keeps early state updates dominated by the raw
-    /// input features instead of initialization noise.
-    pub fn zero_init_last(&self, store: &mut ParamStore) {
-        let last = self.layers.last().expect("non-empty");
-        store.get_mut(last.weight()).fill_zero();
-        store.get_mut(last.bias()).fill_zero();
-    }
-
     /// Output width of the final layer.
     pub fn out_dim(&self) -> usize {
         self.layers.last().expect("non-empty").out_dim()

@@ -96,58 +96,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// Creates SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, grads: &GradSet) {
-        for (id, grad) in &grads.grads {
-            let p = store.get_mut(*id);
-            if self.momentum > 0.0 {
-                if self.velocity.len() <= id.index() {
-                    self.velocity.resize_with(id.index() + 1, || None);
-                }
-                let v = self.velocity[id.index()]
-                    .get_or_insert_with(|| Tensor::zeros(grad.rows(), grad.cols()));
-                v.scale_assign(self.momentum);
-                v.add_assign(grad);
-                p.axpy(-self.lr, v);
-            } else {
-                p.axpy(-self.lr, grad);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,18 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let id = store.add("w", Tensor::scalar(0.0));
-        let mut sgd = Sgd::new(0.3).with_momentum(0.5);
-        let mut loss = f32::INFINITY;
-        for _ in 0..200 {
-            loss = quadratic_step(&mut sgd, &mut store, id);
-        }
-        assert!(loss < 1e-4, "loss {loss}");
-    }
-
-    #[test]
     fn weight_decay_shrinks_params() {
         let mut store = ParamStore::new();
         let id = store.add("w", Tensor::scalar(10.0));
@@ -210,8 +146,5 @@ mod tests {
         let mut a = Adam::new(0.1);
         a.set_learning_rate(0.01);
         assert_eq!(a.learning_rate(), 0.01);
-        let mut s = Sgd::new(0.5);
-        s.set_learning_rate(0.05);
-        assert_eq!(s.learning_rate(), 0.05);
     }
 }

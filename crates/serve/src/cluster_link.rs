@@ -196,7 +196,6 @@ struct PeerQueue {
 }
 
 struct PeerLink {
-    addr: SocketAddr,
     queue: Arc<PeerQueue>,
     worker: Option<JoinHandle<()>>,
 }
@@ -254,11 +253,7 @@ impl PeerSet {
                             .expect("spawn peer forwarder"),
                     )
                 };
-                PeerLink {
-                    addr,
-                    queue,
-                    worker,
-                }
+                PeerLink { queue, worker }
             })
             .collect();
         std::mem::swap(&mut *self.peers.lock().unwrap(), &mut links);
@@ -267,11 +262,6 @@ impl PeerSet {
         for link in &links {
             link.queue.nonempty.notify_all();
         }
-    }
-
-    /// Peer addresses currently installed.
-    pub fn peer_addrs(&self) -> Vec<SocketAddr> {
-        self.peers.lock().unwrap().iter().map(|p| p.addr).collect()
     }
 
     /// Queues one delivery (sequence `gseq`, encoded job bytes) to every

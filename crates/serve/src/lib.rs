@@ -32,6 +32,8 @@
 //! drives a daemon with concurrent connections and prints what the
 //! stats surface reports.
 
+#![forbid(unsafe_code)]
+
 pub mod batcher;
 pub mod client;
 pub mod cluster_link;

@@ -32,6 +32,8 @@
 //!
 //! The scenarios themselves live in `tests/scenarios.rs`.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod oracle;
 

@@ -35,10 +35,15 @@
 //!    covers it unchanged. Every kernel other than the packed GEMM runs
 //!    its AVX2+FMA implementation under this mode.
 //! 4. **Parallelism partitions output rows only.** Threads own disjoint
-//!    row ranges of the output (via [`pool::parallel_rows`]), so the
-//!    arithmetic per row is independent of the thread count and results
-//!    are bit-identical to a serial run for any `APAN_THREADS`, *in
-//!    either mode*.
+//!    row ranges of the output: [`pool::parallel_rows_mut`] (or its
+//!    two-output form) hands each task its own rows as a `&mut` slice,
+//!    so no kernel touches a raw pointer. The arithmetic per row is
+//!    independent of the thread count and results are bit-identical to
+//!    a serial run for any `APAN_THREADS`, *in either mode*.
+//!
+//! A kernel that panics in any task unwinds to its caller only after
+//! every pool worker has finished its rows (see [`pool`]), so no worker
+//! ever writes into, or reads from, a buffer the caller has dropped.
 //!
 //! The int8 serving kernels ([`quant`]) sit outside the tiers: they
 //! accumulate in exact `i32` arithmetic, which is associative, so they
@@ -69,7 +74,7 @@ pub mod quant;
 mod simd;
 mod simd512;
 
-use pool::parallel_rows;
+use pool::{parallel_rows_mut, parallel_rows_mut2};
 use std::sync::OnceLock;
 
 /// Which kernel implementation a call should use.
@@ -170,25 +175,6 @@ const SMALL_GEMM: usize = 16 * 1024;
 /// this lose more to channel dispatch than they gain from a second core.
 const PAR_CHUNK: usize = 64 * 1024;
 
-/// A raw output pointer that may cross threads. Sound because every
-/// kernel hands each worker a *disjoint* row range of the buffer and
-/// [`parallel_rows`] joins all workers before the call returns.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// The rows `[r0, r1)` of a row-major matrix with `stride` columns.
-    ///
-    /// # Safety
-    /// The range must lie inside the allocation and no other thread may
-    /// touch these rows while the slice lives.
-    unsafe fn rows(self, r0: usize, r1: usize, stride: usize) -> &'static mut [f32] {
-        std::slice::from_raw_parts_mut(self.0.add(r0 * stride), (r1 - r0) * stride)
-    }
-}
-
 /// Rows per chunk so that one chunk carries at least [`PAR_CHUNK`]
 /// multiply-adds (`per_row` = mul-adds needed for one output row).
 fn min_rows_for(per_row: usize) -> usize {
@@ -226,49 +212,48 @@ fn simd512_width() -> usize {
     NR // unreachable in practice: sanitize() never yields Avx512 here
 }
 
-/// One cache line of packed panel data. Packed buffers are built from
-/// these so their f32 view is 64-byte aligned: a ZMM load of a packed
-/// strip then never splits across cache lines (a 4-byte-aligned `Vec`
-/// would split *every* 64-byte load, and half of all 32-byte loads).
-#[repr(align(64))]
-#[derive(Clone, Copy)]
-struct PackLine(#[allow(dead_code)] [f32; 16]); // accessed via pointer cast only
-
-/// A 64-byte-aligned, zero-initialised f32 buffer for packed B panels.
-struct Packed {
-    lines: Vec<PackLine>,
+/// A zero-initialised buffer whose first element sits on a 64-byte
+/// boundary: a plain `Vec` over-allocated by up to one cache line and
+/// viewed from its first aligned element. Packed panels live in these so
+/// a ZMM load of a packed strip never splits across cache lines (a
+/// 4-byte-aligned `Vec` would split *every* 64-byte load, and half of
+/// all 32-byte loads). Every SIMD load is unaligned (`loadu`), so the
+/// alignment is a speed property only.
+struct Aligned<T> {
+    buf: Vec<T>,
+    start: usize,
     len: usize,
 }
 
-impl Packed {
-    fn zeroed(len: usize) -> Packed {
-        Packed {
-            lines: vec![PackLine([0.0; 16]); len.div_ceil(16)],
-            len,
-        }
+impl<T: Copy + Default> Aligned<T> {
+    fn zeroed(len: usize) -> Aligned<T> {
+        let slack = 64 / std::mem::size_of::<T>() - 1;
+        let buf = vec![T::default(); len + slack];
+        // `align_offset` may decline to answer; an unaligned view is
+        // slower, never wrong.
+        let start = buf.as_ptr().align_offset(64).min(slack);
+        Aligned { buf, start, len }
     }
 }
 
-impl std::ops::Deref for Packed {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        // SAFETY: `lines` owns at least `len` contiguous f32s.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr() as *const f32, self.len) }
+impl<T> std::ops::Deref for Aligned<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.buf[self.start..self.start + self.len]
     }
 }
 
-impl std::ops::DerefMut for Packed {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        // SAFETY: as above, and `&mut self` gives unique access.
-        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr() as *mut f32, self.len) }
+impl<T> std::ops::DerefMut for Aligned<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.start..self.start + self.len]
     }
 }
 
 /// Packs row-major `b[k×n]` into `w`-wide column strips, zero-padding the
 /// tail strip, so a microkernel streams one strip contiguously.
-fn pack_strips(b: &[f32], k: usize, n: usize, w: usize) -> Packed {
+fn pack_strips(b: &[f32], k: usize, n: usize, w: usize) -> Aligned<f32> {
     let strips = n.div_ceil(w);
-    let mut packed = Packed::zeroed(strips * k * w);
+    let mut packed = Aligned::zeroed(strips * k * w);
     for s in 0..strips {
         let j0 = s * w;
         let cols = w.min(n - j0);
@@ -283,9 +268,9 @@ fn pack_strips(b: &[f32], k: usize, n: usize, w: usize) -> Packed {
 /// Transpose-packs `b[n×k]` (i.e. Bᵀ stored row-major) into the same
 /// strip layout [`pack_strips`] produces for B: strip lane `jj` at depth
 /// `kk` holds `b[(j0+jj)·k + kk]`.
-fn pack_strips_bt(b: &[f32], k: usize, n: usize, w: usize) -> Packed {
+fn pack_strips_bt(b: &[f32], k: usize, n: usize, w: usize) -> Aligned<f32> {
     let strips = n.div_ceil(w);
-    let mut packed = Packed::zeroed(strips * k * w);
+    let mut packed = Aligned::zeroed(strips * k * w);
     for s in 0..strips {
         let j0 = s * w;
         let cols = w.min(n - j0);
@@ -355,21 +340,28 @@ pub fn gemm_with(
     // streams it contiguously; zero-padded tail lanes are computed and
     // dropped.
     let packed = pack_strips(b, k, n, strip_width(mode));
+    gemm_packed(mode, a, &packed, bias, k, n, out);
+}
 
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_rows(m, min_rows_for(k * n), &|r0, r1| {
-        let rows = unsafe { ptr.rows(r0, r1, n) };
-        match mode {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `sanitize` verified AVX-512F support above.
-            SimdMode::Avx512 => unsafe {
-                simd512::gemm_packed(a, &packed, bias, r0, r1, k, n, rows)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `sanitize` verified AVX2+FMA support above.
-            SimdMode::Avx2Fma => unsafe { simd::gemm_packed(a, &packed, bias, r0, r1, k, n, rows) },
-            _ => gemm_blocked(a, &packed, bias, r0, r1, k, n, rows),
-        }
+/// Row-parallel `out = a · B (+ bias)` against B packed into `mode`-width
+/// strips ([`pack_strips`] or [`pack_strips_bt`]); `mode` is sanitized.
+fn gemm_packed(
+    mode: SimdMode,
+    a: &[f32],
+    packed: &[f32],
+    bias: Option<&[f32]>,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    parallel_rows_mut(out, n, min_rows_for(k * n), |r0, r1, rows| match mode {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller's `sanitize` verified AVX-512F support.
+        SimdMode::Avx512 => unsafe { simd512::gemm_packed(a, packed, bias, r0, r1, k, n, rows) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller's `sanitize` verified AVX2+FMA support.
+        SimdMode::Avx2Fma => unsafe { simd::gemm_packed(a, packed, bias, r0, r1, k, n, rows) },
+        _ => gemm_blocked(a, packed, bias, r0, r1, k, n, rows),
     });
 }
 
@@ -583,22 +575,7 @@ pub fn gemm_bt_with(
     }
 
     let packed = pack_strips_bt(b, k, n, strip_width(mode));
-
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_rows(m, min_rows_for(k * n), &|r0, r1| {
-        let rows = unsafe { ptr.rows(r0, r1, n) };
-        match mode {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `sanitize` verified AVX-512F support above.
-            SimdMode::Avx512 => unsafe {
-                simd512::gemm_packed(a, &packed, None, r0, r1, k, n, rows)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `sanitize` verified AVX2+FMA support above.
-            SimdMode::Avx2Fma => unsafe { simd::gemm_packed(a, &packed, None, r0, r1, k, n, rows) },
-            _ => gemm_blocked(a, &packed, None, r0, r1, k, n, rows),
-        }
-    });
+    gemm_packed(mode, a, &packed, None, k, n, out);
 }
 
 /// `out[k×n] = a[m×k]ᵀ · b[m×n]` at the process-wide mode — A read
@@ -661,9 +638,7 @@ fn gemm_tn_dispatch(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(out.len(), k * n);
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_rows(k, min_rows_for(m * n), &|r0, r1| {
-        let rows = unsafe { ptr.rows(r0, r1, n) };
+    parallel_rows_mut(out, n, min_rows_for(m * n), |r0, r1, rows| {
         match mode {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `sanitize` verified AVX2+FMA support above.
@@ -728,9 +703,7 @@ pub fn gemm_masked_with(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_rows(m, min_rows_for(k * n), &|r0, r1| {
-        let rows = unsafe { ptr.rows(r0, r1, n) };
+    parallel_rows_mut(out, n, min_rows_for(k * n), |r0, r1, rows| {
         match mode {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `sanitize` verified AVX2+FMA support above.
@@ -792,9 +765,7 @@ pub fn attn_scores_fwd_with(
     debug_assert_eq!(q.len(), b * dh);
     debug_assert_eq!(k.len(), b * m * dh);
     debug_assert_eq!(out.len(), b * m);
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_rows(b, min_rows_for(m * dh), &|r0, r1| {
-        let rows = unsafe { ptr.rows(r0, r1, m) };
+    parallel_rows_mut(out, m, min_rows_for(m * dh), |r0, r1, rows| {
         match mode {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `sanitize` verified AVX2+FMA support above.
@@ -837,11 +808,8 @@ pub fn attn_scores_bwd(
     debug_assert_eq!(grad.len(), b * m);
     debug_assert_eq!(dq.len(), b * dh);
     debug_assert_eq!(dk.len(), b * m * dh);
-    let dq_ptr = SendPtr(dq.as_mut_ptr());
-    let dk_ptr = SendPtr(dk.as_mut_ptr());
-    parallel_rows(b, min_rows_for(2 * m * dh), &|r0, r1| {
-        let dq_rows = unsafe { dq_ptr.rows(r0, r1, dh) };
-        let dk_rows = unsafe { dk_ptr.rows(r0 * m, r1 * m, dh) };
+    let min_rows = min_rows_for(2 * m * dh);
+    parallel_rows_mut2(dq, dh, dk, m * dh, min_rows, |r0, r1, dq_rows, dk_rows| {
         dq_rows.fill(0.0);
         for bi in r0..r1 {
             let q_row = &q[bi * dh..(bi + 1) * dh];
@@ -883,9 +851,7 @@ pub fn attn_mix_fwd_with(
     debug_assert_eq!(attn.len(), b * m);
     debug_assert_eq!(v.len(), b * m * dh);
     debug_assert_eq!(out.len(), b * dh);
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_rows(b, min_rows_for(m * dh), &|r0, r1| {
-        let rows = unsafe { ptr.rows(r0, r1, dh) };
+    parallel_rows_mut(out, dh, min_rows_for(m * dh), |r0, r1, rows| {
         match mode {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `sanitize` verified AVX2+FMA support above.
@@ -926,11 +892,8 @@ pub fn attn_mix_bwd(
     debug_assert_eq!(grad.len(), b * dh);
     debug_assert_eq!(da.len(), b * m);
     debug_assert_eq!(dv.len(), b * m * dh);
-    let da_ptr = SendPtr(da.as_mut_ptr());
-    let dv_ptr = SendPtr(dv.as_mut_ptr());
-    parallel_rows(b, min_rows_for(2 * m * dh), &|r0, r1| {
-        let da_rows = unsafe { da_ptr.rows(r0, r1, m) };
-        let dv_rows = unsafe { dv_ptr.rows(r0 * m, r1 * m, dh) };
+    let min_rows = min_rows_for(2 * m * dh);
+    parallel_rows_mut2(da, m, dv, m * dh, min_rows, |r0, r1, da_rows, dv_rows| {
         for bi in r0..r1 {
             let g_row = &grad[bi * dh..(bi + 1) * dh];
             for i in 0..m {

@@ -26,8 +26,10 @@
 //! output channel), so both operands of every dot product are contiguous
 //! — the `QuantLinear` layout in `apan-nn` builds on exactly this.
 
-use super::pool::parallel_rows;
-use super::{min_rows_for, SendPtr, SimdMode};
+use super::pool::parallel_rows_mut;
+#[cfg(target_arch = "x86_64")]
+use super::Aligned;
+use super::{min_rows_for, SimdMode};
 
 /// Quantized rows are padded to a multiple of this many elements.
 pub const QK: usize = 32;
@@ -112,14 +114,6 @@ fn dot_i8_scalar(x: &[i8], y: &[i8]) -> i32 {
     x.iter().zip(y).map(|(&a, &b)| a as i32 * b as i32).sum()
 }
 
-#[cfg(target_arch = "x86_64")]
-/// 64-byte-aligned i8 storage for the VNNI weight layout, so every ZMM
-/// load of a packed line stays inside one cache line (same role as the
-/// f32 `Packed` buffer in the parent module).
-#[repr(align(64))]
-#[derive(Clone, Copy)]
-struct ByteLine(#[allow(dead_code)] [i8; 64]); // accessed via pointer cast only
-
 /// Operands precomputed once per [`gemm_i8_with`] call for the VNNI
 /// kernel ([`super::simd512::gemm_i8_rows`]):
 ///
@@ -128,13 +122,14 @@ struct ByteLine(#[allow(dead_code)] [i8; 64]); // accessed via pointer cast only
 ///   bit, and the bias is removed exactly by `corr` below.
 /// * `packed` — weight codes for the full 16-channel groups of `j`,
 ///   interleaved as `[group][k/4][16 lanes][4 k-bytes]` so one
-///   `vpdpbusd` covers four contraction steps for 16 output channels.
+///   `vpdpbusd` covers four contraction steps for 16 output channels;
+///   64-byte aligned so each ZMM load stays inside one cache line.
 /// * `corr` — `corr[j] = 128 · Σ_k qb[j,k]`: the exact integer excess
 ///   the +128 bias adds to every dot against channel `j`.
 #[cfg(target_arch = "x86_64")]
 struct VnniPrep {
     ua: Vec<u8>,
-    packed: Vec<ByteLine>,
+    packed: Aligned<i8>,
     corr: Vec<i32>,
 }
 
@@ -142,19 +137,14 @@ struct VnniPrep {
 fn vnni_prep(qa: &[i8], qb: &[i8], m: usize, n: usize, kp: usize) -> VnniPrep {
     let ua = qa[..m * kp].iter().map(|&c| (c as u8) ^ 0x80).collect();
     let groups = n / 16;
-    let mut packed = vec![ByteLine([0; 64]); groups * kp / 4];
-    {
-        // Flat view of the aligned lines; layout comment on `VnniPrep`.
-        let flat = unsafe {
-            std::slice::from_raw_parts_mut(packed.as_mut_ptr() as *mut i8, packed.len() * 64)
-        };
-        for g in 0..groups {
-            for s in 0..kp / 4 {
-                for lane in 0..16 {
-                    let j = g * 16 + lane;
-                    let src = &qb[j * kp + s * 4..j * kp + s * 4 + 4];
-                    flat[g * 16 * kp + s * 64 + lane * 4..][..4].copy_from_slice(src);
-                }
+    let mut packed = Aligned::zeroed(groups * 16 * kp);
+    // Layout comment on `VnniPrep`.
+    for g in 0..groups {
+        for s in 0..kp / 4 {
+            for lane in 0..16 {
+                let j = g * 16 + lane;
+                let src = &qb[j * kp + s * 4..j * kp + s * 4 + 4];
+                packed[g * 16 * kp + s * 64 + lane * 4..][..4].copy_from_slice(src);
             }
         }
     }
@@ -214,39 +204,26 @@ pub fn gemm_i8_with(
     #[cfg(target_arch = "x86_64")]
     let prep = (mode == SimdMode::Avx512 && n >= 16 && super::vnni_supported())
         .then(|| vnni_prep(qa, qb, m, n, kp));
-    let ptr = SendPtr(out.as_mut_ptr());
-    parallel_rows(m, min_rows_for(n * kp), &|r0, r1| {
-        let rows = unsafe { ptr.rows(r0, r1, n) };
+    parallel_rows_mut(out, n, min_rows_for(n * kp), |r0, r1, rows| {
+        // Channels `0..j0` come from the VNNI kernel (its full 16-wide
+        // groups); the dot loop below computes the rest.
         #[cfg(target_arch = "x86_64")]
-        if let Some(p) = &prep {
-            let flat = unsafe {
-                std::slice::from_raw_parts(p.packed.as_ptr() as *const i8, p.packed.len() * 64)
-            };
+        let j0 = match &prep {
             // SAFETY: `vnni_supported` verified AVX-512F + VNNI above.
-            unsafe {
+            Some(p) => unsafe {
                 super::simd512::gemm_i8_rows(
-                    &p.ua, sa, flat, &p.corr, sb, bias, r0, r1, n, kp, rows,
+                    &p.ua, sa, &p.packed, &p.corr, sb, bias, r0, r1, n, kp, rows,
                 );
-            }
-            // Tail channels past the last full 16-wide group.
-            for i in r0..r1 {
-                let a_row = &qa[i * kp..(i + 1) * kp];
-                let o_row = &mut rows[(i - r0) * n..(i - r0 + 1) * n];
-                for j in (n / 16) * 16..n {
-                    let acc = dot(a_row, &qb[j * kp..(j + 1) * kp]);
-                    let v = acc as f32 * (sa[i] * sb[j]);
-                    o_row[j] = match bias {
-                        Some(bias) => v + bias[j],
-                        None => v,
-                    };
-                }
-            }
-            return;
-        }
+                (n / 16) * 16
+            },
+            None => 0,
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let j0 = 0;
         for i in r0..r1 {
             let a_row = &qa[i * kp..(i + 1) * kp];
             let o_row = &mut rows[(i - r0) * n..(i - r0 + 1) * n];
-            for (j, o) in o_row.iter_mut().enumerate() {
+            for (j, o) in o_row.iter_mut().enumerate().skip(j0) {
                 let acc = dot(a_row, &qb[j * kp..(j + 1) * kp]);
                 let v = acc as f32 * (sa[i] * sb[j]);
                 *o = match bias {

@@ -4,7 +4,6 @@
 //! batch size 200; Figure 7 sweeps it). A [`BatchIter`] yields contiguous
 //! index ranges over an event log, preserving time order.
 
-use crate::event::Event;
 use std::ops::Range;
 
 /// Iterator over contiguous `Range<usize>` batches of an event slice.
@@ -57,49 +56,6 @@ impl Iterator for BatchIter {
 
 impl ExactSizeIterator for BatchIter {}
 
-/// A convenience view of one batch of events, split into the parallel
-/// arrays model code consumes.
-#[derive(Clone, Debug, Default)]
-pub struct EventBatch {
-    /// Source node per interaction.
-    pub src: Vec<u32>,
-    /// Destination node per interaction.
-    pub dst: Vec<u32>,
-    /// Timestamp per interaction.
-    pub time: Vec<f64>,
-    /// Event id per interaction (keys external edge features).
-    pub eid: Vec<u32>,
-}
-
-impl EventBatch {
-    /// Splits an event slice into parallel arrays.
-    pub fn from_events(events: &[Event]) -> Self {
-        let mut b = EventBatch {
-            src: Vec::with_capacity(events.len()),
-            dst: Vec::with_capacity(events.len()),
-            time: Vec::with_capacity(events.len()),
-            eid: Vec::with_capacity(events.len()),
-        };
-        for e in events {
-            b.src.push(e.src);
-            b.dst.push(e.dst);
-            b.time.push(e.time);
-            b.eid.push(e.eid);
-        }
-        b
-    }
-
-    /// Number of interactions in the batch.
-    pub fn len(&self) -> usize {
-        self.src.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.src.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,29 +90,5 @@ mod tests {
         assert_eq!(it.len(), 3);
         it.next();
         assert_eq!(it.len(), 2);
-    }
-
-    #[test]
-    fn event_batch_parallel_arrays() {
-        let events = vec![
-            Event {
-                src: 1,
-                dst: 2,
-                time: 0.5,
-                eid: 0,
-            },
-            Event {
-                src: 3,
-                dst: 4,
-                time: 0.7,
-                eid: 1,
-            },
-        ];
-        let b = EventBatch::from_events(&events);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.src, vec![1, 3]);
-        assert_eq!(b.dst, vec![2, 4]);
-        assert_eq!(b.time, vec![0.5, 0.7]);
-        assert_eq!(b.eid, vec![0, 1]);
     }
 }

@@ -30,6 +30,8 @@
 //! assert!(cost.rows_touched > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cost;
 pub mod event;

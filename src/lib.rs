@@ -17,6 +17,8 @@
 //! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md /
 //! EXPERIMENTS.md for the paper-reproduction map.
 
+#![forbid(unsafe_code)]
+
 pub use apan_baselines as baselines;
 pub use apan_core as core;
 pub use apan_data as data;
