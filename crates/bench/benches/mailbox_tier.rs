@@ -13,7 +13,7 @@
 //! `APAN_OUT`, default `bench-results/`) with ops/sec, residency,
 //! cold-tier counters, and the process RSS high-water mark per phase.
 
-use apan_bench::{write_json, BenchEnv};
+use apan_bench::{json_fields, write_json, BenchEnv, Json, ToJson};
 use apan_core::config::MailboxUpdate;
 use apan_core::mailbox::{MailOrigin, MailboxStore};
 use apan_core::shard::ShardedMailboxStore;
@@ -154,7 +154,6 @@ fn phases() -> [(&'static str, Option<u64>); 3] {
     ]
 }
 
-#[derive(serde::Serialize)]
 struct TierPhase {
     phase: String,
     budget_bytes: Option<u64>,
@@ -182,7 +181,14 @@ struct TierPhase {
     max_rss_kb: u64,
 }
 
-#[derive(serde::Serialize)]
+impl ToJson for TierPhase {
+    fn to_json(&self) -> Json {
+        json_fields!(self; phase, budget_bytes, hot_capacity, ops_per_sec,
+            throughput_vs_resident, resident_mailboxes, resident_bytes, evictions,
+            promotions, cold_bytes, vm_rss_kb, max_rss_kb)
+    }
+}
+
 struct TierReport {
     bench: &'static str,
     nodes: usize,
@@ -197,6 +203,13 @@ struct TierReport {
     /// capacity is asserted below this, so "must evict" is meaningful.
     distinct_nodes_touched: u64,
     phases: Vec<TierPhase>,
+}
+
+impl ToJson for TierReport {
+    fn to_json(&self) -> Json {
+        json_fields!(self; bench, nodes, slots, dim, shards, ops, zipf_s, per_node_bytes,
+            working_set_bytes, distinct_nodes_touched, phases)
+    }
 }
 
 fn write_report() {

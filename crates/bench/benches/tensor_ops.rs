@@ -13,7 +13,7 @@
 //!   versus all available cores. Results are bit-identical either way;
 //!   only the wall clock moves.
 
-use apan_bench::{time_ns, write_json, BenchEnv};
+use apan_bench::{json_fields, time_ns, write_json, BenchEnv, Json, ToJson};
 use apan_tensor::backend::pool::set_num_threads;
 use apan_tensor::backend::{self, quant, SimdMode};
 use apan_tensor::Tensor;
@@ -48,7 +48,6 @@ fn all_cores() -> usize {
         .unwrap_or(1)
 }
 
-#[derive(serde::Serialize)]
 struct KernelTiming {
     kernel: String,
     shape: String,
@@ -64,10 +63,22 @@ struct KernelTiming {
     quant_active: bool,
 }
 
-#[derive(serde::Serialize)]
+impl ToJson for KernelTiming {
+    fn to_json(&self) -> Json {
+        json_fields!(self; kernel, shape, threads, ns_per_iter, speedup_vs_seed,
+            speedup_vs_scalar, simd_active, quant_active)
+    }
+}
+
 struct TensorReport {
     bench: &'static str,
     timings: Vec<KernelTiming>,
+}
+
+impl ToJson for TensorReport {
+    fn to_json(&self) -> Json {
+        json_fields!(self; bench, timings)
+    }
 }
 
 fn write_report() {

@@ -19,7 +19,7 @@
 //! obs smoke script compares the two files and holds the dormant path
 //! to within 2% of that baseline.
 
-use apan_bench::{time_ns, write_json, BenchEnv};
+use apan_bench::{json_fields, time_ns, write_json, BenchEnv, Json, ToJson};
 use apan_core::config::ApanConfig;
 use apan_core::model::Apan;
 use apan_core::pipeline::ServingPipeline;
@@ -89,7 +89,6 @@ fn infer_ns(iters: usize, repeats: usize, sink: Option<usize>) -> f64 {
     best
 }
 
-#[derive(serde::Serialize)]
 struct TraceReport {
     bench: &'static str,
     /// `false` in a `--features trace-off` build: this report is then
@@ -103,6 +102,14 @@ struct TraceReport {
     ns_per_infer_with_sink: f64,
     /// Live-sink cost relative to the dormant path, in percent.
     sink_overhead_pct: f64,
+}
+
+impl ToJson for TraceReport {
+    fn to_json(&self) -> Json {
+        json_fields!(self; bench, trace_compiled, batch, dim, ns_per_event_record,
+            ns_per_dormant_stamp, ns_per_infer_no_sink, ns_per_infer_with_sink,
+            sink_overhead_pct)
+    }
 }
 
 fn write_report() {

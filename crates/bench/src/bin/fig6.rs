@@ -10,15 +10,13 @@
 //! on their testbed).
 
 use apan_bench::zoo::{model_enabled, model_filter};
-use apan_bench::{dynamic_zoo, wiki_like, write_json, BenchEnv};
+use apan_bench::{dynamic_zoo, json_fields, wiki_like, write_json, BenchEnv, Json, ToJson};
 use apan_core::train::{self, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use apan_tgraph::cost::LatencyModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig6Point {
     model: String,
     test_ap: f64,
@@ -26,6 +24,13 @@ struct Fig6Point {
     modelled_ms_per_batch: f64,
     sync_queries: u64,
     sync_rows: u64,
+}
+
+impl ToJson for Fig6Point {
+    fn to_json(&self) -> Json {
+        json_fields!(self; model, test_ap, compute_ms_per_batch, modelled_ms_per_batch,
+            sync_queries, sync_rows)
+    }
 }
 
 fn main() {

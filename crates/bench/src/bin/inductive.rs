@@ -10,19 +10,23 @@
 //! transductive figure.
 
 use apan_bench::zoo::{model_enabled, model_filter};
-use apan_bench::{dynamic_zoo, wiki_like, write_json, BenchEnv};
+use apan_bench::{dynamic_zoo, json_fields, wiki_like, write_json, BenchEnv, Json, ToJson};
 use apan_core::train::{self, TrainConfig};
 use apan_data::{ChronoSplit, SplitFractions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct InductivePoint {
     model: String,
     test_ap: f64,
     transductive_ap: Option<f64>,
     inductive_ap: Option<f64>,
+}
+
+impl ToJson for InductivePoint {
+    fn to_json(&self) -> Json {
+        json_fields!(self; model, test_ap, transductive_ap, inductive_ap)
+    }
 }
 
 fn main() {

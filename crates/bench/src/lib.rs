@@ -41,5 +41,5 @@ pub mod report;
 pub mod zoo;
 
 pub use env::BenchEnv;
-pub use report::{time_ns, write_json, Cell, Table};
+pub use report::{time_ns, write_json, Cell, Json, Table, ToJson};
 pub use zoo::{alipay_like, dynamic_zoo, reddit_like, wiki_like, ZooModel};

@@ -7,6 +7,10 @@
 //! order, so graph inserts and mailbox commits happen in submission
 //! order. Parallelism lives inside a job: planning and shard-parallel
 //! delivery run on the tensor thread pool (`APAN_THREADS`).
+//!
+//! Locks are `std::sync` and a poisoned one is fatal: a panic under a
+//! lock is a bug, so the next `lock()` panics too instead of serving
+//! from half-updated state.
 
 use crate::config::MailContent;
 use crate::lateness::LateState;
@@ -17,9 +21,8 @@ use apan_metrics::{ObsHub, Stage};
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::TemporalGraph;
-use crossbeam::channel::Receiver;
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::sync::Arc;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 /// One admitted batch's asynchronous work. Built by the synchronous
@@ -76,12 +79,16 @@ impl PendingJobs {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.count.lock().expect("pending-jobs lock poisoned")
+    }
+
     pub(crate) fn increment(&self) {
-        *self.count.lock() += 1;
+        *self.lock() += 1;
     }
 
     fn decrement(&self) {
-        let mut count = self.count.lock();
+        let mut count = self.lock();
         *count -= 1;
         if *count == 0 {
             self.drained.notify_all();
@@ -89,14 +96,14 @@ impl PendingJobs {
     }
 
     pub(crate) fn current(&self) -> usize {
-        *self.count.lock()
+        *self.lock()
     }
 
     pub(crate) fn wait_drained(&self) {
-        let mut count = self.count.lock();
-        while *count > 0 {
-            self.drained.wait(&mut count);
-        }
+        let _drained = self
+            .drained
+            .wait_while(self.lock(), |c| *c > 0)
+            .expect("pending-jobs lock poisoned");
     }
 }
 
@@ -104,9 +111,19 @@ impl PendingJobs {
 /// move into a serving loop, kept apart from the serving state so a
 /// [`PropLink`] does not keep the mailbox store alive.
 pub(crate) struct LinkState {
-    pub(crate) stats: Mutex<PropStats>,
+    stats: Mutex<PropStats>,
     pub(crate) pending: PendingJobs,
-    pub(crate) late: Mutex<LateState>,
+    late: Mutex<LateState>,
+}
+
+impl LinkState {
+    pub(crate) fn stats(&self) -> MutexGuard<'_, PropStats> {
+        self.stats.lock().expect("link stats lock poisoned")
+    }
+
+    pub(crate) fn late(&self) -> MutexGuard<'_, LateState> {
+        self.late.lock().expect("reorder buffer lock poisoned")
+    }
 }
 
 /// Live handles onto the propagation link's health counters. Cheap to
@@ -118,7 +135,7 @@ pub struct PropLink(pub(crate) Arc<LinkState>);
 impl PropLink {
     /// Snapshot of the link's accumulated statistics.
     pub fn stats(&self) -> PropStats {
-        *self.0.stats.lock()
+        *self.0.stats()
     }
 
     /// Jobs queued or in flight right now.
@@ -128,12 +145,12 @@ impl PropLink {
 
     /// Late events currently parked in the reorder buffer.
     pub fn reorder_buffered(&self) -> usize {
-        self.0.late.lock().buffered()
+        self.0.late().buffered()
     }
 
     /// Total late events released from the reorder buffer so far.
     pub fn late_released(&self) -> u64 {
-        self.0.late.lock().released()
+        self.0.late().released()
     }
 }
 
@@ -186,7 +203,7 @@ impl Link {
     /// Plans the deliveries of `batch` into `work.plan` against the
     /// current graph.
     fn plan(&self, work: &mut Work, batch: &[Interaction], mails: &Tensor) {
-        let g = self.graph.read();
+        let g = self.graph.read().expect("graph lock poisoned");
         self.propagator.plan_batch(
             &g,
             batch,
@@ -226,7 +243,7 @@ impl Link {
 
     /// Folds `work`'s deliveries and cost into the link statistics.
     fn account(&self, jobs: usize, work: &mut Work) {
-        let mut st = self.state.stats.lock();
+        let mut st = self.state.stats();
         st.jobs += jobs;
         st.deliveries += std::mem::take(&mut work.deliveries);
         st.cost += std::mem::take(&mut work.cost);
@@ -236,7 +253,7 @@ impl Link {
     /// through [`Link::release_late`]; returns how many were released.
     pub(crate) fn release_reorder_buffer(&self) -> usize {
         let mut work = Work::default();
-        let released = self.release_late(&mut self.state.late.lock(), true, &mut work);
+        let released = self.release_late(&mut self.state.late(), true, &mut work);
         self.account(0, &mut work);
         released
     }
@@ -264,7 +281,7 @@ impl Link {
         // earlier job has fully delivered, so every later plan sees them.
         let t_commit0 = obs.stamp();
         {
-            let mut g = self.graph.write();
+            let mut g = self.graph.write().expect("graph lock poisoned");
             for (idx, i) in job.interactions.iter().enumerate() {
                 if is_late(idx) {
                     g.insert_late(i.src, i.dst, i.time);
@@ -302,7 +319,7 @@ impl Link {
         // Reorder-buffer maintenance follows the job's deliveries, so
         // entries enqueue and release in one deterministic global order.
         {
-            let mut ls = self.state.late.lock();
+            let mut ls = self.state.late();
             let dim = mails.cols();
             for &li in &job.late {
                 let li = li as usize;

@@ -32,11 +32,10 @@ use apan_nn::{Fwd, QuantSet};
 use apan_tensor::ops::stable_sigmoid;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, TemporalGraph};
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -99,7 +98,7 @@ pub struct ServingPipeline {
     link: Arc<Link>,
     /// Feeds the worker; dropping it stops the worker once the queue
     /// has drained.
-    tx: Option<Sender<Box<PropagateJob>>>,
+    tx: Option<SyncSender<Box<PropagateJob>>>,
     worker: Option<JoinHandle<()>>,
     rng: StdRng,
     /// Active encoder precision; [`ServingPipeline::set_precision`].
@@ -161,7 +160,7 @@ impl ServingPipeline {
             model.cfg.mail_content,
             obs,
         ));
-        let (tx, rx) = bounded(capacity.max(1));
+        let (tx, rx) = sync_channel(capacity.max(1));
         let worker = {
             let link = Arc::clone(&link);
             std::thread::spawn(move || propagation_worker(rx, link))
@@ -306,7 +305,7 @@ impl ServingPipeline {
                 Some((z, feats, unique))
             });
         let Some((z, feats, unique)) = decoded else {
-            self.link.state.stats.lock().decode_errors += 1;
+            self.link.state.stats().decode_errors += 1;
             return;
         };
         self.link.store.tier_stats().set_trace(trace_id);
@@ -503,14 +502,13 @@ impl ServingPipeline {
     pub fn set_lateness(&mut self, lateness: Option<f64>) {
         self.link
             .state
-            .late
-            .lock()
+            .late()
             .set_lateness(lateness.unwrap_or(0.0).max(0.0));
     }
 
     /// Late events currently parked in the reorder buffer.
     pub fn reorder_buffered(&self) -> usize {
-        self.link.state.late.lock().buffered()
+        self.link.state.late().buffered()
     }
 
     /// Drains the asynchronous link, then forces every still-buffered
@@ -535,7 +533,7 @@ impl ServingPipeline {
     pub fn export_state(&self) -> (MailboxStore, TemporalGraph) {
         self.release_reorder_buffer();
         let store = self.link.store.to_flat();
-        let graph = self.link.graph.read().clone();
+        let graph = self.link.graph.read().expect("graph lock poisoned").clone();
         (store, graph)
     }
 
@@ -654,7 +652,7 @@ mod tests {
             assert!(!s.is_empty(1));
         }
         {
-            let g = p.link.graph.read();
+            let g = p.link.graph.read().unwrap();
             assert_eq!(g.num_events(), 10);
         }
         let stats = p.shutdown();

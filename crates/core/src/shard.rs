@@ -22,29 +22,36 @@
 //! between concurrent readers, the sync path's embedding writes, and
 //! the propagation worker's shard-parallel deliveries. The spill file is
 //! not a lock: shards share it through positioned I/O, each touching
-//! only its own nodes' offsets under its own mutex.
+//! only its own nodes' offsets under its own mutex. A poisoned lock is
+//! fatal, as everywhere in the serving stack: a panic under a shard lock
+//! is a bug, not a state to keep serving from.
 
 use crate::mailbox::{MailOrigin, MailboxRead, MailboxStore, MailboxView};
 use crate::tier::{ColdFile, TierShard, TierStats};
 use apan_tensor::backend::pool::parse_positive;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, Time};
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Mutex, MutexGuard, Once, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default shard count when `APAN_MAILBOX_SHARDS` is unset.
 pub const DEFAULT_SHARDS: usize = 16;
 
+/// Cap on `APAN_MAILBOX_SHARDS`: every shard is a mutex and a store
+/// allocated at boot, so an absurd value must not abort the process.
+pub const MAX_SHARDS: usize = 1024;
+
 /// Resolves the shard count: `APAN_MAILBOX_SHARDS` if set to a positive
-/// integer, else [`DEFAULT_SHARDS`]. A set-but-malformed value warns
-/// once on stderr (same hardened parsing as `APAN_THREADS`/`APAN_SIMD`)
-/// instead of being silently ignored.
+/// integer (capped at [`MAX_SHARDS`]), else [`DEFAULT_SHARDS`]. A
+/// set-but-malformed value warns once on stderr (same hardened parsing
+/// as `APAN_THREADS`/`APAN_SIMD`) instead of being silently ignored.
 pub fn shards_from_env() -> usize {
     static WARN: Once = Once::new();
-    parse_positive("APAN_MAILBOX_SHARDS", &WARN).unwrap_or(DEFAULT_SHARDS)
+    parse_positive("APAN_MAILBOX_SHARDS", &WARN)
+        .unwrap_or(DEFAULT_SHARDS)
+        .min(MAX_SHARDS)
 }
 
 /// Ownership discipline shared by every sharded layer: node `node`
@@ -181,14 +188,18 @@ impl ShardedMailboxStore {
     /// exclusive) but not other concurrent inferences.
     pub fn sync_view(&self) -> SyncGuard<'_> {
         SyncGuard {
-            _gate: self.sync_gate.read(),
+            _gate: self.gate_shared(),
             store: self,
         }
     }
 
+    fn gate_shared(&self) -> RwLockReadGuard<'_, ()> {
+        self.sync_gate.read().expect("sync gate poisoned")
+    }
+
     /// Takes the outer gate exclusively for a propagation commit.
     pub(crate) fn commit_gate(&self) -> RwLockWriteGuard<'_, ()> {
-        self.sync_gate.write()
+        self.sync_gate.write().expect("sync gate poisoned")
     }
 
     /// Gathers the shards back into one flat store, byte-identical to
@@ -198,7 +209,7 @@ impl ShardedMailboxStore {
     /// checksummed records without promoting them, so an export leaves
     /// residency untouched.
     pub fn to_flat(&self) -> MailboxStore {
-        let _gate = self.sync_gate.read();
+        let _gate = self.gate_shared();
         let guards = self.lock_all();
         let s = self.shards.len();
         let update = guards[0].update_mode();
@@ -236,15 +247,19 @@ impl ShardedMailboxStore {
     /// ids, so callers never handle shard-local indices.
     pub fn lock_shard(&self, s: usize) -> ShardGuard<'_> {
         ShardGuard {
-            guard: self.shards[s].lock(),
+            guard: self.shard(s),
             shard: s,
             num_shards: self.shards.len(),
         }
     }
 
+    fn shard(&self, s: usize) -> MutexGuard<'_, TierShard> {
+        self.shards[s].lock().expect("mailbox shard lock poisoned")
+    }
+
     fn lock_all(&self) -> Vec<MutexGuard<'_, TierShard>> {
         // ascending shard order — the global lock discipline
-        self.shards.iter().map(|m| m.lock()).collect()
+        (0..self.shards.len()).map(|s| self.shard(s)).collect()
     }
 
     /// Locks every shard (ascending) for a consistent multi-node read —
@@ -253,7 +268,7 @@ impl ShardedMailboxStore {
     /// promotes: cold mailboxes are decoded in place.
     pub fn read(&self) -> StoreReadGuard<'_> {
         StoreReadGuard {
-            _gate: self.sync_gate.read(),
+            _gate: self.gate_shared(),
             guards: self.lock_all(),
         }
     }
@@ -272,7 +287,7 @@ impl ShardedMailboxStore {
             todo[node as usize % s] = true;
         }
         for (shard, _) in todo.iter().enumerate().filter(|(_, &t)| t) {
-            let mut sub = self.shards[shard].lock();
+            let mut sub = self.shard(shard);
             for (bi, &node) in nodes.iter().enumerate() {
                 if node as usize % s == shard {
                     visit(&mut sub, bi, node / s as NodeId);
@@ -674,6 +689,6 @@ mod tests {
 
     #[test]
     fn env_shard_resolution_clamps() {
-        assert!(shards_from_env() >= 1);
+        assert!((1..=MAX_SHARDS).contains(&shards_from_env()));
     }
 }

@@ -76,7 +76,7 @@ fn state_visible_after_flush() {
     }
     drop(s);
     let graph = pipeline.graph();
-    assert_eq!(graph.read().num_events(), 10);
+    assert_eq!(graph.read().unwrap().num_events(), 10);
 }
 
 #[test]

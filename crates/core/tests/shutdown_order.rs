@@ -1,9 +1,9 @@
 //! Regression test for pipeline shutdown ordering: dropping a
 //! `ServingPipeline` while the propagation channel is full must flush
 //! every pending job — mail is never silently dropped — and must not
-//! deadlock. The `Shutdown` marker is sent on the same bounded channel
-//! as propagation jobs, so it queues *behind* the backlog; this test
-//! pins that ordering.
+//! deadlock. Shutdown drops the channel's sender, and the worker drains
+//! the backlog before it sees the channel close; this test pins that
+//! ordering.
 
 use apan_core::config::ApanConfig;
 use apan_core::model::Apan;
@@ -73,7 +73,7 @@ fn drop_with_full_channel_flushes_pending_propagation() {
 
     // Every queued job ran: each job inserts its batch's interactions
     // into the temporal graph before delivering mail.
-    let g = graph.read();
+    let g = graph.read().unwrap();
     assert_eq!(
         g.num_events(),
         BATCHES * BATCH,

@@ -67,11 +67,6 @@ impl TemporalDataset {
         self.edge_features.gather_rows(&idx)
     }
 
-    /// Count of labeled interactions.
-    pub fn num_labeled(&self) -> usize {
-        self.labels.iter().filter(|l| l.is_some()).count()
-    }
-
     /// Count of positively labeled interactions.
     pub fn num_positive(&self) -> usize {
         self.labels.iter().filter(|l| **l == Some(true)).count()
@@ -143,7 +138,6 @@ mod tests {
         assert_eq!(d.num_nodes(), 3);
         assert_eq!(d.feature_dim(), 2);
         assert_eq!(d.feature(1), &[0.0, 1.0]);
-        assert_eq!(d.num_labeled(), 1);
         assert_eq!(d.num_positive(), 1);
         assert!(d.is_user(0));
         assert!(!d.is_user(2));

@@ -2,10 +2,9 @@
 
 use crate::dataset::{LabelKind, TemporalDataset};
 use crate::split::ChronoSplit;
-use serde::Serialize;
 
 /// The statistics Table 1 reports for each dataset.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetStats {
     /// Dataset name.
     pub name: String,

@@ -1,6 +1,5 @@
 //! Latency sample collection and percentile reporting.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Collects latency samples (e.g. one per inference batch) and reports
@@ -140,9 +139,9 @@ impl LatencyRecorder {
 }
 
 /// Point-in-time percentile summary of a [`LatencyRecorder`], in
-/// fractional milliseconds. Serde-serializable for bench reports; the
-/// serving daemon's `STATS` verb ships it via [`LatencySummary::to_json`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// fractional milliseconds. The serving daemon's `STATS` verb ships it
+/// via [`LatencySummary::to_json`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Total samples recorded (a bounded recorder's percentiles describe
     /// only its retained window).

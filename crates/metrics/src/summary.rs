@@ -3,12 +3,11 @@
 //! Every table in the paper reports "average … with StdDevs (over 10
 //! random seeds)"; [`MeanStd`] is that aggregation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Accumulates scalar samples and reports mean and (population) standard
 /// deviation.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct MeanStd {
     samples: Vec<f64>,
 }
@@ -29,6 +28,11 @@ impl MeanStd {
     /// Adds one sample.
     pub fn push(&mut self, v: f64) {
         self.samples.push(v);
+    }
+
+    /// The samples in push order.
+    pub fn samples(&self) -> &[f64] {
+        &self.samples
     }
 
     /// Number of samples.

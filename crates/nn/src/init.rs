@@ -11,13 +11,6 @@ pub fn xavier_uniform<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut 
     Tensor::uniform(fan_in, fan_out, -a, a, rng)
 }
 
-/// Kaiming/He normal initialization: `N(0, 2/fan_in)`. The right default
-/// for layers followed by ReLU.
-pub fn he_normal<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    Tensor::randn(fan_in, fan_out, std, rng)
-}
-
 /// Small-scale normal initialization `N(0, std²)`, used for embedding
 /// tables.
 pub fn normal<R: Rng + ?Sized>(rows: usize, cols: usize, std: f32, rng: &mut R) -> Tensor {
@@ -38,15 +31,5 @@ mod tests {
         assert!(t.data().iter().all(|&v| v.abs() <= a));
         // not degenerate
         assert!(t.data().iter().any(|&v| v.abs() > a / 10.0));
-    }
-
-    #[test]
-    fn he_variance() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = he_normal(200, 200, &mut rng);
-        let mean = t.mean();
-        let var = t.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / t.len() as f32;
-        let expected = 2.0 / 200.0;
-        assert!((var - expected).abs() < expected * 0.2, "var {var}");
     }
 }

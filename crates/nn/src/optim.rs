@@ -22,7 +22,6 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     /// First/second moment estimates, lazily allocated per parameter.
     state: Vec<Option<(Tensor, Tensor)>>,
     t: i32,
@@ -36,16 +35,9 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             state: Vec::new(),
             t: 0,
         }
-    }
-
-    /// Adds decoupled L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     fn ensure_state(&mut self, id: ParamId, rows: usize, cols: usize) {
@@ -72,10 +64,7 @@ impl Optimizer for Adam {
             let pd = p.data_mut();
             #[allow(clippy::needless_range_loop)] // four parallel buffers
             for i in 0..pd.len() {
-                let mut g = grad.data()[i];
-                if self.weight_decay > 0.0 {
-                    g += self.weight_decay * pd[i];
-                }
+                let g = grad.data()[i];
                 let md = &mut m.data_mut()[i];
                 *md = self.beta1 * *md + (1.0 - self.beta1) * g;
                 let vd = &mut v.data_mut()[i];
@@ -124,21 +113,6 @@ mod tests {
         }
         assert!(loss < 1e-4, "loss {loss}");
         assert!((store.get(id).item() - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let mut store = ParamStore::new();
-        let id = store.add("w", Tensor::scalar(10.0));
-        let mut adam = Adam::new(0.1).with_weight_decay(1.0);
-        // gradient-free objective: rely on decay only by feeding zero grads
-        let grads = GradSet {
-            grads: vec![(id, Tensor::scalar(0.0))],
-        };
-        for _ in 0..100 {
-            adam.step(&mut store, &grads);
-        }
-        assert!(store.get(id).item().abs() < 10.0 * 0.9);
     }
 
     #[test]

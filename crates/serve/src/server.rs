@@ -275,7 +275,7 @@ pub fn start(mut model: Apan, cfg: ServeConfig) -> Result<ServerHandle, StartErr
     // restart the watermark must start at the snapshot's newest event
     // time, or unset/stale request times would be admitted behind the
     // restored graph and panic the propagation worker's insert.
-    let watermark = pipeline.graph().read().max_time();
+    let watermark = pipeline.graph().read().unwrap().max_time();
 
     let tick_cv = Arc::new(Condvar::new());
     // a virtual clock must wake the tick thread when time advances

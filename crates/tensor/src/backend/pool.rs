@@ -18,14 +18,15 @@
 //! after the join, so no worker outlives the borrows it runs on.
 //!
 //! Threads are spawned lazily on first parallel dispatch and live for the
-//! rest of the process; dispatch costs one channel send + receive per
-//! chunk, cheap enough for per-batch inference kernels. The pool is built
-//! on `crossbeam` channels only — no extra dependencies.
+//! rest of the process. Each worker owns a `std::sync::mpsc` channel, and
+//! chunk `c` of a dispatch goes to worker `c - 1`; dispatch costs one
+//! channel send + receive per chunk, cheap enough for per-batch inference
+//! kernels.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Mutex, Once};
 
 /// Hard cap on worker threads, a guard against absurd `APAN_THREADS`.
 const MAX_THREADS: usize = 64;
@@ -110,43 +111,16 @@ pub fn set_num_threads(n: usize) {
 struct Task {
     f: *const (dyn Fn(usize) + Sync),
     chunk: usize,
-    done: Sender<bool>,
+    done: SyncSender<bool>,
 }
 
 // SAFETY: the closure is `Sync` (shared by reference across workers) and
 // `dispatch` joins every task before the borrow expires.
 unsafe impl Send for Task {}
 
-struct Pool {
-    tx: Sender<Task>,
-    rx: Receiver<Task>,
-    spawned: Mutex<usize>,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let (tx, rx) = unbounded::<Task>();
-        Pool {
-            tx,
-            rx,
-            spawned: Mutex::new(0),
-        }
-    })
-}
-
-fn ensure_workers(pool: &'static Pool, wanted: usize) {
-    let mut spawned = pool.spawned.lock().expect("pool lock poisoned");
-    while *spawned < wanted {
-        let rx = pool.rx.clone();
-        std::thread::Builder::new()
-            .name(format!("apan-worker-{}", *spawned))
-            .spawn(move || worker_loop(rx))
-            .expect("spawn pool worker");
-        *spawned += 1;
-    }
-}
+/// One task channel per spawned worker, in spawn order. The lock also
+/// serialises spawning and each dispatch's sends.
+static WORKERS: Mutex<Vec<Sender<Task>>> = Mutex::new(Vec::new());
 
 fn worker_loop(rx: Receiver<Task>) {
     while let Ok(task) = rx.recv() {
@@ -167,21 +141,30 @@ fn worker_loop(rx: Receiver<Task>) {
 /// outlive all uses: a panic in chunk 0 is resumed after the join, one
 /// in a worker's chunk is re-raised here after it.
 fn dispatch(chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-    let pool = pool();
-    ensure_workers(pool, chunks - 1);
-    let (done_tx, done_rx) = bounded::<bool>(chunks - 1);
+    let (done_tx, done_rx) = sync_channel::<bool>(chunks - 1);
     // SAFETY: erasing the borrow's lifetime is sound because every task is
     // joined below, before this call returns or unwinds and the borrow of
     // `f` ends.
     let f_erased: *const (dyn Fn(usize) + Sync + 'static) =
         unsafe { std::mem::transmute(f as *const (dyn Fn(usize) + Sync + '_)) };
-    for chunk in 1..chunks {
-        let task = Task {
-            f: f_erased,
-            chunk,
-            done: done_tx.clone(),
-        };
-        pool.tx.send(task).expect("pool workers alive");
+    {
+        let mut workers = WORKERS.lock().expect("pool lock poisoned");
+        while workers.len() < chunks - 1 {
+            let (tx, rx) = channel();
+            std::thread::Builder::new()
+                .name(format!("apan-worker-{}", workers.len()))
+                .spawn(move || worker_loop(rx))
+                .expect("spawn pool worker");
+            workers.push(tx);
+        }
+        for (chunk, worker) in (1..chunks).zip(workers.iter()) {
+            let task = Task {
+                f: f_erased,
+                chunk,
+                done: done_tx.clone(),
+            };
+            worker.send(task).expect("pool workers alive");
+        }
     }
     // The calling thread takes the first chunk instead of idling.
     let inline = catch_unwind(AssertUnwindSafe(|| f(0)));

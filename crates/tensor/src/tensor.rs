@@ -167,11 +167,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at `(r, c)`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -320,11 +315,6 @@ impl Tensor {
         for a in self.data.iter_mut() {
             *a *= s;
         }
-    }
-
-    /// Sets all elements to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     // ------------------------------------------------------------------
@@ -512,16 +502,6 @@ impl Tensor {
             for j in 0..c {
                 out.data[j] += self.data[i * c + j];
             }
-        }
-        out
-    }
-
-    /// Row means as an `r×1` column vector.
-    pub fn mean_cols(&self) -> Tensor {
-        let (r, c) = self.shape();
-        let mut out = Tensor::zeros(r, 1);
-        for i in 0..r {
-            out.data[i] = self.row_slice(i).iter().sum::<f32>() / c as f32;
         }
         out
     }
@@ -790,7 +770,6 @@ mod tests {
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert_eq!(t.sum_rows().data(), &[4.0, 6.0]);
-        assert_eq!(t.mean_cols().data(), &[1.5, 3.5]);
     }
 
     #[test]
@@ -813,7 +792,5 @@ mod tests {
         assert_eq!(a.data(), &[16.0, 32.0]);
         a.scale_assign(2.0);
         assert_eq!(a.data(), &[32.0, 64.0]);
-        a.fill_zero();
-        assert_eq!(a.data(), &[0.0, 0.0]);
     }
 }

@@ -28,11 +28,6 @@ impl BatchIter {
             pos: 0,
         }
     }
-
-    /// Number of batches this iterator will yield in total.
-    pub fn num_batches(&self) -> usize {
-        self.len.div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for BatchIter {
@@ -69,7 +64,7 @@ mod tests {
     #[test]
     fn exact_division() {
         let it = BatchIter::new(9, 3);
-        assert_eq!(it.num_batches(), 3);
+        assert_eq!(it.len(), 3);
         assert_eq!(it.count(), 3);
     }
 

@@ -9,12 +9,11 @@
 //! [`LatencyModel`]. Benches report both raw compute time and modelled
 //! database time so the reader can separate the two effects.
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 use std::time::Duration;
 
 /// Counters describing the work one or more temporal queries performed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryCost {
     /// Number of distinct neighbour-list queries issued.
     pub queries: u64,
@@ -61,7 +60,7 @@ impl AddAssign for QueryCost {
 /// describes (Alipay's production deployment): every query pays a fixed
 /// lookup overhead, every row a transfer cost, and every additional hop a
 /// round-trip, because hop `k+1`'s seeds depend on hop `k`'s results.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyModel {
     /// Fixed cost per neighbour-list query (index lookup), in nanoseconds.
     pub per_query_ns: u64,

@@ -1,7 +1,5 @@
 //! Core identifiers and the interaction event record.
 
-use serde::{Deserialize, Serialize};
-
 /// Node identifier. `u32` keeps adjacency entries compact (the Alipay-scale
 /// dataset has < 2³² nodes by a wide margin).
 pub type NodeId = u32;
@@ -17,7 +15,7 @@ pub type Time = f64;
 /// One temporal interaction `(v_i, v_j, e_ij, t)` — the CTDG unit of the
 /// paper (§3.1). Edge features are stored externally (e.g. in
 /// `apan-data`), keyed by [`EventId`], so the graph core stays compact.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Event {
     /// Source node (the "user" side in bipartite datasets).
     pub src: NodeId,

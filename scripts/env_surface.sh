@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# The configuration surface, checked in two halves:
+# The configuration surface, checked in three parts:
 # - environment: prints the sorted set of APAN_* names the serving crates
 #   read (string literals outside #[cfg(test)]) and fails if it differs
 #   from the environment table in README.md;
 # - flags: prints the sorted set of "--flag" => arms apand's parser
-#   matches and fails if it differs from the flags its USAGE string names.
-# Either way a new knob cannot appear without being documented, nor linger
-# in the docs (or in --help) once deleted.
+#   matches and fails if it differs from the flags its USAGE string names;
+# - dependencies: prints the sorted set of registry crates the workspace
+#   manifests name (every [*dependencies] table of the root and member
+#   Cargo.toml files, apan-* path crates excluded) and fails unless the
+#   registry-sourced packages in Cargo.lock and README's "External
+#   dependencies" list are the same set.
+# Either way a new knob or crate cannot appear without being documented,
+# nor linger in the docs (or in --help) once deleted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,5 +38,26 @@ usage=$(
 echo "$parsed"
 if [ "$parsed" != "$usage" ]; then
     echo "env_surface: apand parses {$(echo $parsed)} but its USAGE lists {$(echo $usage)}" >&2
+    exit 1
+fi
+
+manifests=$(
+    for f in Cargo.toml crates/*/Cargo.toml; do
+        awk '/^\[/ { on = /dependencies\]$/ } on && /^[a-z][a-z0-9_-]*(\.workspace)? *=/ {
+            sub(/[. =].*/, ""); print }' "$f"
+    done | grep -v '^apan-' | sort -u
+)
+locked=$(
+    awk '/^\[\[package\]\]/ { name = "" } /^name = / { name = $3 }
+        /^source = "registry\+/ { print name }' Cargo.lock | tr -d '"' | sort -u
+)
+readme=$(
+    sed -n 's/^External dependencies: \([^.]*\)\..*/\1/p' README.md |
+        grep -o '`[a-z0-9_-]*`' | tr -d '`' | sort -u
+)
+
+echo "$manifests"
+if [ "$manifests" != "$locked" ] || [ "$manifests" != "$readme" ]; then
+    echo "env_surface: manifests name {$(echo $manifests)}, Cargo.lock resolves {$(echo $locked)} from a registry, README lists {$(echo $readme)}" >&2
     exit 1
 fi

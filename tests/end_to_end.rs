@@ -227,7 +227,11 @@ fn serving_graph_can_be_pruned_for_bounded_memory() {
     pipeline.flush();
     // prune everything older than the midpoint of the served window
     let mid = events[events.len() / 2].time;
-    let dropped = pipeline.graph().write().prune_adjacency_before(mid);
+    let dropped = pipeline
+        .graph()
+        .write()
+        .unwrap()
+        .prune_adjacency_before(mid);
     assert!(dropped > 0, "pruning should reclaim adjacency entries");
     // the pipeline keeps serving after a prune
     let last_t = events.last().unwrap().time;
