@@ -90,7 +90,7 @@ fn run_stream(store: &ShardedMailboxStore, ops: &[DeliverOp]) -> usize {
             eid: i as u32,
         };
         store
-            .lock_shard(store.shard_of(op.node))
+            .sync_view()
             .deliver(op.node, &mail, (i + 1) as f64, origin);
     }
     ops.len()

@@ -14,8 +14,8 @@
 //! turnstile, [`apan_serve::cluster_link::DeliveryOrder`]), so all
 //! replicas apply the identical admission/job stream and stay
 //! **bitwise identical** — the same discipline the in-process
-//! [`apan_core::shard::ShardedMailboxStore`] uses across threads,
-//! lifted across processes.
+//! propagation worker gets from draining one FIFO of jobs, lifted
+//! across processes.
 //!
 //! Module map:
 //!

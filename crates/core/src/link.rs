@@ -15,12 +15,14 @@
 use crate::config::MailContent;
 use crate::lateness::LateState;
 use crate::mail::make_mails_with;
+use crate::mailbox::MailOrigin;
 use crate::propagator::{DeliveryPlan, Interaction, PropScratch, Propagator};
 use crate::shard::ShardedMailboxStore;
+use crate::tier::TierShard;
 use apan_metrics::{ObsHub, Stage};
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
-use apan_tgraph::TemporalGraph;
+use apan_tgraph::{NodeId, TemporalGraph, Time};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
@@ -214,6 +216,20 @@ impl Link {
         );
     }
 
+    /// Applies `work.plan` with `write` (`deliver` for a job, `patch_late`
+    /// for a released late event) under one hold of the store lock, its
+    /// tier traffic tagged with `trace_id`.
+    fn apply(
+        &self,
+        work: &mut Work,
+        trace_id: u64,
+        write: fn(&mut TierShard, NodeId, &[f32], Time, MailOrigin),
+    ) {
+        let mut store = self.store.sync_view();
+        store.set_trace(trace_id);
+        work.deliveries += work.plan.apply_locked(&mut store, write);
+    }
+
     /// Releases the reorder-buffer entries whose window has closed
     /// (every entry when `force`): each is planned alone and
     /// patch-applied at its time-sorted mailbox position. Runs on the
@@ -223,10 +239,9 @@ impl Link {
         let due = ls.take_due(force);
         let released = due.len();
         for entry in due {
-            self.store.tier_stats().set_trace(entry.trace_id);
             let mail = Tensor::from_vec(1, entry.mail.len(), entry.mail);
             self.plan(work, std::slice::from_ref(&entry.inter), &mail);
-            work.deliveries += work.plan.apply_sharded_late(&self.store);
+            self.apply(work, entry.trace_id, TierShard::patch_late);
             // The release span covers the entry's full park residency,
             // so its histogram is the park-time distribution
             // (`apan_reorder_park_ns`).
@@ -309,13 +324,9 @@ impl Link {
         self.plan(work, batch, batch_mails);
         let t_plan1 = obs.stamp();
         obs.stage_record(Stage::Plan, job.trace_id, t_commit1, t_plan1);
-        // `deliver` span: applying the plan to the sharded mailbox. Tier
-        // traffic triggered by the deliveries is attributed to this job's
-        // trace (one worker serializes deliveries, so the attribution is
-        // exact on this path).
-        self.store.tier_stats().set_trace(job.trace_id);
+        // `deliver` span: applying the plan to the sharded mailbox.
         let t_deliver0 = obs.stamp();
-        work.deliveries += work.plan.apply_sharded(&self.store);
+        self.apply(work, job.trace_id, TierShard::deliver);
         // Reorder-buffer maintenance follows the job's deliveries, so
         // entries enqueue and release in one deterministic global order.
         {

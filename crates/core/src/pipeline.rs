@@ -308,7 +308,6 @@ impl ServingPipeline {
             self.link.state.stats().decode_errors += 1;
             return;
         };
-        self.link.store.tier_stats().set_trace(trace_id);
         // Reference time = the batch's max event time: with late events
         // aboard the last interaction is not necessarily the newest one,
         // and the write-back stamp must match the owner's.
@@ -317,7 +316,11 @@ impl ServingPipeline {
             .iter()
             .map(|i| i.time)
             .fold(f64::NEG_INFINITY, f64::max);
-        self.link.store.sync_view().set_embeddings(&unique, &z, now);
+        {
+            let view = self.link.store.sync_view();
+            view.set_trace(trace_id);
+            view.set_embeddings(&unique, &z, now);
+        }
         let admitted = self.link.obs.now();
         self.submit_job(Box::new(PropagateJob {
             interactions: job.interactions,
@@ -362,9 +365,6 @@ impl ServingPipeline {
         );
         let obs = &self.link.obs;
         let start = obs.now();
-        // Sync-path mailbox reads can promote spilled nodes; attribute
-        // that tier traffic to this request.
-        self.link.store.tier_stats().set_trace(trace_id);
 
         let is_admitted = |i: usize| !matches!(kinds[i], AdmitKind::Dropped);
         let src: Vec<NodeId> = interactions.iter().map(|i| i.src).collect();
@@ -385,34 +385,20 @@ impl ServingPipeline {
         };
         let (unique, maps) = dedup_nodes(&[&src, &dst]);
 
+        // The `encode` span is the sync path's one hold of the store
+        // lock: mailbox read, encoder forward and embedding write-back,
+        // with the tier traffic they cause tagged as this request's.
+        // The decoder reads no mailbox and runs after the lock is gone.
         let view = self.link.store.sync_view();
+        view.set_trace(trace_id);
         let t_encode0 = obs.stamp();
-        let (z_val, scores, t_encode1) = {
-            let mut fwd = Fwd::new(&self.model.params, false);
-            fwd.quant = self.quant.clone();
-            let enc = self
-                .model
-                .encode(&mut fwd, &view, &unique, now, &mut self.rng);
-            let t_encode1 = obs.stamp();
-            let zi = fwd.g.gather_rows(enc.z, &maps[0]);
-            let zj = fwd.g.gather_rows(enc.z, &maps[1]);
-            let logits = self
-                .model
-                .link_decoder
-                .forward(&mut fwd, zi, zj, &mut self.rng);
-            let scores: Vec<f32> = fwd
-                .g
-                .value(logits)
-                .data()
-                .iter()
-                .map(|&x| stable_sigmoid(x))
-                .collect();
-            (fwd.g.value(enc.z).clone(), scores, t_encode1)
-        };
-        let t_decode1 = obs.stamp();
-        obs.stage_record(Stage::Encode, trace_id, t_encode0, t_encode1);
-        obs.stage_record(Stage::DecodeScore, trace_id, t_encode1, t_decode1);
-        // Dropped events were scored above but are excluded from the
+        let mut fwd = Fwd::new(&self.model.params, false);
+        fwd.quant = self.quant.clone();
+        let enc = self
+            .model
+            .encode(&mut fwd, &view, &unique, now, &mut self.rng);
+        let z_val = fwd.g.value(enc.z).clone();
+        // Dropped events are scored below but are excluded from the
         // write-back and the propagation job. When any were, `partial`
         // is the admitted view: kept indices, their distinct endpoints,
         // row maps into those, and the endpoints' rows of `z_val`.
@@ -430,7 +416,24 @@ impl ServingPipeline {
             None => view.set_embeddings(&unique, &z_val, now),
             Some((_, a_unique, _, a_z)) => view.set_embeddings(a_unique, a_z, now),
         }
+        let t_encode1 = obs.stamp();
         drop(view);
+        let zi = fwd.g.gather_rows(enc.z, &maps[0]);
+        let zj = fwd.g.gather_rows(enc.z, &maps[1]);
+        let logits = self
+            .model
+            .link_decoder
+            .forward(&mut fwd, zi, zj, &mut self.rng);
+        let scores: Vec<f32> = fwd
+            .g
+            .value(logits)
+            .data()
+            .iter()
+            .map(|&x| stable_sigmoid(x))
+            .collect();
+        let t_decode1 = obs.stamp();
+        obs.stage_record(Stage::Encode, trace_id, t_encode0, t_encode1);
+        obs.stage_record(Stage::DecodeScore, trace_id, t_encode1, t_decode1);
         let sync_time = obs.now().saturating_sub(start);
         self.sync_latency.record(sync_time);
 
@@ -647,7 +650,7 @@ mod tests {
         }
         p.flush();
         {
-            let s = p.link.store.read();
+            let s = p.link.store.sync_view();
             assert!(!s.is_empty(0));
             assert!(!s.is_empty(1));
         }
@@ -800,6 +803,76 @@ mod tests {
         // …but with no sink installed nothing is buffered anywhere
         assert!(obs.sink().is_none());
         assert!(obs.drain_events().is_empty());
+    }
+
+    #[cfg(not(feature = "trace-off"))]
+    #[test]
+    fn tier_spans_carry_the_trace_of_the_store_lock_holder() {
+        use apan_metrics::{TraceEvent, TraceSink};
+        use rand::Rng;
+        // budget 0: one resident mailbox per shard, so the sync path's
+        // reads and write-backs and the worker's deliveries all spill
+        // and promote, racing for the store lock on two threads
+        let mut cfg = ApanConfig::new(8);
+        cfg.mailbox_slots = 4;
+        cfg.mlp_hidden = 16;
+        cfg.dropout = 0.0;
+        cfg.mailbox_budget = Some(0);
+        let model = Apan::new(&cfg, &mut StdRng::seed_from_u64(0));
+        let mut p = ServingPipeline::new(model, 64, 4);
+        let obs = p.obs();
+        obs.install_sink(TraceSink::with_shards(1 << 20, 4));
+        const BATCHES: u64 = 500;
+        let mut rng = StdRng::seed_from_u64(9);
+        for k in 0..BATCHES {
+            let ints: Vec<Interaction> = (0..4)
+                .map(|i| Interaction {
+                    src: rng.gen_range(0..64),
+                    dst: rng.gen_range(0..64),
+                    time: k as f64 + 0.1 * i as f64,
+                    eid: (4 * k + i) as u32,
+                })
+                .collect();
+            let feats = Tensor::full(4, 8, 0.5);
+            p.infer_batch_admitted(&ints, &feats, &[AdmitKind::InOrder; 4], k + 1, None);
+        }
+        p.flush();
+        assert_eq!(obs.dropped_events(), 0, "the sink kept every span");
+        let events = obs.drain_events();
+        let spans = |stage: Stage| -> Vec<&TraceEvent> {
+            events.iter().filter(|e| e.stage == stage).collect()
+        };
+        let (encodes, delivers) = (spans(Stage::Encode), spans(Stage::Deliver));
+        assert_eq!(encodes.len() as u64, BATCHES);
+        assert_eq!(delivers.len() as u64, BATCHES);
+        let mut tier = 0;
+        for t in events.iter().filter(|e| {
+            matches!(
+                e.stage,
+                Stage::TierEvict | Stage::TierPromote | Stage::ColdRead
+            )
+        }) {
+            tier += 1;
+            // an encode span lies wholly inside the sync path's lock
+            // hold, so no worker tier traffic can fall within one; a
+            // deliver span may overlap an encode while its worker waits
+            // for the lock, so encodes are asked first
+            let holder = encodes
+                .iter()
+                .chain(&delivers)
+                .find(|e| e.start_ns <= t.start_ns && t.end_ns <= e.end_ns)
+                .expect("every tier span lies inside an encode or deliver span");
+            assert_eq!(
+                t.trace_id,
+                holder.trace_id,
+                "{} span attributed to the wrong request",
+                t.stage.name()
+            );
+        }
+        assert!(
+            tier > 1000,
+            "only {tier} tier spans: the store barely spilled"
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 use crate::config::{ApanConfig, MailReduce};
 use crate::mail::reduce_mails_slice;
 use crate::mailbox::{MailOrigin, MailboxStore};
-use crate::shard::{ShardGuard, ShardedMailboxStore};
-use apan_tensor::backend::pool::{parallel_rows, parallel_rows_mut};
+use crate::shard::{locate, ShardedMailboxStore, StoreGuard};
+use crate::tier::TierShard;
+use apan_tensor::backend::pool::parallel_rows_mut;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::sampling::sample_khop_targets;
@@ -259,7 +260,7 @@ impl DeliveryPlan {
     /// store state is identical to [`DeliveryPlan::apply`] on the
     /// equivalent flat store.
     pub fn apply_sharded(&self, store: &ShardedMailboxStore) -> usize {
-        self.apply_per_shard(store, ShardGuard::deliver)
+        self.apply_locked(&mut store.sync_view(), TierShard::deliver)
     }
 
     /// Applies the plan via [`MailboxStore::patch_late`] — the
@@ -267,34 +268,31 @@ impl DeliveryPlan {
     /// into its destination's already-committed mailbox at its
     /// time-sorted position instead of being enqueued as newest.
     pub fn apply_sharded_late(&self, store: &ShardedMailboxStore) -> usize {
-        self.apply_per_shard(store, ShardGuard::patch_late)
+        self.apply_locked(&mut store.sync_view(), TierShard::patch_late)
     }
 
-    /// Buckets the deliveries by shard and runs `write` over each
-    /// bucket under that shard's lock, shards in parallel.
-    fn apply_per_shard<'s>(
+    /// Runs `write` (`deliver` or `patch_late`) for every delivery
+    /// under the held store lock: deliveries are bucketed by shard and
+    /// each pool task owns a disjoint run of shards. Holding the lock
+    /// for the whole apply is what keeps a synchronous encode from
+    /// observing a half-applied commit.
+    pub(crate) fn apply_locked(
         &self,
-        store: &'s ShardedMailboxStore,
-        write: impl Fn(&mut ShardGuard<'s>, NodeId, &[f32], Time, MailOrigin) + Sync,
+        store: &mut StoreGuard<'_>,
+        write: impl Fn(&mut TierShard, NodeId, &[f32], Time, MailOrigin) + Sync,
     ) -> usize {
-        // exclusive outer gate: no synchronous encode observes a
-        // half-applied commit (matching the old global write lock)
-        let _gate = store.commit_gate();
-        let s = store.num_shards();
+        let shards = store.shards_mut();
+        let s = shards.len();
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); s];
         for (i, &node) in self.nodes.iter().enumerate() {
-            buckets[store.shard_of(node)].push(i);
+            buckets[locate(node, s).0].push(i);
         }
-        parallel_rows(s, 1, &|start, end| {
-            for (shard, bucket) in buckets.iter().enumerate().take(end).skip(start) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let mut guard = store.lock_shard(shard);
+        parallel_rows_mut(shards, 1, 1, |start, _, shards| {
+            for (shard, bucket) in shards.iter_mut().zip(&buckets[start..]) {
                 for &i in bucket {
                     write(
-                        &mut guard,
-                        self.nodes[i],
+                        shard,
+                        locate(self.nodes[i], s).1,
                         &self.payload[i * self.dim..(i + 1) * self.dim],
                         self.times[i],
                         self.origins[i],
@@ -490,5 +488,50 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_held_guard_excludes_a_commit() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        let store =
+            ShardedMailboxStore::from_flat(&MailboxStore::new(4, 3, 2, MailboxUpdate::Fifo), 2);
+        let batch = [Interaction {
+            src: 0,
+            dst: 1,
+            time: 4.0,
+            eid: 7,
+        }];
+        let mails = Tensor::from_rows(&[&[1.0, 2.0]]);
+        let mut plan = DeliveryPlan::default();
+        propagator().plan_batch(
+            &graph(),
+            &batch,
+            &mails,
+            &mut QueryCost::new(),
+            &mut PropScratch::default(),
+            &mut plan,
+        );
+        let nodes = [0, 1, 2, 3];
+        let view = store.sync_view();
+        let before = view.read_batch(&nodes, 5.0);
+        assert_eq!(before.lens, [0; 4]);
+        let applied = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let commit = s.spawn(|| {
+                let n = plan.apply_sharded(&store);
+                applied.store(true, SeqCst);
+                n
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!applied.load(SeqCst), "a commit ran under a held guard");
+            let during = view.read_batch(&nodes, 5.0);
+            assert_eq!(during.lens, before.lens);
+            assert_eq!(during.mails.data(), before.mails.data());
+            assert_eq!(during.ages, before.ages);
+            drop(view);
+            assert_eq!(commit.join().unwrap(), plan.len());
+        });
+        // every node of the chain hears about 0-1 within two hops
+        assert_eq!(store.sync_view().read_batch(&nodes, 5.0).lens, [1; 4]);
     }
 }

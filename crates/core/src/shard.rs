@@ -1,13 +1,11 @@
 //! Sharded mailbox store behind the serving pipeline.
 //!
-//! [`ShardedMailboxStore`] splits node state across `S` independently
-//! locked shards by `node_id % S`, so concurrent deliveries to
-//! different shards never contend and the synchronous encoder read path
-//! only touches the shards its batch actually hits. Each shard is a
-//! [`TierShard`]: a plain flat [`MailboxStore`] when no residency
-//! budget is configured, or a bounded hot pool spilling its LRU tail to
-//! the store's direct-mapped spill file when one is (see
-//! [`crate::tier`]).
+//! [`ShardedMailboxStore`] splits node state across `S` shards by
+//! `node_id % S`, so the propagation worker's apply can hand disjoint
+//! shards to the tensor pool's workers. Each shard is a [`TierShard`]:
+//! a plain flat [`MailboxStore`] when no residency budget is configured,
+//! or a bounded hot pool spilling its LRU tail to the store's
+//! direct-mapped spill file when one is (see [`crate::tier`]).
 //!
 //! The sharding *and* the tiering are pure layout transforms:
 //! `to_flat` reconstructs a flat store byte-identical (snapshot format
@@ -17,30 +15,37 @@
 //! `max(initial_n, max_touched_id + 1)` in both layouts — and a
 //! mailbox's bytes round-trip losslessly through the cold tier.
 //!
-//! Lock discipline: multi-shard operations acquire shard mutexes in
-//! ascending shard order only — which rules out lock-order inversions
-//! between concurrent readers, the sync path's embedding writes, and
-//! the propagation worker's shard-parallel deliveries. The spill file is
-//! not a lock: shards share it through positioned I/O, each touching
-//! only its own nodes' offsets under its own mutex. A poisoned lock is
-//! fatal, as everywhere in the serving stack: a panic under a shard lock
-//! is a bug, not a state to keep serving from.
+//! One lock: the shards sit behind one `Mutex`, and [`StoreGuard`] is
+//! the only way to touch mailbox state. Two parties take it. The batcher
+//! thread holds it for one synchronous inference (read → encode →
+//! embedding write-back), a peer job's write-back, or a snapshot cut
+//! (the forced reorder-buffer release with the link drained, then the
+//! export). The one propagation worker holds it for one plan's apply.
+//! Each hold covers a whole unit of work, so an encode never observes a
+//! half-applied commit, and with one lock there is no ordering rule.
+//! Inside the worker's hold the apply hands each pool task a disjoint
+//! run of shards (`parallel_rows_mut`), so shards need no locks of
+//! their own. The spill file is not a lock either: shards share it
+//! through positioned I/O, each at its own nodes' offsets. A poisoned
+//! lock is fatal, as everywhere in the serving stack: a panic under the
+//! store lock is a bug, not a state to keep serving from.
 
 use crate::mailbox::{MailOrigin, MailboxRead, MailboxStore, MailboxView};
 use crate::tier::{ColdFile, TierShard, TierStats};
 use apan_tensor::backend::pool::parse_positive;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, Time};
+use std::cell::RefCell;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Once};
 
 /// Default shard count when `APAN_MAILBOX_SHARDS` is unset.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Cap on `APAN_MAILBOX_SHARDS`: every shard is a mutex and a store
-/// allocated at boot, so an absurd value must not abort the process.
+/// Cap on `APAN_MAILBOX_SHARDS`: every shard is a store allocated at
+/// boot, so an absurd value must not abort the process.
 pub const MAX_SHARDS: usize = 1024;
 
 /// Resolves the shard count: `APAN_MAILBOX_SHARDS` if set to a positive
@@ -65,20 +70,19 @@ pub fn owner_shard(node: NodeId, n: usize) -> usize {
     node as usize % n.max(1)
 }
 
-/// A mailbox store split into independently locked shards by
-/// `node_id % num_shards`; node `g` lives at local index `g / S` of
-/// shard `g % S`.
-///
-/// Besides the per-shard mutexes there is an outer `sync_gate`: the
-/// synchronous inference path holds it *shared* for the span of one
-/// encode ([`Self::sync_view`]) while propagation commits hold it
-/// *exclusive* — so an encode's `read_batch` + `embedding_batch` pair
-/// observes a single consistent store state, exactly as the old global
-/// `RwLock<MailboxStore>` guaranteed, without serializing concurrent
-/// encodes against each other.
+/// Where `node` lives among `n` shards: its shard and its local index
+/// there.
+#[inline]
+pub(crate) fn locate(node: NodeId, n: usize) -> (usize, NodeId) {
+    (owner_shard(node, n), node / n as NodeId)
+}
+
+/// A mailbox store split into shards by `node_id % num_shards`; node
+/// `g` lives at local index `g / S` of shard `g % S`. All shards sit
+/// behind one lock, taken through [`Self::sync_view`].
 pub struct ShardedMailboxStore {
-    sync_gate: RwLock<()>,
-    shards: Vec<Mutex<TierShard>>,
+    shards: Mutex<Vec<TierShard>>,
+    num_shards: usize,
     dim: usize,
     slots: usize,
     stats: Arc<TierStats>,
@@ -86,9 +90,9 @@ pub struct ShardedMailboxStore {
 
 /// Node count the equivalent flat store would report: the largest
 /// global id any shard has grown to cover, plus one.
-fn flat_node_count(guards: &[MutexGuard<'_, TierShard>]) -> usize {
-    let s = guards.len();
-    guards
+fn flat_node_count(shards: &[TierShard]) -> usize {
+    let s = shards.len();
+    shards
         .iter()
         .enumerate()
         .map(|(i, g)| match g.covered() {
@@ -165,12 +169,12 @@ impl ShardedMailboxStore {
                 for local in 0..local_n {
                     shard.import_node(local as NodeId, flat, local * num_shards + s);
                 }
-                Mutex::new(shard)
+                shard
             })
             .collect();
         Ok(Self {
-            sync_gate: RwLock::new(()),
-            shards,
+            shards: Mutex::new(shards),
+            num_shards,
             dim,
             slots,
             stats,
@@ -183,23 +187,23 @@ impl ShardedMailboxStore {
         Arc::clone(&self.stats)
     }
 
-    /// Opens a consistent view for one synchronous inference: holds the
-    /// outer gate shared, excluding propagation commits (which hold it
-    /// exclusive) but not other concurrent inferences.
-    pub fn sync_view(&self) -> SyncGuard<'_> {
-        SyncGuard {
-            _gate: self.gate_shared(),
+    /// Takes the store lock. The guard is the only way to touch mailbox
+    /// state; while it lives no other party reads or writes a mailbox.
+    /// Tier spans recorded under it are untraced until
+    /// [`StoreGuard::set_trace`] tags them.
+    pub fn sync_view(&self) -> StoreGuard<'_> {
+        let guard = StoreGuard {
             store: self,
-        }
+            shards: RefCell::new(self.shards.lock().expect("mailbox store lock poisoned")),
+        };
+        guard.set_trace(0);
+        guard
     }
 
-    fn gate_shared(&self) -> RwLockReadGuard<'_, ()> {
-        self.sync_gate.read().expect("sync gate poisoned")
-    }
-
-    /// Takes the outer gate exclusively for a propagation commit.
-    pub(crate) fn commit_gate(&self) -> RwLockWriteGuard<'_, ()> {
-        self.sync_gate.write().expect("sync gate poisoned")
+    /// [`Self::sync_view`] under the name `apan-perf` calls it by: there
+    /// is one lock, so the shard index is ignored.
+    pub fn lock_shard(&self, _shard: usize) -> StoreGuard<'_> {
+        self.sync_view()
     }
 
     /// Gathers the shards back into one flat store, byte-identical to
@@ -209,12 +213,12 @@ impl ShardedMailboxStore {
     /// checksummed records without promoting them, so an export leaves
     /// residency untouched.
     pub fn to_flat(&self) -> MailboxStore {
-        let _gate = self.gate_shared();
-        let guards = self.lock_all();
-        let s = self.shards.len();
-        let update = guards[0].update_mode();
-        let mut flat = MailboxStore::new(flat_node_count(&guards), self.slots, self.dim, update);
-        for (i, g) in guards.iter().enumerate() {
+        let view = self.sync_view();
+        let shards = view.shards.borrow();
+        let s = shards.len();
+        let update = shards[0].update_mode();
+        let mut flat = MailboxStore::new(flat_node_count(&shards), self.slots, self.dim, update);
+        for (i, g) in shards.iter().enumerate() {
             for local in 0..g.covered() {
                 g.export_into_flat(&mut flat, local as NodeId, local * s + i);
             }
@@ -234,100 +238,13 @@ impl ShardedMailboxStore {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.num_shards
     }
 
     /// The shard holding `node`.
     #[inline]
     pub fn shard_of(&self, node: NodeId) -> usize {
-        owner_shard(node, self.shards.len())
-    }
-
-    /// Locks shard `s` for delivery. The guard translates global node
-    /// ids, so callers never handle shard-local indices.
-    pub fn lock_shard(&self, s: usize) -> ShardGuard<'_> {
-        ShardGuard {
-            guard: self.shard(s),
-            shard: s,
-            num_shards: self.shards.len(),
-        }
-    }
-
-    fn shard(&self, s: usize) -> MutexGuard<'_, TierShard> {
-        self.shards[s].lock().expect("mailbox shard lock poisoned")
-    }
-
-    fn lock_all(&self) -> Vec<MutexGuard<'_, TierShard>> {
-        // ascending shard order — the global lock discipline
-        (0..self.shards.len()).map(|s| self.shard(s)).collect()
-    }
-
-    /// Locks every shard (ascending) for a consistent multi-node read —
-    /// the inspection/debug path, not the hot path. Also holds the
-    /// outer gate shared so no commit is mid-flight. Inspection never
-    /// promotes: cold mailboxes are decoded in place.
-    pub fn read(&self) -> StoreReadGuard<'_> {
-        StoreReadGuard {
-            _gate: self.gate_shared(),
-            guards: self.lock_all(),
-        }
-    }
-
-    /// Visits each `(batch row, shard-local id)` of `nodes` under its
-    /// shard's lock: only the shards the batch touches, in ascending
-    /// shard order, each locked once.
-    fn for_each_by_shard(
-        &self,
-        nodes: &[NodeId],
-        mut visit: impl FnMut(&mut TierShard, usize, NodeId),
-    ) {
-        let s = self.shards.len();
-        let mut todo: Vec<bool> = vec![false; s];
-        for &node in nodes {
-            todo[node as usize % s] = true;
-        }
-        for (shard, _) in todo.iter().enumerate().filter(|(_, &t)| t) {
-            let mut sub = self.shard(shard);
-            for (bi, &node) in nodes.iter().enumerate() {
-                if node as usize % s == shard {
-                    visit(&mut sub, bi, node / s as NodeId);
-                }
-            }
-        }
-    }
-
-    /// Builds the batched attention view for `nodes` as of `now`.
-    /// Bitwise identical to the flat [`MailboxStore::read_batch`] on
-    /// equal logical state. Reading a spilled mailbox promotes it (it
-    /// just proved itself hot).
-    pub fn read_batch(&self, nodes: &[NodeId], now: Time) -> MailboxView {
-        let b = nodes.len();
-        let mut mails = Tensor::zeros(b * self.slots, self.dim);
-        let mut lens = vec![0usize; b];
-        let mut ages = vec![0.0f32; b * self.slots];
-        self.for_each_by_shard(nodes, |sub, bi, local| {
-            lens[bi] = sub.read_mailbox_into(local, now, bi, &mut mails, &mut ages);
-        });
-        MailboxView { mails, lens, ages }
-    }
-
-    /// Gathers `z(t−)` for a batch into a `[B × d]` matrix (zeros for
-    /// nodes a shard has not grown to yet), matching the flat store.
-    pub fn embedding_batch(&self, nodes: &[NodeId]) -> Tensor {
-        let mut out = Tensor::zeros(nodes.len(), self.dim);
-        self.for_each_by_shard(nodes, |sub, bi, local| {
-            sub.copy_embedding_into(local, out.row_slice_mut(bi));
-        });
-        out
-    }
-
-    /// Stores new embeddings for `nodes` (rows of `z`) at time `t`.
-    pub fn set_embeddings(&self, nodes: &[NodeId], z: &Tensor, t: Time) {
-        assert_eq!(z.rows(), nodes.len(), "row count mismatch");
-        assert_eq!(z.cols(), self.dim, "embedding width mismatch");
-        self.for_each_by_shard(nodes, |sub, bi, local| {
-            sub.set_embedding(local, z.row_slice(bi), t);
-        });
+        owner_shard(node, self.num_shards)
     }
 }
 
@@ -341,95 +258,99 @@ fn default_spill_dir() -> PathBuf {
     ))
 }
 
-impl MailboxRead for ShardedMailboxStore {
-    fn read_batch(&self, nodes: &[NodeId], now: Time) -> MailboxView {
-        ShardedMailboxStore::read_batch(self, nodes, now)
-    }
-
-    fn embedding_batch(&self, nodes: &[NodeId]) -> Tensor {
-        ShardedMailboxStore::embedding_batch(self, nodes)
-    }
-}
-
-/// A consistent view for one synchronous inference: reads and the
-/// embedding write-back all observe the same store state with respect
-/// to propagation commits.
-pub struct SyncGuard<'a> {
-    _gate: RwLockReadGuard<'a, ()>,
+/// The held store lock, addressed by global node id. Reads promote
+/// spilled mailboxes (they just proved themselves hot); the `len`,
+/// `mails_of`, `num_nodes` and `last_update` peeks never do, so
+/// inspecting never changes residency.
+///
+/// [`MailboxRead`] reads through `&self` and a read may promote, so the
+/// shards sit in a `RefCell`: the guard belongs to the one thread that
+/// locked, and no method hands out a borrow that outlives its call.
+pub struct StoreGuard<'a> {
     store: &'a ShardedMailboxStore,
+    shards: RefCell<MutexGuard<'a, Vec<TierShard>>>,
 }
 
-impl SyncGuard<'_> {
-    /// See [`ShardedMailboxStore::read_batch`].
+impl StoreGuard<'_> {
+    /// Tags the tier spans (evict, promote, cold read) recorded under
+    /// this guard with `trace_id`. The lock holder is the only party
+    /// that can cause tier traffic, so the attribution is exact.
+    pub fn set_trace(&self, trace_id: u64) {
+        self.store.stats.set_trace(trace_id);
+    }
+
+    /// Visits each `(shard, batch row, shard-local id)` of `nodes`, in
+    /// batch order. A shard sees its own nodes in batch order, which is
+    /// all its LRU depends on.
+    fn for_each(&self, nodes: &[NodeId], mut visit: impl FnMut(&mut TierShard, usize, NodeId)) {
+        let mut shards = self.shards.borrow_mut();
+        for (bi, &node) in nodes.iter().enumerate() {
+            let (s, local) = locate(node, shards.len());
+            visit(&mut shards[s], bi, local);
+        }
+    }
+
+    /// Builds the batched attention view for `nodes` as of `now`.
+    /// Bitwise identical to the flat [`MailboxStore::read_batch`] on
+    /// equal logical state.
     pub fn read_batch(&self, nodes: &[NodeId], now: Time) -> MailboxView {
-        self.store.read_batch(nodes, now)
+        let (b, slots) = (nodes.len(), self.store.slots);
+        let mut mails = Tensor::zeros(b * slots, self.store.dim);
+        let mut lens = vec![0usize; b];
+        let mut ages = vec![0.0f32; b * slots];
+        self.for_each(nodes, |sub, bi, local| {
+            lens[bi] = sub.read_mailbox_into(local, now, bi, &mut mails, &mut ages);
+        });
+        MailboxView { mails, lens, ages }
     }
 
-    /// See [`ShardedMailboxStore::embedding_batch`].
+    /// Gathers `z(t−)` for a batch into a `[B × d]` matrix (zeros for
+    /// nodes a shard has not grown to yet), matching the flat store.
     pub fn embedding_batch(&self, nodes: &[NodeId]) -> Tensor {
-        self.store.embedding_batch(nodes)
+        let mut out = Tensor::zeros(nodes.len(), self.store.dim);
+        self.for_each(nodes, |sub, bi, local| {
+            sub.copy_embedding_into(local, out.row_slice_mut(bi));
+        });
+        out
     }
 
-    /// See [`ShardedMailboxStore::set_embeddings`]. Safe under the
-    /// shared gate: per-shard mutexes order concurrent writers.
+    /// Stores new embeddings for `nodes` (rows of `z`) at time `t`.
     pub fn set_embeddings(&self, nodes: &[NodeId], z: &Tensor, t: Time) {
-        self.store.set_embeddings(nodes, z, t);
-    }
-}
-
-impl MailboxRead for SyncGuard<'_> {
-    fn read_batch(&self, nodes: &[NodeId], now: Time) -> MailboxView {
-        SyncGuard::read_batch(self, nodes, now)
+        assert_eq!(z.rows(), nodes.len(), "row count mismatch");
+        assert_eq!(z.cols(), self.store.dim, "embedding width mismatch");
+        self.for_each(nodes, |sub, bi, local| {
+            sub.set_embedding(local, z.row_slice(bi), t);
+        });
     }
 
-    fn embedding_batch(&self, nodes: &[NodeId]) -> Tensor {
-        SyncGuard::embedding_batch(self, nodes)
-    }
-}
-
-/// One locked shard, addressed by global node id.
-pub struct ShardGuard<'a> {
-    guard: MutexGuard<'a, TierShard>,
-    shard: usize,
-    num_shards: usize,
-}
-
-impl ShardGuard<'_> {
-    /// Delivers one reduced mail to `node` (which must map to this
-    /// shard) — same semantics as [`MailboxStore::deliver`].
+    /// Delivers one reduced mail to `node` — same semantics as
+    /// [`MailboxStore::deliver`].
     pub fn deliver(&mut self, node: NodeId, mail: &[f32], t: Time, origin: MailOrigin) {
-        debug_assert_eq!(node as usize % self.num_shards, self.shard);
-        self.guard
-            .deliver(node / self.num_shards as NodeId, mail, t, origin);
+        let (s, local) = locate(node, self.store.num_shards);
+        self.shards.get_mut()[s].deliver(local, mail, t, origin);
     }
 
     /// Splices one *late* mail into `node`'s already-committed mailbox —
     /// same semantics as [`MailboxStore::patch_late`].
     pub fn patch_late(&mut self, node: NodeId, mail: &[f32], t: Time, origin: MailOrigin) {
-        debug_assert_eq!(node as usize % self.num_shards, self.shard);
-        self.guard
-            .patch_late(node / self.num_shards as NodeId, mail, t, origin);
+        let (s, local) = locate(node, self.store.num_shards);
+        self.shards.get_mut()[s].patch_late(local, mail, t, origin);
     }
-}
 
-/// All shards locked for a consistent read, addressed by global ids.
-/// A pure inspection surface: cold mailboxes are decoded from their
-/// records without promoting them, so looking never changes residency.
-pub struct StoreReadGuard<'a> {
-    _gate: RwLockReadGuard<'a, ()>,
-    guards: Vec<MutexGuard<'a, TierShard>>,
-}
+    /// The shards themselves, for the propagation apply's fan-out.
+    pub(crate) fn shards_mut(&mut self) -> &mut [TierShard] {
+        self.shards.get_mut()
+    }
 
-impl StoreReadGuard<'_> {
-    fn locate(&self, node: NodeId) -> (usize, NodeId) {
-        let s = self.guards.len();
-        (node as usize % s, node / s as NodeId)
+    /// Runs `f` on the shard holding `node` and its local id there.
+    fn peek<R>(&self, node: NodeId, f: impl FnOnce(&TierShard, NodeId) -> R) -> R {
+        let (s, local) = locate(node, self.store.num_shards);
+        f(&self.shards.borrow()[s], local)
     }
 
     /// Number of valid mails in `node`'s mailbox (0 if never grown).
     pub fn len(&self, node: NodeId) -> usize {
-        let (shard, local) = self.locate(node);
-        self.guards[shard].peek_len(local)
+        self.peek(node, TierShard::peek_len)
     }
 
     /// Whether `node`'s mailbox holds no mail.
@@ -441,19 +362,27 @@ impl StoreReadGuard<'_> {
     /// `(payload, time, origin)` triples (a cold mailbox has no
     /// in-memory slots to borrow from).
     pub fn mails_of(&self, node: NodeId) -> Vec<(Vec<f32>, Time, MailOrigin)> {
-        let (shard, local) = self.locate(node);
-        self.guards[shard].peek_mails_of(local)
+        self.peek(node, TierShard::peek_mails_of)
     }
 
     /// Node count the equivalent flat store would report.
     pub fn num_nodes(&self) -> usize {
-        flat_node_count(&self.guards)
+        flat_node_count(&self.shards.borrow())
     }
 
     /// When `node` last received a new embedding (0 if never grown).
     pub fn last_update(&self, node: NodeId) -> Time {
-        let (shard, local) = self.locate(node);
-        self.guards[shard].peek_last_update(local)
+        self.peek(node, TierShard::peek_last_update)
+    }
+}
+
+impl MailboxRead for StoreGuard<'_> {
+    fn read_batch(&self, nodes: &[NodeId], now: Time) -> MailboxView {
+        StoreGuard::read_batch(self, nodes, now)
+    }
+
+    fn embedding_batch(&self, nodes: &[NodeId]) -> Tensor {
+        StoreGuard::embedding_batch(self, nodes)
     }
 }
 
@@ -529,27 +458,25 @@ mod tests {
             let node = (t * 13 + 5) % 29;
             let mail = [t as f32, 1.0, -0.25 * t as f32, 0.5];
             flat.deliver(node, &mail, t as f64, MailOrigin::default());
-            sharded.lock_shard(sharded.shard_of(node)).deliver(
-                node,
-                &mail,
-                t as f64,
-                MailOrigin::default(),
-            );
+            sharded
+                .sync_view()
+                .deliver(node, &mail, t as f64, MailOrigin::default());
             if t % 3 == 0 {
                 let probe = [node, (node + 11) % 29, 200];
+                let view = sharded.sync_view();
                 let a = flat.read_batch(&probe, t as f64 + 1.0);
-                let b = ShardedMailboxStore::read_batch(&sharded, &probe, t as f64 + 1.0);
+                let b = view.read_batch(&probe, t as f64 + 1.0);
                 assert_eq!(a.lens, b.lens);
                 assert_eq!(a.mails.data(), b.mails.data());
                 assert_eq!(a.ages, b.ages);
                 let za = flat.embedding_batch(&probe);
-                let zb = ShardedMailboxStore::embedding_batch(&sharded, &probe);
+                let zb = view.embedding_batch(&probe);
                 assert_eq!(za.data(), zb.data());
             }
             if t % 7 == 0 {
                 let z = Tensor::from_rows(&[&[t as f32, 0.0, 1.0, 2.0]]);
                 flat.set_embeddings(&[node], &z, t as f64);
-                sharded.set_embeddings(&[node], &z, t as f64);
+                sharded.sync_view().set_embeddings(&[node], &z, t as f64);
             }
         }
         assert_eq!(snapshot_bytes(&sharded.to_flat()), snapshot_bytes(&flat));
@@ -568,7 +495,7 @@ mod tests {
         let record_len = 4 + MailboxStore::node_payload_bytes(slots, dim) as u64 + 8;
         let stats = sharded.tier_stats();
         for node in 0..8u32 {
-            sharded.lock_shard(sharded.shard_of(node)).deliver(
+            sharded.sync_view().deliver(
                 node,
                 &[node as f32; 4],
                 f64::from(node),
@@ -583,7 +510,7 @@ mod tests {
         // other mailbox, so the gauge ends where it started — it never
         // accumulates superseded records
         for node in 0..6u32 {
-            let _ = ShardedMailboxStore::read_batch(&sharded, &[node], 9.0);
+            let _ = sharded.sync_view().read_batch(&[node], 9.0);
         }
         assert_eq!(stats.promotions.load(Relaxed), 6);
         assert_eq!(stats.evictions.load(Relaxed), 12);
@@ -597,7 +524,7 @@ mod tests {
         let stats = sharded.tier_stats();
         let before = stats.promotions.load(std::sync::atomic::Ordering::Relaxed);
         {
-            let guard = sharded.read();
+            let guard = sharded.sync_view();
             for n in 0..flat.num_nodes() as NodeId {
                 assert_eq!(guard.len(n), flat.read_batch(&[n], 0.0).lens[0], "node {n}");
                 assert_eq!(guard.last_update(n), flat.last_update(n));
@@ -628,15 +555,12 @@ mod tests {
         for (node, t) in [(2u32, 1.0f64), (17, 2.0), (9, 3.0), (30, 4.0)] {
             let mail = [t as f32, 0.0];
             flat.deliver(node, &mail, t, MailOrigin::default());
-            sharded.lock_shard(sharded.shard_of(node)).deliver(
-                node,
-                &mail,
-                t,
-                MailOrigin::default(),
-            );
+            sharded
+                .sync_view()
+                .deliver(node, &mail, t, MailOrigin::default());
         }
         assert_eq!(snapshot_bytes(&sharded.to_flat()), snapshot_bytes(&flat));
-        assert_eq!(sharded.read().num_nodes(), flat.num_nodes());
+        assert_eq!(sharded.sync_view().num_nodes(), flat.num_nodes());
     }
 
     #[test]
@@ -646,15 +570,12 @@ mod tests {
         for (node, t) in [(2u32, 1.0f64), (17, 2.0), (9, 3.0), (30, 4.0)] {
             let mail = [t as f32, 0.0];
             flat.deliver(node, &mail, t, MailOrigin::default());
-            sharded.lock_shard(sharded.shard_of(node)).deliver(
-                node,
-                &mail,
-                t,
-                MailOrigin::default(),
-            );
+            sharded
+                .sync_view()
+                .deliver(node, &mail, t, MailOrigin::default());
         }
         assert_eq!(snapshot_bytes(&sharded.to_flat()), snapshot_bytes(&flat));
-        assert_eq!(sharded.read().num_nodes(), flat.num_nodes());
+        assert_eq!(sharded.sync_view().num_nodes(), flat.num_nodes());
     }
 
     #[test]
@@ -662,15 +583,15 @@ mod tests {
         let flat = seeded_flat(8);
         let sharded = ShardedMailboxStore::from_flat(&flat, 4);
         let nodes: Vec<NodeId> = vec![3, 100, 11, 0, 22, 3];
+        let guard = sharded.sync_view();
         let a = flat.read_batch(&nodes, 50.0);
-        let b = ShardedMailboxStore::read_batch(&sharded, &nodes, 50.0);
+        let b = guard.read_batch(&nodes, 50.0);
         assert_eq!(a.lens, b.lens);
         assert_eq!(a.mails.data(), b.mails.data());
         assert_eq!(a.ages, b.ages);
         let za = flat.embedding_batch(&nodes);
-        let zb = ShardedMailboxStore::embedding_batch(&sharded, &nodes);
+        let zb = guard.embedding_batch(&nodes);
         assert_eq!(za.data(), zb.data());
-        let guard = sharded.read();
         for &n in &nodes {
             assert_eq!(guard.len(n), flat.read_batch(&[n], 0.0).lens[0]);
         }
@@ -683,7 +604,7 @@ mod tests {
         let nodes: Vec<NodeId> = vec![1, 40, 7];
         let z = Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[5.0; 4], &[-1.0; 4]]);
         flat.set_embeddings(&nodes, &z, 99.0);
-        sharded.set_embeddings(&nodes, &z, 99.0);
+        sharded.sync_view().set_embeddings(&nodes, &z, 99.0);
         assert_eq!(snapshot_bytes(&sharded.to_flat()), snapshot_bytes(&flat));
     }
 

@@ -69,9 +69,9 @@ pub struct TierStats {
     /// (evict / promote / cold read) record spans through it. Unset =
     /// dormant: span helpers bail on one load, no clock read.
     obs: OnceLock<ObsHub>,
-    /// Trace id of the request currently driving tier traffic (set by
-    /// the sync path and the propagation worker). Best-effort
-    /// attribution: concurrent sync reads and deliveries share the cell.
+    /// Trace id of the request currently driving tier traffic. Written
+    /// only by the store-lock holder ([`crate::shard::StoreGuard::set_trace`]),
+    /// the one party that can cause tier traffic while it holds the lock.
     trace: AtomicU64,
 }
 
@@ -84,7 +84,7 @@ impl TierStats {
     }
 
     /// Tags subsequent tier spans with `trace_id` (0 = untraced).
-    pub fn set_trace(&self, trace_id: u64) {
+    pub(crate) fn set_trace(&self, trace_id: u64) {
         if self.obs.get().is_some() {
             self.trace.store(trace_id, Ordering::Relaxed);
         }
@@ -151,7 +151,8 @@ const SPILL_FILE: &str = "mailboxes.spill";
 /// `g × record_len`. It holds no index — whether a node's record is
 /// live is the owning shard's [`Residence`] entry — so it is shared
 /// lock-free: positioned I/O on `&File` is thread-safe, and a shard
-/// (under its own mutex) only ever touches its own nodes' offsets.
+/// only ever touches its own nodes' offsets, so the apply's pool tasks,
+/// each owning different shards, never write the same bytes.
 pub(crate) struct ColdFile {
     file: File,
     path: PathBuf,
@@ -442,8 +443,8 @@ impl TierState {
 /// non-promoting [`Self::peek`] — and every operation goes through one
 /// of them.
 ///
-/// All methods address *shard-local* node ids; the sharded store's
-/// guards translate global ids before calling in.
+/// All methods address *shard-local* node ids; the store guard and the
+/// propagation apply translate global ids before calling in.
 pub(crate) struct TierShard {
     hot: MailboxStore,
     tier: Option<TierState>,

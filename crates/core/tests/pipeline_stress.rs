@@ -69,7 +69,7 @@ fn state_visible_after_flush() {
     pipeline.infer_batch(&batch, &feats);
     pipeline.flush();
     let store = pipeline.store();
-    let s = store.read();
+    let s = store.sync_view();
     // every endpoint received at least its own interaction's mail
     for i in &batch {
         assert!(!s.is_empty(i.src) || !s.is_empty(i.dst));
@@ -93,7 +93,7 @@ fn growing_node_space_is_handled() {
     let r = pipeline.infer_batch(&batch, &feats);
     assert_eq!(r.scores.len(), 1);
     pipeline.flush();
-    assert!(!pipeline.store().read().is_empty(1000));
+    assert!(!pipeline.store().sync_view().is_empty(1000));
 }
 
 #[test]

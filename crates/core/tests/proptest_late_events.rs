@@ -116,7 +116,7 @@ proptest! {
                 update
             );
 
-            // sharded stores, same discipline through the shard guards
+            // sharded stores, same discipline through the store guard
             for shards in [1usize, 2, 4] {
                 let empty = MailboxStore::new(NODES as usize, slots, dim, update);
                 let sharded = ShardedMailboxStore::from_flat(&empty, shards);
@@ -124,7 +124,7 @@ proptest! {
                 for (arrival, &(node, t, seed)) in stream.iter().enumerate() {
                     let t = t as f64;
                     let mail = payload(seed, dim);
-                    let mut guard = sharded.lock_shard(sharded.shard_of(node));
+                    let mut guard = sharded.sync_view();
                     if t >= max_t {
                         guard.deliver(node, &mail, t, origin(arrival, node));
                         drop(guard);

@@ -158,10 +158,15 @@ proptest! {
         prop_assert_eq!(flat_cost, ref_cost);
         prop_assert_eq!(snapshot_bytes(&flat_store), ref_snap.clone());
 
-        // 3. sharded parallel apply, at several shard counts
-        for shards in [1usize, 2, 4, 8, DEFAULT_SHARDS] {
+        // 3. sharded parallel apply, at several shard counts, all-resident
+        // and with every shard spilling through one hot slot
+        for (shards, budget) in [1usize, 2, 4, 8, DEFAULT_SHARDS]
+            .into_iter()
+            .flat_map(|s| [(s, None), (s, Some(0))])
+        {
             let empty = MailboxStore::new(NODES as usize, slots, dim, update);
-            let sharded = ShardedMailboxStore::from_flat(&empty, shards);
+            let sharded = ShardedMailboxStore::from_flat_tiered(&empty, shards, budget, None)
+                .expect("open cold tier");
             let mut cost = QueryCost::new();
             let mut scratch = PropScratch::default();
             let mut plan = DeliveryPlan::default();
@@ -172,8 +177,9 @@ proptest! {
             prop_assert_eq!(
                 snapshot_bytes(&sharded.to_flat()),
                 ref_snap.clone(),
-                "shards={} threads={}",
+                "shards={} budget={:?} threads={}",
                 shards,
+                budget,
                 threads
             );
         }

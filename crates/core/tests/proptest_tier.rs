@@ -111,7 +111,7 @@ proptest! {
                     let m = mail(*value);
                     let o = origin(*node, tick);
                     oracle.deliver(*node, &m, t, o);
-                    tiered.lock_shard(tiered.shard_of(*node)).deliver(*node, &m, t, o);
+                    tiered.sync_view().deliver(*node, &m, t, o);
                 }
                 Op::PatchLate { node, value, back } => {
                     // a late time inside the already-committed range
@@ -119,31 +119,29 @@ proptest! {
                     let m = mail(*value);
                     let o = origin(*node, tick);
                     oracle.patch_late(*node, &m, late_t, o);
-                    tiered
-                        .lock_shard(tiered.shard_of(*node))
-                        .patch_late(*node, &m, late_t, o);
+                    tiered.sync_view().patch_late(*node, &m, late_t, o);
                 }
                 Op::SetEmbedding { node, value } => {
                     t += 1.0;
                     let row: Vec<f32> = (0..DIM).map(|i| value + i as f32).collect();
                     let z = Tensor::from_rows(&[&row]);
                     oracle.set_embeddings(&[*node], &z, t);
-                    tiered.set_embeddings(&[*node], &z, t);
+                    tiered.sync_view().set_embeddings(&[*node], &z, t);
                 }
                 Op::Read { node } => {
                     // batch views (the serving encoder's read surface)
+                    let guard = tiered.sync_view();
                     let want = oracle.read_batch(&[*node], t + 1.0);
-                    let got = tiered.read_batch(&[*node], t + 1.0);
+                    let got = guard.read_batch(&[*node], t + 1.0);
                     prop_assert_eq!(&got.lens, &want.lens);
                     prop_assert_eq!(got.mails.data(), want.mails.data());
                     prop_assert_eq!(&got.ages, &want.ages);
-                    let ze = tiered.embedding_batch(&[*node]);
+                    let ze = guard.embedding_batch(&[*node]);
                     let zw = oracle.embedding_batch(&[*node]);
                     prop_assert_eq!(ze.data(), zw.data());
                     // inspection views (must not disturb the stream);
                     // an ungrown node reads as empty on both stores,
                     // but the flat accessors only accept grown ids
-                    let guard = tiered.read();
                     if (*node as usize) < oracle.num_nodes() {
                         prop_assert_eq!(guard.len(*node), oracle.len(*node));
                         prop_assert_eq!(guard.last_update(*node), oracle.last_update(*node));

@@ -1,6 +1,6 @@
 //! `APAN_MAILBOX_SHARDS` is capped at `MAX_SHARDS`: an absurd value
 //! boots a pipeline with `MAX_SHARDS` shards instead of trying to
-//! allocate billions of shard mutexes.
+//! allocate billions of shard stores.
 //!
 //! Its own test binary, so the variable is set before anything in the
 //! process reads it.

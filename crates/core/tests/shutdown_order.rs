@@ -81,7 +81,7 @@ fn drop_with_full_channel_flushes_pending_propagation() {
     );
 
     // And the flush was not a no-op on state: mail reached mailboxes.
-    let s = store.read();
+    let s = store.sync_view();
     let delivered: usize = (0..NUM_NODES).map(|n| s.mails_of(n).len()).sum();
     assert!(
         delivered > 0,

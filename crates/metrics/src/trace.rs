@@ -252,7 +252,8 @@ pub enum Stage {
     Admit,
     /// Time a request sat in the ingress queue before its batch closed.
     BatchWait,
-    /// Mailbox read + attention encoder forward.
+    /// Mailbox read + attention encoder forward + embedding write-back:
+    /// the synchronous link's one hold of the mailbox store lock.
     Encode,
     /// Link-decoder forward + sigmoid scoring.
     DecodeScore,
