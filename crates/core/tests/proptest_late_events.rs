@@ -26,6 +26,7 @@
 //!    guarantee is exact only where neighborhoods don't straddle the
 //!    window (see DESIGN.md).
 
+use apan_check::check;
 use apan_core::config::{MailReduce, MailboxUpdate};
 use apan_core::mailbox::{MailOrigin, MailboxStore};
 use apan_core::propagator::{DeliveryPlan, Interaction, PropScratch, Propagator};
@@ -33,7 +34,6 @@ use apan_core::shard::ShardedMailboxStore;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::TemporalGraph;
-use proptest::prelude::*;
 
 fn snapshot_bytes(store: &MailboxStore) -> Vec<u8> {
     let mut out = Vec::new();
@@ -53,17 +53,15 @@ fn payload(seed: u8, dim: usize) -> Vec<f32> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Layer 1: `patch_late` splices are bitwise equivalent to the
-    /// time-sorted replay, flat and sharded.
-    #[test]
-    fn late_patches_equal_time_sorted_delivery(
-        stream in proptest::collection::vec((0u32..NODES, 0u8..12, 0u8..64), 1..24),
-        dim in 1usize..4,
-        slots in 1usize..4,
-    ) {
+/// Layer 1: `patch_late` splices are bitwise equivalent to the
+/// time-sorted replay, flat and sharded.
+#[test]
+fn late_patches_equal_time_sorted_delivery() {
+    check(48, |g| {
+        let (dim, slots) = (g.range(1usize..4), g.range(1usize..4));
+        let stream: Vec<RawMail> = g.vec(1..24, |g| {
+            (g.range(0..NODES), g.range(0u8..12), g.range(0u8..64))
+        });
         // stable sort: arrival order breaks timestamp ties, exactly the
         // tie rule patch_late implements
         let mut sorted: Vec<(usize, &RawMail)> = stream.iter().enumerate().collect();
@@ -109,11 +107,10 @@ proptest! {
                     flat.patch_late(node, &mail, t, origin(arrival, node));
                 }
             }
-            prop_assert_eq!(
+            assert_eq!(
                 snapshot_bytes(&flat),
-                want.clone(),
-                "flat patching diverged (update {:?})",
-                update
+                want,
+                "flat patching diverged (update {update:?})"
             );
 
             // sharded stores, same discipline through the store guard
@@ -133,16 +130,14 @@ proptest! {
                         guard.patch_late(node, &mail, t, origin(arrival, node));
                     }
                 }
-                prop_assert_eq!(
+                assert_eq!(
                     snapshot_bytes(&sharded.to_flat()),
-                    want.clone(),
-                    "sharded patching diverged (update {:?}, shards {})",
-                    update,
-                    shards
+                    want,
+                    "sharded patching diverged (update {update:?}, shards {shards})"
                 );
             }
         }
-    }
+    });
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -151,27 +146,30 @@ enum Kind {
     Late,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Layer 2: the full insert-at-arrival / patch-at-release discipline
-    /// reproduces the time-sorted serial recompute of the admitted
-    /// stream, bitwise, at every shard count.
-    #[test]
-    fn messy_ingestion_equals_serial_recompute_of_admitted_stream(
-        raw in proptest::collection::vec(
-            (any::<bool>(), 0u8..8, 0u8..8, 0u8..8, 0u8..64),
-            1..20,
-        ),
-        window in 1u8..6,
-        dim in 1usize..3,
-        slots in 1usize..4,
-        sampled in 1usize..3,
-        hops in 1usize..3,
-        self_flag in 0u8..2,
-        reduce_sel in 0u8..3,
-        overwrite_flag in 0u8..2,
-    ) {
+/// Layer 2: the full insert-at-arrival / patch-at-release discipline
+/// reproduces the time-sorted serial recompute of the admitted
+/// stream, bitwise, at every shard count.
+#[test]
+fn messy_ingestion_equals_serial_recompute_of_admitted_stream() {
+    check(32, |g| {
+        let window = g.range(1u8..6);
+        let dim = g.range(1usize..3);
+        let slots = g.range(1usize..4);
+        let sampled = g.range(1usize..3);
+        let hops = g.range(1usize..3);
+        let self_flag = g.range(0u8..2);
+        let reduce_sel = g.range(0u8..3);
+        let overwrite_flag = g.range(0u8..2);
+        let raw = g.vec(1..20, |g| {
+            let is_late = g.bool();
+            (
+                is_late,
+                g.range(0u8..8),
+                g.range(0u8..8),
+                g.range(0u8..8),
+                g.range(0u8..64),
+            )
+        });
         let lateness = window as f64;
 
         // Admission replay: in-order events ride node pool 0..8 and
@@ -188,7 +186,12 @@ proptest! {
                 wm = t;
                 arrivals.push((
                     Kind::InOrder,
-                    Interaction { src: src as u32, dst: dst as u32, time: t, eid: 0 },
+                    Interaction {
+                        src: src as u32,
+                        dst: dst as u32,
+                        time: t,
+                        eid: 0,
+                    },
                     seed,
                 ));
             } else {
@@ -212,9 +215,7 @@ proptest! {
         // caller's stream positions: assign them by *time-sorted*
         // position so both runs stamp identical origins.
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by(|&a, &b| {
-            arrivals[a].1.time.partial_cmp(&arrivals[b].1.time).unwrap()
-        });
+        order.sort_by(|&a, &b| arrivals[a].1.time.partial_cmp(&arrivals[b].1.time).unwrap());
         for (rank, &idx) in order.iter().enumerate() {
             arrivals[idx].1.eid = rank as u32;
         }
@@ -242,7 +243,14 @@ proptest! {
                        plan: &mut DeliveryPlan,
                        cost: &mut QueryCost| {
             let mails = Tensor::from_vec(1, dim, payload(seed, dim));
-            prop.plan_batch(graph, std::slice::from_ref(inter), &mails, cost, scratch, plan);
+            prop.plan_batch(
+                graph,
+                std::slice::from_ref(inter),
+                &mails,
+                cost,
+                scratch,
+                plan,
+            );
         };
 
         // serial reference: the admitted stream replayed in time order
@@ -285,9 +293,8 @@ proptest! {
                     Kind::Late => {
                         // splice at arrival, deliver at release
                         graph.insert_late(inter.src, inter.dst, inter.time);
-                        let at = buf.partition_point(|&(t, a, _, _)| {
-                            (t, a) <= (inter.time, arrival)
-                        });
+                        let at =
+                            buf.partition_point(|&(t, a, _, _)| (t, a) <= (inter.time, arrival));
                         buf.insert(at, (inter.time, arrival, *inter, *seed));
                     }
                 }
@@ -303,13 +310,12 @@ proptest! {
                 run_one(&graph, &inter, seed, &mut scratch, &mut plan, &mut cost);
                 deliveries += plan.apply_sharded_late(&store);
             }
-            prop_assert_eq!(deliveries, ref_deliveries, "shards={}", shards);
-            prop_assert_eq!(
+            assert_eq!(deliveries, ref_deliveries, "shards={shards}");
+            assert_eq!(
                 snapshot_bytes(&store.to_flat()),
-                want.clone(),
-                "messy ingestion diverged from the serial recompute (shards {})",
-                shards
+                want,
+                "messy ingestion diverged from the serial recompute (shards {shards})"
             );
         }
-    }
+    });
 }

@@ -2,29 +2,33 @@
 //! checked against a plain `VecDeque` reference model under arbitrary
 //! operation sequences.
 
+use apan_check::{check, Gen};
 use apan_core::config::MailboxUpdate;
 use apan_core::mailbox::{MailOrigin, MailboxStore};
-use proptest::prelude::*;
 use std::collections::VecDeque;
 
-#[derive(Clone, Debug)]
 enum Op {
     Deliver { node: u8, value: f32 },
     Read { node: u8 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..6, -10.0f32..10.0).prop_map(|(node, value)| Op::Deliver { node, value }),
-        (0u8..6).prop_map(|node| Op::Read { node }),
-    ]
+fn op(g: &mut Gen) -> Op {
+    let node = g.range(0u8..6);
+    if g.bool() {
+        Op::Deliver {
+            node,
+            value: g.range(-10.0f32..10.0),
+        }
+    } else {
+        Op::Read { node }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn fifo_matches_vecdeque_model(ops in proptest::collection::vec(op_strategy(), 1..200), slots in 1usize..6) {
+#[test]
+fn fifo_matches_vecdeque_model() {
+    check(128, |g| {
+        let slots = g.range(1usize..6);
+        let ops = g.vec(1..200, op);
         let dim = 3;
         let mut store = MailboxStore::new(6, slots, dim, MailboxUpdate::Fifo);
         let mut model: Vec<VecDeque<(f32, f64)>> = vec![VecDeque::new(); 6];
@@ -44,10 +48,10 @@ proptest! {
                 Op::Read { node } => {
                     let got = store.mails_of(*node as u32);
                     let expect = &model[*node as usize];
-                    prop_assert_eq!(got.len(), expect.len());
+                    assert_eq!(got.len(), expect.len());
                     for ((payload, time, _), (ev, et)) in got.iter().zip(expect.iter()) {
-                        prop_assert_eq!(payload[0], *ev);
-                        prop_assert_eq!(*time, *et);
+                        assert_eq!(payload[0], *ev);
+                        assert_eq!(*time, *et);
                     }
                 }
             }
@@ -55,17 +59,18 @@ proptest! {
 
         // final invariants
         for node in 0..6u32 {
-            prop_assert!(store.len(node) <= slots);
+            assert!(store.len(node) <= slots);
             let mails = store.mails_of(node);
             // timestamps monotone oldest → newest
-            prop_assert!(mails.windows(2).all(|w| w[0].1 <= w[1].1));
+            assert!(mails.windows(2).all(|w| w[0].1 <= w[1].1));
         }
-    }
+    });
+}
 
-    #[test]
-    fn read_batch_consistent_with_mails_of(
-        deliveries in proptest::collection::vec((0u8..4, -5.0f32..5.0), 0..60),
-    ) {
+#[test]
+fn read_batch_consistent_with_mails_of() {
+    check(128, |g| {
+        let deliveries = g.vec(0..60, |g| (g.range(0u8..4), g.range(-5.0f32..5.0)));
         let slots = 3;
         let mut store = MailboxStore::new(4, slots, 2, MailboxUpdate::Fifo);
         let mut t = 0.0;
@@ -77,24 +82,29 @@ proptest! {
         let view = store.read_batch(&nodes, t + 1.0);
         for (bi, &node) in nodes.iter().enumerate() {
             let mails = store.mails_of(node);
-            prop_assert_eq!(view.lens[bi], mails.len());
+            assert_eq!(view.lens[bi], mails.len());
             for (slot, (payload, time, _)) in mails.iter().enumerate() {
                 let row = view.mails.row_slice(bi * slots + slot);
-                prop_assert_eq!(row, *payload);
+                assert_eq!(row, *payload);
                 let age = view.ages[bi * slots + slot];
-                prop_assert!((age as f64 - (t + 1.0 - time)).abs() < 1e-6);
+                assert!((age as f64 - (t + 1.0 - time)).abs() < 1e-6);
             }
             // padding rows are zero
             for slot in mails.len()..slots {
-                prop_assert!(view.mails.row_slice(bi * slots + slot).iter().all(|&v| v == 0.0));
+                assert!(view
+                    .mails
+                    .row_slice(bi * slots + slot)
+                    .iter()
+                    .all(|&v| v == 0.0));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn overwrite_mode_keeps_exactly_last(
-        deliveries in proptest::collection::vec(-5.0f32..5.0, 1..30),
-    ) {
+#[test]
+fn overwrite_mode_keeps_exactly_last() {
+    check(128, |g| {
+        let deliveries = g.vec(1..30, |g| g.range(-5.0f32..5.0));
         let mut store = MailboxStore::new(1, 4, 2, MailboxUpdate::Overwrite);
         let mut t = 0.0;
         for v in &deliveries {
@@ -102,7 +112,7 @@ proptest! {
             store.deliver(0, &[*v; 2], t, MailOrigin::default());
         }
         let mails = store.mails_of(0);
-        prop_assert_eq!(mails.len(), 1);
-        prop_assert_eq!(mails[0].0[0], *deliveries.last().unwrap());
-    }
+        assert_eq!(mails.len(), 1);
+        assert_eq!(mails[0].0[0], *deliveries.last().unwrap());
+    });
 }

@@ -9,6 +9,7 @@
 //! One deterministic case adds what the small random graphs cannot: the
 //! default shard count on a realistic 200-event batch.
 
+use apan_check::{check, Gen};
 use apan_core::config::{ApanConfig, MailReduce, MailboxUpdate};
 use apan_core::mail::reduce_mails;
 use apan_core::mailbox::{MailOrigin, MailboxStore};
@@ -20,7 +21,6 @@ use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::sampling::{sample_khop, Strategy as SampleStrategy};
 use apan_tgraph::{NodeId, TemporalGraph, Time};
-use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// The pre-parallel serial propagator, kept as the differential oracle.
@@ -88,23 +88,23 @@ fn snapshot_bytes(store: &MailboxStore) -> Vec<u8> {
 
 const NODES: u32 = 10;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// `(src, dst, time step)`.
+fn event(g: &mut Gen) -> (u32, u32, f64) {
+    (g.range(0..NODES), g.range(0..NODES), g.range(0.0f64..1.0))
+}
 
-    #[test]
-    fn sharded_parallel_propagation_is_bitwise_serial(
-        history in proptest::collection::vec((0u32..NODES, 0u32..NODES, 0.0f64..1.0), 0..24),
-        raw_batch in proptest::collection::vec((0u32..NODES, 0u32..NODES, 0.0f64..1.0), 0..6),
-        mail_vals in proptest::collection::vec(-8.0f32..8.0, 24usize..25),
-        dim in 1usize..4,
-        slots in 1usize..4,
-        sampled in 0usize..4,
-        hops in 0usize..3,
-        self_flag in 0u8..2,
-        reduce_sel in 0u8..3,
-        update_sel in 0u8..3,
-        threads in 1usize..5,
-    ) {
+#[test]
+fn sharded_parallel_propagation_is_bitwise_serial() {
+    check(48, |g| {
+        let (dim, slots) = (g.range(1usize..4), g.range(1usize..4));
+        let (sampled, hops) = (g.range(0usize..4), g.range(0usize..3));
+        let self_flag = g.range(0u8..2);
+        let reduce_sel = g.range(0u8..3);
+        let update_sel = g.range(0u8..3);
+        let threads = g.range(1usize..5);
+        let history = g.vec(0..24, event);
+        let raw_batch = g.vec(0..6, event);
+        let mail_vals = g.vec(24..25, |g| g.range(-8.0f32..8.0));
         // worker-pool width under test; the pool is process-global, and
         // every case (and both apply paths within it) must agree bitwise
         set_num_threads(threads);
@@ -121,20 +121,31 @@ proptest! {
             .enumerate()
             .map(|(i, (src, dst, dt))| {
                 t += dt + 1e-3;
-                Interaction { src: *src, dst: *dst, time: t, eid: i as u32 }
+                Interaction {
+                    src: *src,
+                    dst: *dst,
+                    time: t,
+                    eid: i as u32,
+                }
             })
             .collect();
         let mails = Tensor::from_vec(
             batch.len(),
             dim,
-            (0..batch.len() * dim).map(|i| mail_vals[i % mail_vals.len()]).collect(),
+            (0..batch.len() * dim)
+                .map(|i| mail_vals[i % mail_vals.len()])
+                .collect(),
         );
 
         let prop = Propagator {
             sampled_neighbors: sampled,
             hops,
             deliver_to_self: self_flag == 1,
-            reduce: match reduce_sel { 0 => MailReduce::Last, 1 => MailReduce::Sum, _ => MailReduce::Mean },
+            reduce: match reduce_sel {
+                0 => MailReduce::Last,
+                1 => MailReduce::Sum,
+                _ => MailReduce::Mean,
+            },
         };
         let update = match update_sel {
             0 => MailboxUpdate::Fifo,
@@ -154,9 +165,9 @@ proptest! {
         let mut flat_cost = QueryCost::new();
         let flat_deliveries =
             prop.propagate_batch(&graph, &mut flat_store, &batch, &mails, &mut flat_cost);
-        prop_assert_eq!(flat_deliveries, ref_deliveries);
-        prop_assert_eq!(flat_cost, ref_cost);
-        prop_assert_eq!(snapshot_bytes(&flat_store), ref_snap.clone());
+        assert_eq!(flat_deliveries, ref_deliveries);
+        assert_eq!(flat_cost, ref_cost);
+        assert_eq!(snapshot_bytes(&flat_store), ref_snap);
 
         // 3. sharded parallel apply, at several shard counts, all-resident
         // and with every shard spilling through one hot slot
@@ -172,18 +183,15 @@ proptest! {
             let mut plan = DeliveryPlan::default();
             prop.plan_batch(&graph, &batch, &mails, &mut cost, &mut scratch, &mut plan);
             let deliveries = plan.apply_sharded(&sharded);
-            prop_assert_eq!(deliveries, ref_deliveries);
-            prop_assert_eq!(cost, ref_cost);
-            prop_assert_eq!(
+            assert_eq!(deliveries, ref_deliveries);
+            assert_eq!(cost, ref_cost);
+            assert_eq!(
                 snapshot_bytes(&sharded.to_flat()),
-                ref_snap.clone(),
-                "shards={} budget={:?} threads={}",
-                shards,
-                budget,
-                threads
+                ref_snap,
+                "shards={shards} budget={budget:?} threads={threads}"
             );
         }
-    }
+    });
 }
 
 /// The last 200 events of a wiki-like stream, propagated over the whole

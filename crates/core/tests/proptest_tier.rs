@@ -7,17 +7,16 @@
 //! spills through the cold tier) and a huge budget (nothing ever
 //! evicts) must be indistinguishable from today's in-RAM store.
 
+use apan_check::{check, Gen};
 use apan_core::config::MailboxUpdate;
 use apan_core::mailbox::{MailOrigin, MailboxStore};
 use apan_core::shard::ShardedMailboxStore;
 use apan_tensor::Tensor;
-use proptest::prelude::*;
 
 const NODES: u32 = 24;
 const SLOTS: usize = 3;
 const DIM: usize = 4;
 
-#[derive(Clone, Debug)]
 enum Op {
     /// Commit-path delivery (grows the store like `ensure_node`).
     Deliver { node: u32, value: f32 },
@@ -31,39 +30,37 @@ enum Op {
     Read { node: u32 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..NODES, -8.0f32..8.0).prop_map(|(node, value)| Op::Deliver { node, value }),
-        (0..NODES, -8.0f32..8.0, 0u8..4).prop_map(|(node, value, back)| Op::PatchLate {
+fn op(g: &mut Gen) -> Op {
+    let node = g.range(0..NODES);
+    match g.range(0u8..4) {
+        0 => Op::Deliver {
             node,
-            value,
-            back
-        }),
-        (0..NODES, -8.0f32..8.0).prop_map(|(node, value)| Op::SetEmbedding { node, value }),
-        (0..NODES).prop_map(|node| Op::Read { node }),
-    ]
+            value: g.range(-8.0f32..8.0),
+        },
+        1 => Op::PatchLate {
+            node,
+            value: g.range(-8.0f32..8.0),
+            back: g.range(0u8..4),
+        },
+        2 => Op::SetEmbedding {
+            node,
+            value: g.range(-8.0f32..8.0),
+        },
+        _ => Op::Read { node },
+    }
 }
 
-fn update_strategy() -> impl Strategy<Value = MailboxUpdate> {
-    prop_oneof![
-        Just(MailboxUpdate::Fifo),
-        Just(MailboxUpdate::Overwrite),
-        Just(MailboxUpdate::ContentAddressed),
-    ]
-}
+const UPDATES: [MailboxUpdate; 3] = [
+    MailboxUpdate::Fifo,
+    MailboxUpdate::Overwrite,
+    MailboxUpdate::ContentAddressed,
+];
 
 /// The budget axis: `None` disables tiering entirely (pure delegation),
 /// `Some(0)` clamps every shard's hot pool to one mailbox (maximum
 /// churn through the cold tier), the small budget forces partial
 /// residency, and the huge budget admits the whole working set.
-fn budget_strategy() -> impl Strategy<Value = Option<u64>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(0)),
-        Just(Some(2_048)),
-        Just(Some(1 << 30)),
-    ]
-}
+const BUDGETS: [Option<u64>; 4] = [None, Some(0), Some(2_048), Some(1 << 30)];
 
 fn mail(value: f32) -> [f32; DIM] {
     [value, -value, 0.5 * value, 1.0]
@@ -83,16 +80,13 @@ fn snapshot_bytes(s: &MailboxStore) -> Vec<u8> {
     buf
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn tiered_store_is_bitwise_equal_to_the_all_resident_oracle(
-        ops in proptest::collection::vec(op_strategy(), 1..120),
-        update in update_strategy(),
-        budget in budget_strategy(),
-        num_shards in 1usize..5,
-    ) {
+#[test]
+fn tiered_store_is_bitwise_equal_to_the_all_resident_oracle() {
+    check(96, |g| {
+        let update = g.pick(&UPDATES);
+        let budget = g.pick(&BUDGETS);
+        let num_shards = g.range(1usize..5);
+        let ops = g.vec(1..120, op);
         let mut oracle = MailboxStore::new(1, SLOTS, DIM, update);
         let tiered = ShardedMailboxStore::from_flat_tiered(
             &MailboxStore::new(1, SLOTS, DIM, update),
@@ -133,30 +127,30 @@ proptest! {
                     let guard = tiered.sync_view();
                     let want = oracle.read_batch(&[*node], t + 1.0);
                     let got = guard.read_batch(&[*node], t + 1.0);
-                    prop_assert_eq!(&got.lens, &want.lens);
-                    prop_assert_eq!(got.mails.data(), want.mails.data());
-                    prop_assert_eq!(&got.ages, &want.ages);
+                    assert_eq!(&got.lens, &want.lens);
+                    assert_eq!(got.mails.data(), want.mails.data());
+                    assert_eq!(&got.ages, &want.ages);
                     let ze = guard.embedding_batch(&[*node]);
                     let zw = oracle.embedding_batch(&[*node]);
-                    prop_assert_eq!(ze.data(), zw.data());
+                    assert_eq!(ze.data(), zw.data());
                     // inspection views (must not disturb the stream);
                     // an ungrown node reads as empty on both stores,
                     // but the flat accessors only accept grown ids
                     if (*node as usize) < oracle.num_nodes() {
-                        prop_assert_eq!(guard.len(*node), oracle.len(*node));
-                        prop_assert_eq!(guard.last_update(*node), oracle.last_update(*node));
+                        assert_eq!(guard.len(*node), oracle.len(*node));
+                        assert_eq!(guard.last_update(*node), oracle.last_update(*node));
                         let got = guard.mails_of(*node);
                         let want = oracle.mails_of(*node);
-                        prop_assert_eq!(got.len(), want.len());
+                        assert_eq!(got.len(), want.len());
                         for ((gp, gt, go), (wp, wt, wo)) in got.iter().zip(want.iter()) {
-                            prop_assert_eq!(&gp[..], &wp[..]);
-                            prop_assert_eq!(gt, wt);
-                            prop_assert_eq!(go, wo);
+                            assert_eq!(&gp[..], &wp[..]);
+                            assert_eq!(gt, wt);
+                            assert_eq!(go, wo);
                         }
                     } else {
-                        prop_assert_eq!(guard.len(*node), 0);
-                        prop_assert_eq!(guard.last_update(*node), 0.0);
-                        prop_assert!(guard.mails_of(*node).is_empty());
+                        assert_eq!(guard.len(*node), 0);
+                        assert_eq!(guard.last_update(*node), 0.0);
+                        assert!(guard.mails_of(*node).is_empty());
                     }
                 }
             }
@@ -166,8 +160,8 @@ proptest! {
         // exporting force-flushes the cold tier but must not change bits
         // or observable state
         let want = snapshot_bytes(&oracle);
-        prop_assert_eq!(&snapshot_bytes(&tiered.to_flat()), &want);
-        prop_assert_eq!(&snapshot_bytes(&tiered.to_flat()), &want);
+        assert_eq!(&snapshot_bytes(&tiered.to_flat()), &want);
+        assert_eq!(&snapshot_bytes(&tiered.to_flat()), &want);
 
         // re-opening the exported state under a *different* budget and
         // shard count still reproduces the same snapshot (warm-restart
@@ -179,6 +173,6 @@ proptest! {
             None,
         )
         .expect("reopen cold tier");
-        prop_assert_eq!(&snapshot_bytes(&reopened.to_flat()), &want);
-    }
+        assert_eq!(&snapshot_bytes(&reopened.to_flat()), &want);
+    });
 }

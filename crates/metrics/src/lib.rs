@@ -35,6 +35,6 @@ pub use registry::{Counter, Registry};
 pub use summary::MeanStd;
 pub use threshold::{precision_at_k, Confusion};
 pub use trace::{
-    Histogram, HistogramSnapshot, ObsHub, Span, Stage, TraceBuffer, TraceEvent, TraceSink,
-    SPAN_KINDS, STAGES,
+    Histogram, HistogramSnapshot, ObsHub, Stage, TraceBuffer, TraceEvent, TraceSink, SPAN_KINDS,
+    STAGES,
 };

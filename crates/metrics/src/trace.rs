@@ -1,5 +1,5 @@
 //! Tracing primitives for the serving stack: a lock-free log₂
-//! [`Histogram`], per-stage [`Span`]s recorded against the injectable
+//! [`Histogram`], per-stage spans recorded against the injectable
 //! [`Clock`], and a bounded ring [`TraceSink`] that the `TRACE` verb
 //! drains as JSON lines.
 //!
@@ -16,10 +16,9 @@
 //!   hub's [`Clock`], so the simtest harness can assert that a
 //!   `batch_wait` histogram contains *exactly* the scheduled virtual
 //!   durations.
-//! * **Mergeable and exact.** A histogram is a fixed array of
-//!   power-of-two buckets; merging is element-wise addition and the
-//!   total count is always exactly the number of records (nothing is
-//!   sampled or decayed).
+//! * **Exact.** A histogram is a fixed array of power-of-two buckets,
+//!   and the total count is always exactly the number of records
+//!   (nothing is sampled or decayed).
 
 use crate::clock::Clock;
 use std::collections::VecDeque;
@@ -144,29 +143,6 @@ impl Histogram {
     /// Sum of all recorded values.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Adds every bucket of `other` into `self`. Associative and
-    /// commutative, so shard-local histograms can merge in any order.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let s = other.sum.load(Ordering::Relaxed);
-        if s > 0 {
-            self.sum.fetch_add(s, Ordering::Relaxed);
-        }
-        // Exemplars are "most recent tagged sample"; on merge the other
-        // side's exemplar (if any) is taken as newer.
-        for (mine, theirs) in self.exemplars.iter().zip(&other.exemplars) {
-            let id = theirs.load(Ordering::Relaxed);
-            if id != 0 {
-                mine.store(id, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Nearest-rank `q`-quantile estimate: the upper bound of the
@@ -356,7 +332,7 @@ impl Stage {
     }
 }
 
-/// One completed stage span: enter/exit stamps on the hub's clock,
+/// One completed stage span: start/end stamps on the hub's clock,
 /// tagged with the request's trace id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -382,18 +358,6 @@ impl TraceEvent {
             self.end_ns
         )
     }
-}
-
-/// An open stage span: [`ObsHub::enter`] stamps entry, [`ObsHub::exit`]
-/// stamps exit and records it. Deliberately not RAII — exit is an
-/// explicit call so the borrow of the hub is not held across the stage
-/// body.
-#[must_use = "a span records nothing until exited"]
-#[derive(Debug)]
-pub struct Span {
-    trace_id: u64,
-    stage: Stage,
-    start: Duration,
 }
 
 // ----------------------------------------------------------------------
@@ -668,21 +632,6 @@ impl ObsHub {
     #[inline(always)]
     pub fn stage_record(&self, _stage: Stage, _trace_id: u64, _start: Duration, _end: Duration) {}
 
-    /// Opens a span at the current stamp.
-    pub fn enter(&self, trace_id: u64, stage: Stage) -> Span {
-        Span {
-            trace_id,
-            stage,
-            start: self.stamp(),
-        }
-    }
-
-    /// Closes a span: stamps the exit and records it.
-    pub fn exit(&self, span: Span) {
-        let end = self.stamp();
-        self.stage_record(span.stage, span.trace_id, span.start, end);
-    }
-
     /// Records `mails` deliveries all aged `age` into the `prop_lag`
     /// histogram (every mail in one delivery plan commits at the same
     /// instant, so their ages are identical by construction).
@@ -761,19 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_buckets_and_sums() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(3);
-        b.record(3);
-        b.record(1 << 30);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 3 + 3 + (1 << 30));
-        assert_eq!(a.snapshot().buckets[2], 2);
-    }
-
-    #[test]
     fn trace_buffer_is_a_bounded_ring() {
         let b = TraceBuffer::new(2);
         let ev = |id| TraceEvent {
@@ -815,9 +751,9 @@ mod tests {
     fn hub_records_stages_and_emits_when_sink_installed() {
         let hub = ObsHub::with_clock(Clock::virtual_clock());
         let vt = hub.clock().virtual_handle().unwrap();
-        let span = hub.enter(42, Stage::Encode);
+        let start = hub.stamp();
         vt.advance(Duration::from_millis(3));
-        hub.exit(span);
+        hub.stage_record(Stage::Encode, 42, start, hub.stamp());
         // histogram sees the duration even with no sink
         let snap = hub.stage_snapshot(Stage::Encode);
         assert_eq!(snap.count(), 1);
@@ -825,9 +761,9 @@ mod tests {
         assert!(hub.drain_events().is_empty());
 
         hub.install_sink(TraceSink::with_shards(16, 1));
-        let span = hub.enter(43, Stage::Plan);
+        let start = hub.stamp();
         vt.advance(Duration::from_millis(1));
-        hub.exit(span);
+        hub.stage_record(Stage::Plan, 43, start, hub.stamp());
         let events = hub.drain_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].trace_id, 43);
@@ -853,11 +789,6 @@ mod tests {
         assert_eq!(h.slowest_exemplar(), 0);
         let snap = h.snapshot();
         assert_eq!(snap.exemplars[Histogram::bucket_index(100)], 9);
-
-        // merge carries exemplars across (other side wins where set)
-        let m = Histogram::new();
-        m.merge(&h);
-        assert_eq!(m.exemplar(Histogram::bucket_index(100_000)), 11);
     }
 
     #[test]

@@ -1,37 +1,30 @@
 //! Property-based tests for the log₂ trace [`Histogram`]: its quantile
 //! estimates against the exact [`LatencyRecorder`] on identical sample
-//! streams, merge associativity, and the exact-count invariant under
-//! concurrent recording.
+//! streams, and the exact-count invariant under concurrent recording.
 
+use apan_check::{check, Gen};
 use apan_metrics::{Histogram, LatencyRecorder};
-use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn sample_stream() -> impl Strategy<Value = Vec<u64>> {
+fn sample_stream(g: &mut Gen) -> Vec<u64> {
     // spread over many orders of magnitude so every bucket regime is hit
-    proptest::collection::vec(
-        prop_oneof![
-            0u64..16,
-            16u64..4096,
-            4096u64..1 << 20,
-            (1u64 << 20)..1 << 44
-        ],
-        1..200,
-    )
+    g.vec(1..200, |g| match g.range(0u8..4) {
+        0 => g.range(0u64..16),
+        1 => g.range(16u64..4096),
+        2 => g.range(4096u64..1 << 20),
+        _ => g.range((1u64 << 20)..1 << 44),
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The histogram's nearest-rank quantile estimate lands in the same
-    /// log₂ bucket as the exact recorder's quantile over the identical
-    /// stream — an error of at most one bucket width.
-    #[test]
-    fn quantile_matches_exact_recorder_within_one_bucket(
-        samples in sample_stream(),
-        q in 0.0f64..=1.0,
-    ) {
+/// The histogram's nearest-rank quantile estimate lands in the same
+/// log₂ bucket as the exact recorder's quantile over the identical
+/// stream — an error of at most one bucket width.
+#[test]
+fn quantile_matches_exact_recorder_within_one_bucket() {
+    check(128, |g| {
+        let q = g.range(0.0f64..=1.0);
+        let samples = sample_stream(g);
         let hist = Histogram::new();
         let mut exact = LatencyRecorder::new();
         for &s in &samples {
@@ -42,42 +35,13 @@ proptest! {
         let truth = exact.quantile(q).as_nanos() as u64;
         // both select the same rank over the same stream, so the exact
         // value must live in the bucket whose bound the estimate is
-        prop_assert_eq!(
+        assert_eq!(
             Histogram::bucket_index(est),
             Histogram::bucket_index(truth),
-            "q={} est={} truth={}", q, est, truth
+            "q={q} est={est} truth={truth}"
         );
-        prop_assert!(est >= truth, "bucket upper bound bounds the exact value");
-    }
-
-    /// Merging is associative and equivalent to recording one combined
-    /// stream: (A ⊕ B) ⊕ C == A ⊕ (B ⊕ C) == record(A ++ B ++ C).
-    #[test]
-    fn merge_is_associative(
-        a in sample_stream(),
-        b in sample_stream(),
-        c in sample_stream(),
-    ) {
-        let record = |vals: &[u64]| {
-            let h = Histogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h
-        };
-        let left = record(&a); // (A ⊕ B) ⊕ C
-        left.merge(&record(&b));
-        left.merge(&record(&c));
-        let bc = record(&b); // A ⊕ (B ⊕ C)
-        bc.merge(&record(&c));
-        let right = record(&a);
-        right.merge(&bc);
-        let combined: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-        let direct = record(&combined);
-        prop_assert_eq!(left.snapshot(), right.snapshot());
-        prop_assert_eq!(left.snapshot(), direct.snapshot());
-        prop_assert_eq!(left.count(), combined.len() as u64);
-    }
+        assert!(est >= truth, "bucket upper bound bounds the exact value");
+    });
 }
 
 /// N threads hammering one histogram lose nothing: the bucket totals,
@@ -109,32 +73,4 @@ fn concurrent_recording_preserves_exact_counts() {
     assert_eq!(hist.count(), THREADS as u64 * PER_THREAD);
     assert_eq!(hist.sum(), expected_sum);
     assert_eq!(hist.snapshot().count(), THREADS as u64 * PER_THREAD);
-}
-
-/// Concurrent merges into one target are equivalent to a serial fold.
-#[test]
-fn concurrent_merge_equals_serial_fold() {
-    let target = Arc::new(Histogram::new());
-    let serial = Histogram::new();
-    let sources: Vec<Histogram> = (0..6u64)
-        .map(|k| {
-            let h = Histogram::new();
-            for i in 0..100 {
-                h.record(k * 1000 + i);
-            }
-            serial.merge(&h);
-            h
-        })
-        .collect();
-    let handles: Vec<_> = sources
-        .into_iter()
-        .map(|src| {
-            let target = Arc::clone(&target);
-            std::thread::spawn(move || target.merge(&src))
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(target.snapshot(), serial.snapshot());
 }

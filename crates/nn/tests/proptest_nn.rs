@@ -1,18 +1,17 @@
 //! Property-based tests for the neural-network layer semantics.
 
+use apan_check::check;
 use apan_nn::attention::length_mask;
 use apan_nn::{Fwd, LayerNorm, Linear, Mlp, MultiHeadAttention, ParamStore, TimeEncoding};
 use apan_tensor::Tensor;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn linear_is_affine(seed in 0u64..50, s in -2.0f32..2.0) {
+#[test]
+fn linear_is_affine() {
+    check(48, |g| {
         // f(s·x) − f(0) == s·(f(x) − f(0))
+        let (seed, s) = (g.range(0u64..50), g.range(-2.0f32..2.0));
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         let layer = Linear::new(&mut store, "l", 4, 3, &mut rng);
@@ -28,11 +27,14 @@ proptest! {
         let fsx = eval(x.scale(s));
         let lhs = fsx.sub(&f0);
         let rhs = fx.sub(&f0).scale(s);
-        prop_assert!(lhs.allclose(&rhs, 1e-3), "affinity violated");
-    }
+        assert!(lhs.allclose(&rhs, 1e-3), "affinity violated");
+    });
+}
 
-    #[test]
-    fn layer_norm_output_is_normalized(seed in 0u64..50, scale in 0.5f32..20.0) {
+#[test]
+fn layer_norm_output_is_normalized() {
+    check(48, |g| {
+        let (seed, scale) = (g.range(0u64..50), g.range(0.5f32..20.0));
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         let ln = LayerNorm::new(&mut store, "ln", 8);
@@ -44,12 +46,15 @@ proptest! {
         for i in 0..4 {
             let row = t.row_slice(i);
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
-            prop_assert!(mean.abs() < 1e-3, "row mean {mean}");
+            assert!(mean.abs() < 1e-3, "row mean {mean}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn attention_weights_always_distributions(seed in 0u64..50, m in 1usize..6) {
+#[test]
+fn attention_weights_always_distributions() {
+    check(48, |g| {
+        let (seed, m) = (g.range(0u64..50), g.range(1usize..6));
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         let mha = MultiHeadAttention::new(&mut store, "a", 8, 2, &mut rng);
@@ -62,24 +67,31 @@ proptest! {
             let t = fwd.g.value(*w);
             for i in 0..b {
                 let sum: f32 = t.row_slice(i).iter().sum();
-                prop_assert!((sum - 1.0).abs() < 1e-4);
+                assert!((sum - 1.0).abs() < 1e-4);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn length_mask_opens_exactly_len_slots(lens in proptest::collection::vec(0usize..10, 1..6), m in 1usize..10) {
+#[test]
+fn length_mask_opens_exactly_len_slots() {
+    check(48, |g| {
+        let m = g.range(1usize..10);
+        let lens = g.vec(1..6, |g| g.range(0usize..10));
         let mask = length_mask(&lens, m);
         for (i, &len) in lens.iter().enumerate() {
             for j in 0..m {
                 let open = mask.get(i, j) == 0.0;
-                prop_assert_eq!(open, j < len.min(m));
+                assert_eq!(open, j < len.min(m));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn time_encoding_bounded_and_deterministic(dts in proptest::collection::vec(0.0f32..1e6, 1..20)) {
+#[test]
+fn time_encoding_bounded_and_deterministic() {
+    check(48, |g| {
+        let dts = g.vec(1..20, |g| g.range(0.0f32..1e6));
         let mut store = ParamStore::new();
         let te = TimeEncoding::new(&mut store, "t", 6);
         let run = || {
@@ -88,13 +100,15 @@ proptest! {
             fwd.g.value(v).clone()
         };
         let a = run();
-        prop_assert!(a.data().iter().all(|v| v.abs() <= 1.0 + 1e-6));
-        prop_assert!(a.allclose(&run(), 0.0));
-    }
+        assert!(a.data().iter().all(|v| v.abs() <= 1.0 + 1e-6));
+        assert!(a.allclose(&run(), 0.0));
+    });
+}
 
-    #[test]
-    fn mlp_eval_is_deterministic_despite_dropout(seed in 0u64..30) {
-        let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn mlp_eval_is_deterministic_despite_dropout() {
+    check(48, |g| {
+        let mut rng = StdRng::seed_from_u64(g.range(0u64..30));
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, "m", &[4, 8, 2], 0.5, &mut rng);
         let x = Tensor::randn(3, 4, 1.0, &mut rng);
@@ -105,6 +119,6 @@ proptest! {
             let y = mlp.forward(&mut fwd, v, &mut rng);
             outs.push(fwd.g.value(y).clone());
         }
-        prop_assert!(outs[0].allclose(&outs[1], 0.0));
-    }
+        assert!(outs[0].allclose(&outs[1], 0.0));
+    });
 }

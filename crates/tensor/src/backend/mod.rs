@@ -27,7 +27,7 @@
 //!    same ascending chain, so for a contraction of length `k` the
 //!    divergence is bounded by the usual ~`k·ε·Σ|aᵢ·bᵢ|` term — a few
 //!    ULPs at encoder sizes, and asserted to stay within `1e-4` relative
-//!    by the kernel proptests.
+//!    by the kernel property tests.
 //! 3. **AVX-512 mode is the same chain on wider lanes.** The
 //!    [`simd512`] packed GEMM keeps property 2's per-element chain
 //!    (ascending contraction, fused steps) on 16-lane ZMM vectors; lane

@@ -1,126 +1,157 @@
 //! Property-based tests for the tensor substrate: algebraic laws,
 //! broadcasting, and randomized gradient checks.
 
+use apan_check::{check, Gen};
 use apan_tensor::{grad_check::check_gradients, Shape, Tensor};
-use proptest::prelude::*;
 
-fn tensor_strategy(max_dim: usize) -> impl Strategy<Value = Tensor> {
-    (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-3.0f32..3.0, r * c)
-            .prop_map(move |data| Tensor::from_vec(r, c, data))
-    })
+fn values(g: &mut Gen, n: usize, bound: f32) -> Vec<f32> {
+    (0..n).map(|_| g.range(-bound..bound)).collect()
+}
+
+/// A `rows × c` tensor, `c` in `1..=max_cols`.
+fn tensor_with_rows(g: &mut Gen, rows: usize, max_cols: usize) -> Tensor {
+    let cols = g.range(1..=max_cols);
+    Tensor::from_vec(rows, cols, values(g, rows * cols, 3.0))
+}
+
+fn tensor(g: &mut Gen, max_dim: usize) -> Tensor {
+    let rows = g.range(1..=max_dim);
+    tensor_with_rows(g, rows, max_dim)
 }
 
 /// Two tensors sharing one random shape.
-fn tensor_pair(max_dim: usize) -> impl Strategy<Value = (Tensor, Tensor)> {
-    (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
-        (
-            proptest::collection::vec(-3.0f32..3.0, r * c),
-            proptest::collection::vec(-3.0f32..3.0, r * c),
-        )
-            .prop_map(move |(a, b)| (Tensor::from_vec(r, c, a), Tensor::from_vec(r, c, b)))
-    })
+fn tensor_pair(g: &mut Gen, max_dim: usize) -> (Tensor, Tensor) {
+    let (r, c) = (g.range(1..=max_dim), g.range(1..=max_dim));
+    (
+        Tensor::from_vec(r, c, values(g, r * c, 3.0)),
+        Tensor::from_vec(r, c, values(g, r * c, 3.0)),
+    )
 }
 
 /// `(a, b, c)` with `a: m×k`, `b, c: k×n` so `a·(b+c)` is defined.
-fn matmul_triple() -> impl Strategy<Value = (Tensor, Tensor, Tensor)> {
-    (1usize..=5, 1usize..=5, 1usize..=5).prop_flat_map(|(m, k, n)| {
-        (
-            proptest::collection::vec(-2.0f32..2.0, m * k),
-            proptest::collection::vec(-2.0f32..2.0, k * n),
-            proptest::collection::vec(-2.0f32..2.0, k * n),
-        )
-            .prop_map(move |(a, b, c)| {
-                (
-                    Tensor::from_vec(m, k, a),
-                    Tensor::from_vec(k, n, b),
-                    Tensor::from_vec(k, n, c),
-                )
-            })
-    })
+fn matmul_triple(g: &mut Gen) -> (Tensor, Tensor, Tensor) {
+    let (m, k, n) = (
+        g.range(1usize..=5),
+        g.range(1usize..=5),
+        g.range(1usize..=5),
+    );
+    (
+        Tensor::from_vec(m, k, values(g, m * k, 2.0)),
+        Tensor::from_vec(k, n, values(g, k * n, 2.0)),
+        Tensor::from_vec(k, n, values(g, k * n, 2.0)),
+    )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn add_commutes() {
+    check(64, |g| {
+        let (a, b) = tensor_pair(g, 6);
+        assert!(a.add(&b).allclose(&b.add(&a), 1e-6));
+    });
+}
 
-    #[test]
-    fn add_commutes((a, b) in tensor_pair(6)) {
-        prop_assert!(a.add(&b).allclose(&b.add(&a), 1e-6));
-    }
+#[test]
+fn transpose_is_involution() {
+    check(64, |g| {
+        let a = tensor(g, 8);
+        assert!(a.transpose().transpose().allclose(&a, 0.0));
+    });
+}
 
-    #[test]
-    fn transpose_is_involution(a in tensor_strategy(8)) {
-        prop_assert!(a.transpose().transpose().allclose(&a, 0.0));
-    }
-
-    #[test]
-    fn matmul_identity_is_neutral(a in tensor_strategy(8)) {
+#[test]
+fn matmul_identity_is_neutral() {
+    check(64, |g| {
+        let a = tensor(g, 8);
         let i = Tensor::eye(a.cols());
-        prop_assert!(a.matmul(&i).allclose(&a, 1e-5));
-    }
+        assert!(a.matmul(&i).allclose(&a, 1e-5));
+    });
+}
 
-    #[test]
-    fn matmul_distributes_over_add((a, b, c) in matmul_triple()) {
+#[test]
+fn matmul_distributes_over_add() {
+    check(64, |g| {
+        let (a, b, c) = matmul_triple(g);
         let left = a.matmul(&b.add(&c));
         let right = a.matmul(&b).add(&a.matmul(&c));
-        prop_assert!(left.allclose(&right, 1e-3));
-    }
+        assert!(left.allclose(&right, 1e-3));
+    });
+}
 
-    #[test]
-    fn softmax_rows_are_distributions(a in tensor_strategy(8)) {
-        let s = a.softmax_rows();
+#[test]
+fn softmax_rows_are_distributions() {
+    check(64, |g| {
+        let s = tensor(g, 8).softmax_rows();
         for i in 0..s.rows() {
             let sum: f32 = s.row_slice(i).iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-5);
-            prop_assert!(s.row_slice(i).iter().all(|&v| (0.0..=1.0).contains(&v)));
+            assert!((sum - 1.0).abs() < 1e-5);
+            assert!(s.row_slice(i).iter().all(|&v| (0.0..=1.0).contains(&v)));
         }
-    }
+    });
+}
 
-    #[test]
-    fn softmax_invariant_to_row_shift(a in tensor_strategy(6), shift in -5.0f32..5.0) {
+#[test]
+fn softmax_invariant_to_row_shift() {
+    check(64, |g| {
+        let shift = g.range(-5.0f32..5.0);
+        let a = tensor(g, 6);
         let shifted = a.add_scalar(shift);
-        prop_assert!(a.softmax_rows().allclose(&shifted.softmax_rows(), 1e-5));
-    }
+        assert!(a.softmax_rows().allclose(&shifted.softmax_rows(), 1e-5));
+    });
+}
 
-    #[test]
-    fn reduce_to_shape_preserves_total(a in tensor_strategy(6)) {
+#[test]
+fn reduce_to_shape_preserves_total() {
+    check(64, |g| {
+        let a = tensor(g, 6);
         let reduced = a.reduce_to_shape(Shape::new(1, 1));
-        prop_assert!((reduced.item() - a.sum()).abs() < 1e-4 * (1.0 + a.sum().abs()));
-    }
+        assert!((reduced.item() - a.sum()).abs() < 1e-4 * (1.0 + a.sum().abs()));
+    });
+}
 
-    #[test]
-    fn broadcast_add_matches_manual(a in tensor_strategy(5)) {
+#[test]
+fn broadcast_add_matches_manual() {
+    check(64, |g| {
         // bias broadcast: a + row == per-row addition
+        let a = tensor(g, 5);
         let bias = Tensor::row(&vec![0.5; a.cols()]);
         let out = a.add(&bias);
         for i in 0..a.rows() {
             for j in 0..a.cols() {
-                prop_assert!((out.get(i, j) - (a.get(i, j) + 0.5)).abs() < 1e-6);
+                assert!((out.get(i, j) - (a.get(i, j) + 0.5)).abs() < 1e-6);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn hcat_then_slice_recovers(a in tensor_strategy(5), b in tensor_strategy(5)) {
-        prop_assume!(a.rows() == b.rows());
+#[test]
+fn hcat_then_slice_recovers() {
+    check(64, |g| {
+        let a = tensor(g, 5);
+        let b = tensor_with_rows(g, a.rows(), 5);
         let cat = Tensor::hcat(&[&a, &b]);
-        prop_assert!(cat.slice_cols(0, a.cols()).allclose(&a, 0.0));
-        prop_assert!(cat.slice_cols(a.cols(), b.cols()).allclose(&b, 0.0));
-    }
+        assert!(cat.slice_cols(0, a.cols()).allclose(&a, 0.0));
+        assert!(cat.slice_cols(a.cols(), b.cols()).allclose(&b, 0.0));
+    });
+}
 
-    #[test]
-    fn gather_rows_matches_index(a in tensor_strategy(6), seed in 0usize..100) {
+#[test]
+fn gather_rows_matches_index() {
+    check(64, |g| {
+        let seed = g.range(0usize..100);
+        let a = tensor(g, 6);
         let idx: Vec<usize> = (0..3).map(|k| (seed + k) % a.rows()).collect();
-        let g = a.gather_rows(&idx);
+        let gathered = a.gather_rows(&idx);
         for (pos, &i) in idx.iter().enumerate() {
-            prop_assert_eq!(g.row_slice(pos), a.row_slice(i));
+            assert_eq!(gathered.row_slice(pos), a.row_slice(i));
         }
-    }
+    });
+}
 
-    #[test]
-    fn random_network_gradients_check(seed in 0u64..30) {
+#[test]
+fn random_network_gradients_check() {
+    check(64, |g| {
         use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(g.range(0u64..30));
         let a = Tensor::randn(2, 3, 0.5, &mut rng);
         let w = Tensor::randn(3, 2, 0.5, &mut rng);
         check_gradients(&[a, w], |g, vars| {
@@ -129,6 +160,6 @@ proptest! {
             let s = g.softmax_rows(t);
             g.mean_all(s)
         })
-        .map_err(TestCaseError::fail)?;
-    }
+        .expect("analytic gradients match finite differences");
+    });
 }
