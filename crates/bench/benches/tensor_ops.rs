@@ -190,8 +190,8 @@ fn write_report() {
                 quant_active: false,
             });
         }
-        // Int8 serving path: weights (Wᵀ rows) are pre-quantized as in a
-        // deployed QuantSet; each iteration quantizes the activations and
+        // Int8 serving path: weights (Wᵀ rows) are pre-quantized as in an
+        // int8 serving plan; each iteration quantizes the activations and
         // runs the exact-i32 GEMM, like one encoder forward.
         let mut bt = vec![0.0f32; n * k];
         for i in 0..k {

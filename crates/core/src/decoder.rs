@@ -14,7 +14,7 @@ use rand::Rng;
 
 /// Link-prediction decoder: does an interaction between two nodes exist?
 pub struct LinkDecoder {
-    mlp: Mlp,
+    pub(crate) mlp: Mlp,
     dim: usize,
 }
 

@@ -19,23 +19,21 @@
 use crate::config::{ApanConfig, SlotEncoding};
 use crate::mailbox::MailboxView;
 use apan_nn::attention::length_mask;
-use apan_nn::{
-    Embedding, Fwd, LayerNorm, Mlp, MultiHeadAttention, ParamStore, QuantSet, TimeEncoding,
-};
+use apan_nn::{Embedding, Fwd, LayerNorm, Mlp, MultiHeadAttention, ParamStore, TimeEncoding};
 use apan_tensor::{Tensor, Var};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// The APAN encoder network.
 pub struct ApanEncoder {
-    positional: Embedding,
-    temporal: TimeEncoding,
-    attention: MultiHeadAttention,
-    norm: LayerNorm,
-    head: Mlp,
+    pub(crate) positional: Embedding,
+    pub(crate) temporal: TimeEncoding,
+    pub(crate) attention: MultiHeadAttention,
+    pub(crate) norm: LayerNorm,
+    pub(crate) head: Mlp,
     slots: usize,
     dim: usize,
-    slot_encoding: SlotEncoding,
+    pub(crate) slot_encoding: SlotEncoding,
     dropout: f32,
 }
 
@@ -129,16 +127,6 @@ impl ApanEncoder {
             z,
             attn: attn_out.weights,
         }
-    }
-
-    /// Registers this encoder's weight matrices in `qs` as int8: the four
-    /// attention projections and the MLP-head layers — the matmuls that
-    /// dominate the synchronous serving path. Embeddings, time encoding,
-    /// LayerNorm, and all biases stay f32 (they are cheap and
-    /// quantization-sensitive).
-    pub fn quantize_into(&self, store: &ParamStore, qs: &mut QuantSet) {
-        self.attention.quantize_into(store, qs);
-        self.head.quantize_into(store, qs);
     }
 
     /// Embedding dimension.

@@ -25,7 +25,10 @@
 //! sampling, node/edge classification, inference latency), and
 //! [`pipeline`] is the real-time serving deployment:
 //! a synchronous inference path plus a background propagation worker
-//! connected by a channel, exactly the architecture of Fig. 2(b).
+//! connected by a channel, exactly the architecture of Fig. 2(b). Its
+//! synchronous path runs the encoder and decoder through a compiled
+//! [`plan::InferencePlan`] instead of the autodiff tape; the tape serves
+//! training and replay and is the plan's bitwise oracle.
 //!
 //! ## Quick start
 //!
@@ -56,6 +59,7 @@ pub mod mail;
 pub mod mailbox;
 pub mod model;
 pub mod pipeline;
+pub mod plan;
 pub mod propagator;
 pub mod shard;
 pub mod tier;

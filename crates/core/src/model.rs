@@ -117,16 +117,6 @@ impl Apan {
             .propagate_batch(graph, store, batch, &mails, cost)
     }
 
-    /// Builds int8 views of the serving encoder's weights (attention
-    /// projections + MLP head). Attach the result to a forward pass via
-    /// `Fwd::quant` — or let [`crate::pipeline::ServingPipeline`] do it —
-    /// to serve the encoder in int8. The f32 masters are untouched.
-    pub fn quantize_encoder(&self) -> apan_nn::QuantSet {
-        let mut qs = apan_nn::QuantSet::new();
-        self.encoder.quantize_into(&self.params, &mut qs);
-        qs
-    }
-
     /// Total trainable scalars (for reporting).
     pub fn num_parameters(&self) -> usize {
         self.params.num_scalars()

@@ -25,15 +25,12 @@ use crate::config::Precision;
 use crate::link::{propagation_worker, Link, PropagateJob};
 use crate::mailbox::MailboxStore;
 use crate::model::{dedup_nodes, Apan};
+use crate::plan::InferencePlan;
 use crate::propagator::Interaction;
 use crate::shard::{shards_from_env, ShardedMailboxStore};
 use apan_metrics::{Clock, LatencyRecorder, ObsHub, Stage};
-use apan_nn::{Fwd, QuantSet};
-use apan_tensor::ops::stable_sigmoid;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, TemporalGraph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
@@ -100,12 +97,9 @@ pub struct ServingPipeline {
     /// has drained.
     tx: Option<SyncSender<Box<PropagateJob>>>,
     worker: Option<JoinHandle<()>>,
-    rng: StdRng,
-    /// Active encoder precision; [`ServingPipeline::set_precision`].
-    precision: Precision,
-    /// Int8 views of the encoder weights, present iff `precision` is
-    /// [`Precision::Int8`]. Attached to every synchronous forward pass.
-    quant: Option<Arc<QuantSet>>,
+    /// The synchronous forward, compiled for the active precision
+    /// ([`ServingPipeline::set_precision`]).
+    plan: InferencePlan,
     /// Latency of every synchronous inference call: `len()` counts them
     /// all, percentiles cover the most recent window.
     pub sync_latency: LatencyRecorder,
@@ -167,38 +161,32 @@ impl ServingPipeline {
         };
 
         Self {
+            plan: InferencePlan::compile(&model, Precision::F32),
             model: Arc::new(model),
             link,
             tx: Some(tx),
             worker: Some(worker),
-            rng: StdRng::seed_from_u64(0),
-            precision: Precision::F32,
-            quant: None,
             sync_latency: LatencyRecorder::bounded(LATENCY_WINDOW),
         }
     }
 
     /// Switches the synchronous encoder between f32 and int8 weights.
     ///
-    /// Entering [`Precision::Int8`] quantizes the encoder's attention
-    /// projections and MLP head once (the f32 masters stay in place);
-    /// returning to [`Precision::F32`] drops the int8 views. Takes effect
-    /// from the next [`ServingPipeline::infer_batch`]; the asynchronous
-    /// link is unaffected either way.
+    /// Recompiles the serving plan: entering [`Precision::Int8`]
+    /// quantizes the encoder's attention projections and MLP head once
+    /// (the f32 masters stay in place); returning to [`Precision::F32`]
+    /// packs the f32 weights again. Takes effect from the next
+    /// [`ServingPipeline::infer_batch`]; the asynchronous link is
+    /// unaffected either way.
     pub fn set_precision(&mut self, precision: Precision) {
-        if precision == self.precision {
-            return;
+        if precision != self.plan.precision() {
+            self.plan = InferencePlan::compile(&self.model, precision);
         }
-        self.quant = match precision {
-            Precision::F32 => None,
-            Precision::Int8 => Some(Arc::new(self.model.quantize_encoder())),
-        };
-        self.precision = precision;
     }
 
     /// The precision the synchronous encoder currently serves at.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.plan.precision()
     }
 
     /// Replaces the time source behind `sync_time` stamps and every
@@ -392,24 +380,23 @@ impl ServingPipeline {
         let view = self.link.store.sync_view();
         view.set_trace(trace_id);
         let t_encode0 = obs.stamp();
-        let mut fwd = Fwd::new(&self.model.params, false);
-        fwd.quant = self.quant.clone();
-        let enc = self
-            .model
-            .encode(&mut fwd, &view, &unique, now, &mut self.rng);
-        let z_val = fwd.g.value(enc.z).clone();
+        let z_val = self.plan.encode(&view, &unique, now);
         // Dropped events are scored below but are excluded from the
         // write-back and the propagation job. When any were, `partial`
         // is the admitted view: kept indices, their distinct endpoints,
-        // row maps into those, and the endpoints' rows of `z_val`.
+        // row maps into those, and the endpoints' rows of `z_val`
+        // (admitted row `a_maps[l][j]` is batch row `maps[l][keep[j]]`).
         let partial = (0..kinds.len()).any(|i| !is_admitted(i)).then(|| {
             let keep: Vec<usize> = (0..kinds.len()).filter(|&i| is_admitted(i)).collect();
             let a_src: Vec<NodeId> = keep.iter().map(|&i| src[i]).collect();
             let a_dst: Vec<NodeId> = keep.iter().map(|&i| dst[i]).collect();
             let (a_unique, a_maps) = dedup_nodes(&[&a_src, &a_dst]);
-            let pos: std::collections::HashMap<NodeId, usize> =
-                unique.iter().enumerate().map(|(r, &n)| (n, r)).collect();
-            let rows: Vec<usize> = a_unique.iter().map(|n| pos[n]).collect();
+            let mut rows = vec![0; a_unique.len()];
+            for (a_map, map) in a_maps.iter().zip(&maps) {
+                for (&a_row, &i) in a_map.iter().zip(&keep) {
+                    rows[a_row] = map[i];
+                }
+            }
             (keep, a_unique, a_maps, z_val.gather_rows(&rows))
         });
         match &partial {
@@ -418,19 +405,7 @@ impl ServingPipeline {
         }
         let t_encode1 = obs.stamp();
         drop(view);
-        let zi = fwd.g.gather_rows(enc.z, &maps[0]);
-        let zj = fwd.g.gather_rows(enc.z, &maps[1]);
-        let logits = self
-            .model
-            .link_decoder
-            .forward(&mut fwd, zi, zj, &mut self.rng);
-        let scores: Vec<f32> = fwd
-            .g
-            .value(logits)
-            .data()
-            .iter()
-            .map(|&x| stable_sigmoid(x))
-            .collect();
+        let scores = self.plan.score_links(&z_val, &maps[0], &maps[1]);
         let t_decode1 = obs.stamp();
         obs.stage_record(Stage::Encode, trace_id, t_encode0, t_encode1);
         obs.stage_record(Stage::DecodeScore, trace_id, t_encode1, t_decode1);
@@ -587,7 +562,10 @@ impl Drop for ServingPipeline {
 mod tests {
     use super::*;
     use crate::config::{ApanConfig, MailContent};
+    use apan_nn::Fwd;
     use apan_tgraph::cost::QueryCost;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn model() -> Apan {
         let mut cfg = ApanConfig::new(8);
@@ -705,8 +683,10 @@ mod tests {
                 &f,
                 &mut cost,
             );
-            assert!(
-                r.embeddings.allclose(&z, 1e-6),
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(
+                bits(&r.embeddings),
+                bits(&z),
                 "pipeline diverged from offline replay at batch {k}"
             );
         }

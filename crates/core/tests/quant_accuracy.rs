@@ -1,8 +1,8 @@
 //! Accuracy budget for the int8 serving encoder.
 //!
 //! Trains a small link-prediction model in f32, then replays the test
-//! split twice — once with the f32 encoder, once with the int8-quantized
-//! encoder — letting each pass evolve its own serving state so
+//! split twice through the serving plan — once compiled at f32, once at
+//! int8 — letting each pass evolve its own serving state so
 //! quantization drift compounds through the mails exactly as it would in
 //! production. The int8 average precision must stay within a fixed
 //! budget of the f32 one.
@@ -10,18 +10,17 @@
 use apan_core::config::{ApanConfig, Precision};
 use apan_core::model::{dedup_nodes, Apan};
 use apan_core::pipeline::ServingPipeline;
+use apan_core::plan::InferencePlan;
 use apan_core::propagator::Interaction;
 use apan_core::train::{train_link_prediction, ApanDyn, TrainConfig};
 use apan_data::generators::{generate_seeded, GenConfig};
 use apan_data::{ChronoSplit, LabelKind, SplitFractions, TemporalDataset};
 use apan_metrics::average_precision;
-use apan_nn::Fwd;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 fn dataset() -> TemporalDataset {
     let cfg = GenConfig {
@@ -73,18 +72,17 @@ fn trained_model(data: &TemporalDataset, split: &ChronoSplit) -> Apan {
 
 /// Replays `range` of the event stream in eval mode, scoring each positive
 /// interaction against one sampled negative, with the serving state rolled
-/// forward from the produced embeddings. `quantized` selects the encoder
-/// precision; the negative stream is seeded identically for both, so the
-/// two passes score the same pairs.
+/// forward from the produced embeddings. `precision` selects the plan's
+/// encoder precision; the negative stream is seeded identically for
+/// both, so the two passes score the same pairs.
 fn replay_ap(
     model: &Apan,
     data: &TemporalDataset,
     range: std::ops::Range<usize>,
-    quantized: bool,
+    precision: Precision,
 ) -> (f64, Vec<f32>) {
-    let quant = quantized.then(|| Arc::new(model.quantize_encoder()));
+    let mut plan = InferencePlan::compile(model, precision);
     let mut store = model.new_store(data.num_nodes());
-    let mut rng = StdRng::seed_from_u64(1);
     let mut neg_rng = StdRng::seed_from_u64(99);
     let mut cost = QueryCost::new();
     let num_nodes = data.num_nodes() as u32;
@@ -108,24 +106,14 @@ fn replay_ap(
         let now = batch.last().expect("non-empty").time;
         let (unique, maps) = dedup_nodes(&[&src, &dst, &neg]);
 
-        let mut fwd = Fwd::new(&model.params, false);
-        fwd.quant = quant.clone();
-        let enc = model.encode(&mut fwd, &store, &unique, now, &mut rng);
-        let zi = fwd.g.gather_rows(enc.z, &maps[0]);
-        let zj = fwd.g.gather_rows(enc.z, &maps[1]);
-        let zn = fwd.g.gather_rows(enc.z, &maps[2]);
-        let pos = model.link_decoder.forward(&mut fwd, zi, zj, &mut rng);
-        let neg_l = model.link_decoder.forward(&mut fwd, zi, zn, &mut rng);
-        for &l in fwd.g.value(pos).data() {
-            scores.push(1.0 / (1.0 + (-l).exp()));
-            labels.push(true);
-        }
-        for &l in fwd.g.value(neg_l).data() {
-            scores.push(1.0 / (1.0 + (-l).exp()));
-            labels.push(false);
-        }
+        let z_val = plan.encode(&store, &unique, now);
+        let pos = plan.score_links(&z_val, &maps[0], &maps[1]);
+        let neg = plan.score_links(&z_val, &maps[0], &maps[2]);
+        labels.extend(pos.iter().map(|_| true));
+        labels.extend(neg.iter().map(|_| false));
+        scores.extend(pos);
+        scores.extend(neg);
 
-        let z_val = fwd.g.value(enc.z).clone();
         let feats = data.feature_batch(&eids);
         model.post_step(
             &mut store,
@@ -148,8 +136,8 @@ fn int8_encoder_stays_within_accuracy_budget() {
     let split = ChronoSplit::new(&data, SplitFractions::paper_default());
     let model = trained_model(&data, &split);
 
-    let (ap_f32, s_f32) = replay_ap(&model, &data, split.test.clone(), false);
-    let (ap_int8, s_int8) = replay_ap(&model, &data, split.test.clone(), true);
+    let (ap_f32, s_f32) = replay_ap(&model, &data, split.test.clone(), Precision::F32);
+    let (ap_int8, s_int8) = replay_ap(&model, &data, split.test.clone(), Precision::Int8);
 
     assert!(
         ap_f32 > 0.55,

@@ -9,18 +9,11 @@
 
 use crate::init::xavier_uniform;
 use crate::param::{Fwd, ParamId, ParamStore};
-use crate::quant::QuantSet;
 use apan_tensor::{Tensor, Var};
 use rand::Rng;
 
-/// `y = x·W` through the int8 view of `w` when one is attached (eval
-/// only), the f32 tape otherwise. The attention projections are pure
-/// matmuls, so no bias enters the quantized path.
+/// `y = x·W`: the attention projections are pure matmuls (no bias).
 fn proj(fwd: &mut Fwd<'_>, x: Var, w: ParamId) -> Var {
-    if let Some(mat) = fwd.quant_mat(w) {
-        let y = mat.forward(fwd.g.value(x), None);
-        return fwd.g.constant(y);
-    }
     let wv = fwd.p(w);
     fwd.g.matmul(x, wv)
 }
@@ -137,11 +130,10 @@ impl MultiHeadAttention {
         AttentionOutput { out, weights }
     }
 
-    /// Registers the four projection weights in `qs` as int8.
-    pub fn quantize_into(&self, store: &ParamStore, qs: &mut QuantSet) {
-        for id in [self.wq, self.wk, self.wv, self.wo] {
-            qs.quantize(store, id);
-        }
+    /// The projection weights `[W_Q, W_K, W_V, W^O]`, each `[d × d]`
+    /// (head `h` owns columns `h·d_h..(h+1)·d_h` of the first three).
+    pub fn projections(&self) -> [ParamId; 4] {
+        [self.wq, self.wk, self.wv, self.wo]
     }
 
     /// Number of attention heads.
@@ -155,16 +147,19 @@ impl MultiHeadAttention {
     }
 }
 
+/// The additive mask entry of an empty slot: large and negative, so
+/// softmax assigns the slot ~zero weight.
+pub const MASKED: f32 = -1e9;
+
 /// Builds an additive attention mask for variable-length mailboxes:
-/// entry `[b, i]` is `0` when slot `i` of node `b` is valid and a large
-/// negative value when it is empty, so softmax assigns it ~zero weight.
+/// entry `[b, i]` is `0` when slot `i` of node `b` is valid and
+/// [`MASKED`] when it is empty.
 pub fn length_mask(lengths: &[usize], m: usize) -> Tensor {
-    const NEG: f32 = -1e9;
     let b = lengths.len();
     let mut t = Tensor::zeros(b, m);
     for (bi, &len) in lengths.iter().enumerate() {
         for i in len.min(m)..m {
-            t.set(bi, i, NEG);
+            t.set(bi, i, MASKED);
         }
     }
     t

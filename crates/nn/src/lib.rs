@@ -55,7 +55,7 @@ pub use mlp::Mlp;
 pub use norm::LayerNorm;
 pub use optim::{Adam, Optimizer};
 pub use param::{Fwd, GradSet, ParamId, ParamStore};
-pub use quant::{QuantMat, QuantSet};
+pub use quant::QuantMat;
 pub use serialize::{
     load_params, load_params_file, save_params, save_params_file, save_params_vec, CheckpointError,
 };

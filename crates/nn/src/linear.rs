@@ -2,7 +2,6 @@
 
 use crate::init::xavier_uniform;
 use crate::param::{Fwd, ParamId, ParamStore};
-use crate::quant::QuantSet;
 use apan_tensor::{Tensor, Var};
 use rand::Rng;
 
@@ -44,21 +43,9 @@ impl Linear {
             self.in_dim,
             fwd.g.value(x).cols()
         );
-        if let Some(mat) = fwd.quant_mat(self.w) {
-            // Serving-only int8 path: compute eagerly from the realized
-            // input and re-enter the tape as a constant. Only reachable in
-            // eval mode, so cutting the tape here never loses gradients.
-            let y = mat.forward(fwd.g.value(x), Some(fwd.param_value(self.b)));
-            return fwd.g.constant(y);
-        }
         let w = fwd.p(self.w);
         let b = fwd.p(self.b);
         fwd.g.affine(x, w, b)
-    }
-
-    /// Registers this layer's weight (not its bias) in `qs` as int8.
-    pub fn quantize_into(&self, store: &ParamStore, qs: &mut QuantSet) {
-        qs.quantize(store, self.w);
     }
 
     /// Input width.

@@ -2,7 +2,6 @@
 
 use crate::linear::Linear;
 use crate::param::{Fwd, ParamStore};
-use crate::quant::QuantSet;
 use apan_tensor::Var;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -58,13 +57,6 @@ impl Mlp {
     /// The constituent layers (first → last).
     pub fn layers(&self) -> &[Linear] {
         &self.layers
-    }
-
-    /// Registers every layer's weight in `qs` as int8 (biases stay f32).
-    pub fn quantize_into(&self, store: &ParamStore, qs: &mut QuantSet) {
-        for layer in &self.layers {
-            layer.quantize_into(store, qs);
-        }
     }
 
     /// Output width of the final layer.

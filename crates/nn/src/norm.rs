@@ -40,6 +40,16 @@ impl LayerNorm {
     pub fn dim(&self) -> usize {
         self.dim
     }
+
+    /// The `(gain, bias)` parameter handles, each `[1 × dim]`.
+    pub fn params(&self) -> (ParamId, ParamId) {
+        (self.gain, self.bias)
+    }
+
+    /// The variance floor `eps`.
+    pub fn eps(&self) -> f32 {
+        self.eps
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
 //! Parameter storage and the forward-pass context.
 
-use crate::quant::QuantSet;
 use apan_tensor::{Graph, Tensor, Var};
-use std::sync::Arc;
 
 /// A handle to a parameter tensor inside a [`ParamStore`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -97,10 +95,6 @@ pub struct Fwd<'s> {
     pub g: Graph,
     /// Whether this pass is in training mode (enables gradients + dropout).
     pub train: bool,
-    /// Optional int8 views of selected weights. Layers whose weight has an
-    /// entry route their matmul through the quantized GEMM — but only in
-    /// eval mode (`train == false`); training always uses the f32 masters.
-    pub quant: Option<Arc<QuantSet>>,
     store: &'s ParamStore,
     bound: Vec<Option<Var>>,
 }
@@ -111,26 +105,9 @@ impl<'s> Fwd<'s> {
         Self {
             g: Graph::new(),
             train,
-            quant: None,
             store,
             bound: vec![None; store.len()],
         }
-    }
-
-    /// Reads a parameter's current f32 value without binding it to the
-    /// tape (used by the quantized eval path, which needs raw bias data).
-    pub fn param_value(&self, id: ParamId) -> &Tensor {
-        self.store.get(id)
-    }
-
-    /// The int8 view of `id` when one is attached *and* this pass is in
-    /// eval mode; `None` during training so gradients always flow through
-    /// the f32 masters.
-    pub fn quant_mat(&self, id: ParamId) -> Option<&crate::quant::QuantMat> {
-        if self.train {
-            return None;
-        }
-        self.quant.as_deref().and_then(|q| q.get(id))
     }
 
     /// Leases parameter `id` into the graph, returning its tape node.

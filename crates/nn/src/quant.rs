@@ -1,20 +1,18 @@
 //! Int8 weight quantization for the serving-only forward path.
 //!
-//! A [`QuantSet`] holds int8 copies (per-output-channel scales, Wᵀ
-//! layout — see [`apan_tensor::backend::quant`]) of a *subset* of a
-//! model's weight matrices. Attaching one to a [`Fwd`](crate::Fwd)
-//! context (via its `quant` field) makes the layers that own those
-//! weights route their eval-mode matmuls through the exact-i32 int8
-//! GEMM, dequantizing at the boundary; every other parameter, and every
-//! training pass, stays f32. Biases are never quantized — they are added
-//! in f32 after dequantization, exactly as in the f32 path.
+//! A [`QuantMat`] is an int8 copy (per-output-channel scales, Wᵀ layout —
+//! see [`apan_tensor::backend::quant`]) of one weight matrix. The serving
+//! plan in `apan-core` builds one per encoder projection and MLP-head
+//! layer when a pipeline serves at int8 precision, and routes those
+//! matmuls through the exact-i32 int8 GEMM, dequantizing at the
+//! boundary. Biases are never quantized — they are added in f32 after
+//! dequantization, exactly as in the f32 path. Training never sees it.
 //!
-//! The master f32 parameters in the [`ParamStore`] are untouched:
+//! The master f32 parameters in the `ParamStore` are untouched:
 //! quantization is a serving-time view, not a model transformation, so a
-//! checkpoint round-trips bit-identically whether or not a `QuantSet`
+//! checkpoint round-trips bit-identically whether or not a `QuantMat`
 //! was ever built from it.
 
-use crate::param::{ParamId, ParamStore};
 use apan_tensor::backend::quant::{gemm_i8, padded, quantize_rows_i8};
 use apan_tensor::Tensor;
 
@@ -53,25 +51,35 @@ impl QuantMat {
     /// (exact i32 accumulation; one dequantized f32 rounding per
     /// element).
     pub fn forward(&self, x: &Tensor, bias: Option<&Tensor>) -> Tensor {
-        let (b, in_dim) = x.shape();
-        assert_eq!(in_dim, self.in_dim, "quantized weight width mismatch");
+        let mut out = Tensor::zeros(x.rows(), self.out_dim);
+        self.forward_into(x.data(), x.rows(), bias.map(Tensor::data), out.data_mut());
+        out
+    }
+
+    /// [`QuantMat::forward`] on raw row-major slices: `x` is
+    /// `[rows × in]`, `bias` `[out]`, and `out` `[rows × out]` is
+    /// overwritten. Same bits as `forward`.
+    pub fn forward_into(&self, x: &[f32], rows: usize, bias: Option<&[f32]>, out: &mut [f32]) {
+        assert_eq!(
+            x.len(),
+            rows * self.in_dim,
+            "quantized weight width mismatch"
+        );
         if let Some(bias) = bias {
-            debug_assert_eq!(bias.shape(), (1, self.out_dim));
+            debug_assert_eq!(bias.len(), self.out_dim);
         }
-        let (qx, sx) = quantize_rows_i8(x.data(), b, in_dim);
-        let mut out = Tensor::zeros(b, self.out_dim);
+        let (qx, sx) = quantize_rows_i8(x, rows, self.in_dim);
         gemm_i8(
             &qx,
             &sx,
             &self.codes,
             &self.scales,
-            bias.map(|t| t.data()),
-            b,
+            bias,
+            rows,
             self.out_dim,
-            padded(in_dim),
-            out.data_mut(),
+            padded(self.in_dim),
+            out,
         );
-        out
     }
 
     /// Input width the matrix expects.
@@ -90,56 +98,13 @@ impl QuantMat {
     }
 }
 
-/// Int8 views of selected weights, keyed by [`ParamId`].
-#[derive(Default)]
-pub struct QuantSet {
-    mats: Vec<Option<QuantMat>>,
-}
-
-impl QuantSet {
-    /// An empty set (everything stays f32).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Quantizes parameter `id` from `store` into the set.
-    pub fn quantize(&mut self, store: &ParamStore, id: ParamId) {
-        let idx = id.index();
-        if self.mats.len() <= idx {
-            self.mats.resize_with(idx + 1, || None);
-        }
-        self.mats[idx] = Some(QuantMat::from_weight(store.get(id)));
-    }
-
-    /// The int8 view of `id`, when one was built.
-    pub fn get(&self, id: ParamId) -> Option<&QuantMat> {
-        self.mats.get(id.index()).and_then(Option::as_ref)
-    }
-
-    /// Number of quantized matrices in the set.
-    pub fn len(&self) -> usize {
-        self.mats.iter().filter(|m| m.is_some()).count()
-    }
-
-    /// Whether no weight is quantized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total int8 storage held by the set.
-    pub fn bytes(&self) -> usize {
-        self.mats.iter().flatten().map(QuantMat::bytes).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linear::Linear;
-    use crate::param::Fwd;
+    use crate::param::{Fwd, ParamStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     #[test]
     fn quant_mat_tracks_f32_affine() {
@@ -167,59 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn linear_uses_quant_set_only_in_eval() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut store = ParamStore::new();
-        let layer = Linear::new(&mut store, "l", 12, 5, &mut rng);
-        let mut qs = QuantSet::new();
-        layer.quantize_into(&store, &mut qs);
-        assert_eq!(qs.len(), 1);
-        assert!(qs.get(layer.weight()).is_some());
-        assert!(qs.get(layer.bias()).is_none(), "bias must stay f32");
-        let qs = Arc::new(qs);
-        let x = Tensor::randn(3, 12, 1.0, &mut rng);
-
-        // Eval with the set attached: the int8 path, which differs from
-        // f32 in low bits but not materially.
-        let mut f32_fwd = Fwd::new(&store, false);
-        let xv = f32_fwd.g.constant(x.clone());
-        let y = layer.forward(&mut f32_fwd, xv);
-        let f32_out = f32_fwd.g.value(y).clone();
-
-        let mut q_fwd = Fwd::new(&store, false);
-        q_fwd.quant = Some(qs.clone());
-        let xv = q_fwd.g.constant(x.clone());
-        let y = layer.forward(&mut q_fwd, xv);
-        let q_out = q_fwd.g.value(y).clone();
-
-        assert!(f32_out.allclose(&q_out, 0.05), "int8 eval drifted too far");
-        assert!(
-            f32_out.data() != q_out.data(),
-            "quantized path appears unused"
-        );
-
-        // Training ignores the set entirely: gradients still flow to w.
-        let mut t_fwd = Fwd::new(&store, true);
-        t_fwd.quant = Some(qs);
-        let xv = t_fwd.g.constant(x);
-        let y = layer.forward(&mut t_fwd, xv);
-        let loss = t_fwd.g.mean_all(y);
-        let grads = t_fwd.finish(loss);
-        assert!(
-            grads.grads.iter().any(|(id, _)| *id == layer.weight()),
-            "training with a QuantSet attached must stay f32"
-        );
-    }
-
-    #[test]
-    fn quant_set_bytes_accounting() {
+    fn quant_mat_bytes_accounting() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut store = ParamStore::new();
         let layer = Linear::new(&mut store, "l", 64, 32, &mut rng);
-        let mut qs = QuantSet::new();
-        assert!(qs.is_empty());
-        layer.quantize_into(&store, &mut qs);
+        let mat = QuantMat::from_weight(store.get(layer.weight()));
         // 32 rows padded to 64 columns of i8 + 32 f32 scales.
-        assert_eq!(qs.bytes(), 32 * 64 + 32 * 4);
+        assert_eq!(mat.bytes(), 32 * 64 + 32 * 4);
     }
 }

@@ -43,6 +43,11 @@ impl TimeEncoding {
     pub fn dim(&self) -> usize {
         self.dim
     }
+
+    /// The `(omega, phase)` parameter handles, each `[1 × dim]`.
+    pub fn params(&self) -> (ParamId, ParamId) {
+        (self.omega, self.phase)
+    }
 }
 
 #[cfg(test)]

@@ -306,6 +306,12 @@ pub fn gemm(
 }
 
 /// [`gemm`] at an explicit (sanitized) mode. `out` must be zeroed.
+///
+/// This is [`gemm_prepacked`] with B packed on the spot: both run one
+/// dispatch (`gemm_run`), so they share the small-problem cutoff and
+/// the row-parallel split, and a product against a [`PackedB`] is
+/// bit-identical to this call on the same B at the same mode. A small
+/// problem never reads the strips, so here it skips packing them.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with(
     mode: SimdMode,
@@ -317,7 +323,71 @@ pub fn gemm_with(
     n: usize,
     out: &mut [f32],
 ) {
-    let mode = mode.sanitize();
+    gemm_run(mode.sanitize(), a, b, None, bias, m, k, n, out);
+}
+
+/// A GEMM right-hand side `B[k×n]` prepared once for many products at
+/// one (sanitized) mode: the row-major copy the small-problem kernel
+/// reads and the mode-width strips the packed kernels stream. A serving
+/// plan holds one per weight matrix, so a forward pass copies and packs
+/// no weight.
+pub struct PackedB {
+    mode: SimdMode,
+    k: usize,
+    n: usize,
+    rows: Vec<f32>,
+    strips: Aligned<f32>,
+}
+
+impl PackedB {
+    /// Packs `b[k×n]` for the process-wide [`active_simd`] mode — the
+    /// mode [`gemm`] runs at.
+    pub fn new(b: &[f32], k: usize, n: usize) -> Self {
+        Self::with_mode(active_simd(), b, k, n)
+    }
+
+    /// Packs `b[k×n]` for `mode` (sanitized).
+    pub fn with_mode(mode: SimdMode, b: &[f32], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "packed operand is not {k}x{n}");
+        let mode = mode.sanitize();
+        Self {
+            mode,
+            k,
+            n,
+            rows: b.to_vec(),
+            strips: pack_strips(b, k, n, strip_width(mode)),
+        }
+    }
+
+    /// Output width (columns of B).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+}
+
+/// `out[m×n] = a[m×k] · B (+ bias)` against a [`PackedB`], at the mode
+/// B was packed for: bit-identical to [`gemm_with`] at that mode on the
+/// unpacked B. `out` must be zeroed.
+pub fn gemm_prepacked(a: &[f32], b: &PackedB, bias: Option<&[f32]>, m: usize, out: &mut [f32]) {
+    gemm_run(b.mode, a, &b.rows, Some(&b.strips), bias, m, b.k, b.n, out);
+}
+
+/// The one GEMM dispatch behind [`gemm_with`] and [`gemm_prepacked`]:
+/// small problems run the unpacked kernel on `b`, the rest the
+/// row-parallel packed kernel on `strips` (packed here when absent).
+/// `mode` is already sanitized.
+#[allow(clippy::too_many_arguments)]
+fn gemm_run(
+    mode: SimdMode,
+    a: &[f32],
+    b: &[f32],
+    strips: Option<&[f32]>,
+    bias: Option<&[f32]>,
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -327,7 +397,7 @@ pub fn gemm_with(
     if m * k * n <= SMALL_GEMM {
         match mode {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `sanitize` verified AVX2+FMA support above.
+            // SAFETY: the caller's `sanitize` verified AVX2+FMA support.
             SimdMode::Avx2Fma | SimdMode::Avx512 => unsafe {
                 simd::gemm_small(a, b, bias, m, k, n, out)
             },
@@ -336,11 +406,15 @@ pub fn gemm_with(
         return;
     }
 
-    // Pack B once into mode-width column strips so the microkernel
-    // streams it contiguously; zero-padded tail lanes are computed and
-    // dropped.
-    let packed = pack_strips(b, k, n, strip_width(mode));
-    gemm_packed(mode, a, &packed, bias, k, n, out);
+    // B in mode-width column strips, so the microkernel streams it
+    // contiguously; zero-padded tail lanes are computed and dropped.
+    match strips {
+        Some(strips) => gemm_packed(mode, a, strips, bias, k, n, out),
+        None => {
+            let packed = pack_strips(b, k, n, strip_width(mode));
+            gemm_packed(mode, a, &packed, bias, k, n, out);
+        }
+    }
 }
 
 /// Row-parallel `out = a · B (+ bias)` against B packed into `mode`-width
@@ -914,9 +988,85 @@ pub fn attn_mix_bwd(
     });
 }
 
+// ----------------------------------------------------------------------
+// Row kernels: softmax and layer norm over one row
+// ----------------------------------------------------------------------
+
+/// Numerically stable softmax of `x` into `out` (same length). Scalar in
+/// every mode; `Tensor::softmax_rows` and the serving plan both call it,
+/// so they agree bit for bit.
+pub fn softmax_row(x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = (v - max).exp();
+        sum += *o;
+    }
+    for o in out.iter_mut() {
+        *o /= sum;
+    }
+}
+
+/// Layer norm of one row: `out = gain ⊙ (x − μ)/√(σ² + eps) + bias`,
+/// with `μ, σ²` over the row. Writes the normalized row `(x − μ)/σ` to
+/// `xhat` when given (the backward pass keeps it) and returns `1/σ`.
+/// Scalar in every mode; `Graph::layer_norm` and the serving plan both
+/// call it.
+pub fn layer_norm_row(
+    x: &[f32],
+    gain: &[f32],
+    bias: &[f32],
+    eps: f32,
+    out: &mut [f32],
+    mut xhat: Option<&mut [f32]>,
+) -> f32 {
+    let c = x.len();
+    debug_assert_eq!(gain.len(), c);
+    debug_assert_eq!(bias.len(), c);
+    debug_assert_eq!(out.len(), c);
+    let mu: f32 = x.iter().sum::<f32>() / c as f32;
+    let var: f32 = x.iter().map(|v| (v - mu).powi(2)).sum::<f32>() / c as f32;
+    let inv_sigma = 1.0 / (var + eps).sqrt();
+    for (j, (o, &v)) in out.iter_mut().zip(x).enumerate() {
+        let xh = (v - mu) * inv_sigma;
+        if let Some(xhat) = xhat.as_deref_mut() {
+            xhat[j] = xh;
+        }
+        *o = gain[j] * xh + bias[j];
+    }
+    inv_sigma
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prepacked_gemm_matches_gemm_with_bitwise_in_every_mode() {
+        // both sides of SMALL_GEMM, with and without bias, ragged strips
+        for &(m, k, n) in &[
+            (1, 8, 8),
+            (3, 5, 2),
+            (2, 172, 172),
+            (20, 172, 80),
+            (5, 200, 17),
+        ] {
+            let a = arange(m * k, 0.4);
+            let b = arange(k * n, 0.6);
+            let bias = arange(n, 1.9);
+            for mode in [SimdMode::Scalar, SimdMode::Avx2Fma, SimdMode::Avx512] {
+                let packed = PackedB::with_mode(mode, &b, k, n);
+                for bias in [None, Some(bias.as_slice())] {
+                    let mut want = vec![0.0f32; m * n];
+                    gemm_with(mode, &a, &b, bias, m, k, n, &mut want);
+                    let mut got = vec![0.0f32; m * n];
+                    gemm_prepacked(&a, &packed, bias, m, &mut got);
+                    assert_bits_eq(&want, &got, &format!("{mode:?} at {m}x{k}x{n}"));
+                }
+            }
+        }
+    }
 
     /// The pre-backend kernel, zero-skip and all: the reference every
     /// scalar-mode kernel must match bit-for-bit.

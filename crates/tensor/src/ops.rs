@@ -368,21 +368,19 @@ impl Graph {
         assert_eq!(bv.shape(), (1, c), "layer_norm bias must be 1x{c}");
 
         let mut xhat = Tensor::zeros(r, c);
-        let mut inv_sigma = vec![0.0f32; r];
         let mut out = Tensor::zeros(r, c);
-        #[allow(clippy::needless_range_loop)] // parallel-array indexing
-        for i in 0..r {
-            let row = xv.row_slice(i);
-            let mu: f32 = row.iter().sum::<f32>() / c as f32;
-            let var: f32 = row.iter().map(|v| (v - mu).powi(2)).sum::<f32>() / c as f32;
-            let is = 1.0 / (var + eps).sqrt();
-            inv_sigma[i] = is;
-            for j in 0..c {
-                let xh = (row[j] - mu) * is;
-                xhat.set(i, j, xh);
-                out.set(i, j, gv.data()[j] * xh + bv.data()[j]);
-            }
-        }
+        let inv_sigma: Vec<f32> = (0..r)
+            .map(|i| {
+                crate::backend::layer_norm_row(
+                    xv.row_slice(i),
+                    gv.data(),
+                    bv.data(),
+                    eps,
+                    out.row_slice_mut(i),
+                    Some(xhat.row_slice_mut(i)),
+                )
+            })
+            .collect();
 
         let needs = self.needs_grad(x) || self.needs_grad(gain) || self.needs_grad(bias);
         let backward = needs.then(|| {

@@ -597,17 +597,7 @@ impl Tensor {
         let (r, c) = self.shape();
         let mut out = Tensor::zeros(r, c);
         for i in 0..r {
-            let row = self.row_slice(i);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            let orow = out.row_slice_mut(i);
-            for (o, &x) in orow.iter_mut().zip(row) {
-                *o = (x - max).exp();
-                sum += *o;
-            }
-            for o in orow.iter_mut() {
-                *o /= sum;
-            }
+            crate::backend::softmax_row(self.row_slice(i), out.row_slice_mut(i));
         }
         out
     }
