@@ -152,13 +152,14 @@ impl TemporalAttentionLayer {
         let mask_v = fwd.g.constant(mask);
 
         let head_dim = self.dim / self.heads;
+        let scale = 1.0 / (head_dim as f32).sqrt();
         let mut mixed = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
             let off = h * head_dim;
             let qh = fwd.g.slice_cols(q, off, head_dim);
             let kh = fwd.g.slice_cols(k, off, head_dim);
             let vh = fwd.g.slice_cols(v, off, head_dim);
-            let scores = fwd.g.attn_scores(qh, kh, n);
+            let scores = fwd.g.attn_scores(qh, kh, n, scale);
             let masked = fwd.g.add(scores, mask_v);
             let attn = fwd.g.softmax_rows(masked);
             mixed.push(fwd.g.attn_mix(attn, vh, n));

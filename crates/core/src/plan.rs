@@ -14,14 +14,23 @@
 //! the same operands in the same order:
 //! * the projections and MLP layers run `backend::gemm_prepacked`, which
 //!   shares `gemm_with`'s one dispatch (small-problem cutoff, row split);
-//! * scores and mixing run `backend::attn_scores_fwd`/`attn_mix_fwd` on
-//!   the same per-head column slices `Graph::slice_cols` copies out;
+//! * attention runs in the absorbed form of `MultiHeadAttention::forward`
+//!   (see `apan_nn::attention`): per head, `u = q_h·W_K,hᵀ`, scores of
+//!   `u` against the encoded slots, softmax, the mix of the encoded
+//!   slots, then `mix·W_V,h`. The per-head `W_K,hᵀ` and `W_V,h` are the
+//!   tape's `transpose(slice_cols(W_K))` and `slice_cols(W_V)`, packed
+//!   once here; scores and mixing run `backend::attn_scores_fwd` and
+//!   `attn_mix_fwd` with the tape's `1/√d_h` scale;
 //! * softmax and LayerNorm run `backend::softmax_row`/`layer_norm_row`,
 //!   which `Tensor::softmax_rows` and `Graph::layer_norm` call too;
 //! * the elementwise steps (slot encoding, mask add, residual, ReLU,
 //!   tanh, sigmoid) are the tape's scalar expressions, operand order
-//!   included. No step is re-fused algebraically (no weight product is
-//!   precomputed).
+//!   included.
+//!
+//! The absorbed form is the one algebraic re-fusion, and the tape makes
+//! it too, so the two still agree bit for bit. Nothing else is re-fused:
+//! no product of two weights is precomputed (`W_Q,h·W_K,hᵀ` would fold
+//! a GEMM away but change the rounding the tape does).
 //!
 //! Eval-mode dropout is the identity, so the plan takes no rng.
 
@@ -138,15 +147,13 @@ fn run_mlp(layers: &[Layer], x: &[f32], rows: usize, hidden: &mut Vec<Vec<f32>>,
 #[derive(Default)]
 struct Scratch {
     q: Vec<f32>,
-    k: Vec<f32>,
-    v: Vec<f32>,
     qh: Vec<f32>,
-    kh: Vec<f32>,
-    vh: Vec<f32>,
+    u: Vec<f32>,
     mask: Vec<f32>,
     scores: Vec<f32>,
     weights: Vec<f32>,
     mixed: Vec<f32>,
+    head_out: Vec<f32>,
     heads: Vec<f32>,
     attn: Vec<f32>,
     normed: Vec<f32>,
@@ -164,8 +171,12 @@ pub struct InferencePlan {
     slots: usize,
     heads: usize,
     slot_code: SlotCode,
-    /// `[W_Q, W_K, W_V, W^O]`.
-    proj: [Weight; 4],
+    wq: Weight,
+    /// Per head `h`, `W_K,hᵀ` (`[d_h × d]`): lifts `q_h` to the slots' width.
+    wk_t: Vec<Weight>,
+    /// Per head `h`, `W_V,h` (`[d × d_h]`): projects the mixed slots.
+    wv: Vec<Weight>,
+    wo: Weight,
     ln_gain: Vec<f32>,
     ln_bias: Vec<f32>,
     ln_eps: f32,
@@ -176,9 +187,10 @@ pub struct InferencePlan {
 
 impl InferencePlan {
     /// Compiles `model`'s encoder and link decoder. Under
-    /// [`Precision::Int8`] the attention projections and the encoder's
-    /// MLP head are quantized; embeddings, time encoding, LayerNorm,
-    /// every bias and the decoder stay f32.
+    /// [`Precision::Int8`] the attention projections (`W_Q`, `W^O` and
+    /// the per-head `W_K,hᵀ` and `W_V,h`) and the encoder's MLP head are
+    /// quantized; embeddings, time encoding, LayerNorm, every bias and
+    /// the decoder stay f32.
     pub fn compile(model: &Apan, precision: Precision) -> Self {
         let params = &model.params;
         let enc = &model.encoder;
@@ -195,6 +207,20 @@ impl InferencePlan {
             }
             SlotEncoding::None => SlotCode::None,
         };
+        let heads = enc.attention.heads();
+        let dh = enc.dim() / heads;
+        let [wq, wk, wv, wo] = enc.attention.projections().map(|id| params.get(id));
+        // The tape's `slice_cols` and `transpose`, so the plan packs the
+        // very matrices the tape multiplies by.
+        let per_head = |w: &Tensor, transposed: bool| -> Vec<Weight> {
+            (0..heads)
+                .map(|h| {
+                    let slice = w.slice_cols(h * dh, dh);
+                    let slice = if transposed { slice.transpose() } else { slice };
+                    Weight::new(&slice, int8)
+                })
+                .collect()
+        };
         let (gain, bias) = enc.norm.params();
         let decoder = layers(params, &model.link_decoder.mlp, false);
         assert_eq!(
@@ -206,12 +232,12 @@ impl InferencePlan {
             precision,
             dim: enc.dim(),
             slots: enc.slots(),
-            heads: enc.attention.heads(),
+            heads,
             slot_code,
-            proj: enc
-                .attention
-                .projections()
-                .map(|id| Weight::new(params.get(id), int8)),
+            wq: Weight::new(wq, int8),
+            wk_t: per_head(wk, true),
+            wv: per_head(wv, false),
+            wo: Weight::new(wo, int8),
             ln_gain: row(gain),
             ln_bias: row(bias),
             ln_eps: enc.norm.eps(),
@@ -274,21 +300,19 @@ impl InferencePlan {
             }
         }
 
-        // Multi-head attention (Eq. 3–4).
-        let [wq, wk, wv, wo] = &self.proj;
+        // Multi-head attention (Eq. 3–4), absorbed: the heads score and
+        // mix the encoded slots themselves.
+        let enc: &[f32] = enc;
         let q = z_prev.data();
-        wq.apply(q, b, None, zeroed(&mut s.q, b * d));
-        wk.apply(enc, b * m, None, zeroed(&mut s.k, b * m * d));
-        wv.apply(enc, b * m, None, zeroed(&mut s.v, b * m * d));
+        self.wq.apply(q, b, None, zeroed(&mut s.q, b * d));
         let scale = 1.0 / (dh as f32).sqrt();
         zeroed(&mut s.heads, b * d);
-        for h in 0..self.heads {
+        for (h, (wk_t, wv)) in self.wk_t.iter().zip(&self.wv).enumerate() {
             let off = h * dh;
             slice_cols_into(&s.q, d, off, dh, &mut s.qh);
-            slice_cols_into(&s.k, d, off, dh, &mut s.kh);
-            slice_cols_into(&s.v, d, off, dh, &mut s.vh);
+            wk_t.apply(&s.qh, b, None, zeroed(&mut s.u, b * d));
             let scores = zeroed(&mut s.scores, b * m);
-            backend::attn_scores_fwd(&s.qh, &s.kh, b, m, dh, scale, scores);
+            backend::attn_scores_fwd(&s.u, enc, b, m, d, scale, scores);
             for (x, &mk) in scores.iter_mut().zip(&s.mask) {
                 *x += mk;
             }
@@ -296,14 +320,15 @@ impl InferencePlan {
             for (w, x) in weights.chunks_exact_mut(m).zip(s.scores.chunks_exact(m)) {
                 backend::softmax_row(x, w);
             }
-            let mixed = zeroed(&mut s.mixed, b * dh);
-            backend::attn_mix_fwd(&s.weights, &s.vh, b, m, dh, mixed);
-            for (dst, src) in s.heads.chunks_exact_mut(d).zip(s.mixed.chunks_exact(dh)) {
+            let mixed = zeroed(&mut s.mixed, b * d);
+            backend::attn_mix_fwd(&s.weights, enc, b, m, d, mixed);
+            wv.apply(&s.mixed, b, None, zeroed(&mut s.head_out, b * dh));
+            for (dst, src) in s.heads.chunks_exact_mut(d).zip(s.head_out.chunks_exact(dh)) {
                 dst[off..off + dh].copy_from_slice(src);
             }
         }
         let attn = zeroed(&mut s.attn, b * d);
-        wo.apply(&s.heads, b, None, attn);
+        self.wo.apply(&s.heads, b, None, attn);
 
         // Residual + LayerNorm (Eq. 5).
         for (x, &zq) in attn.iter_mut().zip(q) {

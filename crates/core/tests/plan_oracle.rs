@@ -107,17 +107,23 @@ fn param<'m>(model: &'m Apan, name: &str) -> &'m Tensor {
         .unwrap_or_else(|| panic!("no parameter {name}"))
 }
 
-/// `x · W (+ bias)` through the int8 view of `W`, re-entering the tape
+/// `x · w (+ bias)` through the int8 view of `w`, re-entering the tape
 /// as a constant.
-fn int8_affine(g: &mut Graph, model: &Apan, x: Var, w: &str, bias: Option<&str>) -> Var {
-    let mat = QuantMat::from_weight(param(model, w));
-    let y = mat.forward(g.value(x), bias.map(|b| param(model, b)));
+fn int8_matmul(g: &mut Graph, x: Var, w: &Tensor, bias: Option<&Tensor>) -> Var {
+    let y = QuantMat::from_weight(w).forward(g.value(x), bias);
     g.constant(y)
 }
 
+/// [`int8_matmul`] by `model`'s parameters called `w` and `bias`.
+fn int8_affine(g: &mut Graph, model: &Apan, x: Var, w: &str, bias: Option<&str>) -> Var {
+    int8_matmul(g, x, param(model, w), bias.map(|b| param(model, b)))
+}
+
 /// The int8 encoder forward on the tape, step for step as
-/// `ApanEncoder::forward` runs it in eval mode, with the attention
-/// projections and the MLP head's layers through `QuantMat`.
+/// `ApanEncoder::forward` runs it in eval mode — attention absorbed, as
+/// `MultiHeadAttention::forward` computes it — with `W_Q`, `W^O`, each
+/// head's `W_K,hᵀ` and `W_V,h`, and the MLP head's layers through
+/// `QuantMat`.
 fn tape_int8_encode<S: MailboxRead>(
     model: &Apan,
     store: &S,
@@ -152,17 +158,17 @@ fn tape_int8_encode<S: MailboxRead>(
     let effective: Vec<usize> = view.lens.iter().map(|&l| l.max(1)).collect();
     let mask = g.constant(length_mask(&effective, m));
     let q_all = int8_affine(&mut g, model, q, "enc.attn.wq", None);
-    let k_all = int8_affine(&mut g, model, encoded, "enc.attn.wk", None);
-    let v_all = int8_affine(&mut g, model, encoded, "enc.attn.wv", None);
+    let (wk, wv) = (param(model, "enc.attn.wk"), param(model, "enc.attn.wv"));
+    let scale = 1.0 / (dh as f32).sqrt();
     let heads: Vec<Var> = (0..cfg.heads)
         .map(|h| {
             let qh = g.slice_cols(q_all, h * dh, dh);
-            let kh = g.slice_cols(k_all, h * dh, dh);
-            let vh = g.slice_cols(v_all, h * dh, dh);
-            let scores = g.attn_scores(qh, kh, m);
+            let u = int8_matmul(&mut g, qh, &wk.slice_cols(h * dh, dh).transpose(), None);
+            let scores = g.attn_scores(u, encoded, m, scale);
             let scores = g.add(scores, mask);
             let attn = g.softmax_rows(scores);
-            g.attn_mix(attn, vh, m)
+            let mixed = g.attn_mix(attn, encoded, m);
+            int8_matmul(&mut g, mixed, &wv.slice_cols(h * dh, dh), None)
         })
         .collect();
     let concat = g.concat_cols(&heads);

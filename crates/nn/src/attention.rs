@@ -6,6 +6,21 @@
 //! grouped contiguously per node — exactly the layout of the fused
 //! [`apan_tensor::Graph::attn_scores`] / [`apan_tensor::Graph::attn_mix`]
 //! kernels.
+//!
+//! The forward runs in *absorbed* form. Attention is linear in its keys
+//! and values, so head `h`'s projections move off the `B·m` mail rows
+//! and onto the `B` query-side rows:
+//!
+//! * `⟨q_h, E_i·W_K,h⟩ = ⟨q_h·W_K,hᵀ, E_i⟩` — score the raw slots `E`
+//!   against `u_h = q_h·W_K,hᵀ` (`[B × d]`);
+//! * `Σ_i a_i·(E_i·W_V,h) = (Σ_i a_i·E_i)·W_V,h` — mix the raw slots,
+//!   then project the `[B × d]` mix.
+//!
+//! Both identities are exact in real arithmetic, so the block is the
+//! textbook project-then-attend one (the test suite keeps that form as
+//! its reference). Per node this costs `4·d² + 2·H·m·d` multiply-adds
+//! instead of `(2m + 2)·d² + 2·m·d`: at d = 172, m = 10, H = 2 the
+//! encoder's attention drops from ≈ 654 K to ≈ 125 K.
 
 use crate::init::xavier_uniform;
 use crate::param::{Fwd, ParamId, ParamStore};
@@ -85,9 +100,10 @@ impl MultiHeadAttention {
     }
 
     /// Attends from `query` `[B × d]` over `kv` `[B·m × d]` (m keys/values
-    /// per query, contiguous). `mask` optionally marks invalid slots with
-    /// `-inf`-like large negatives *before* the softmax — used for nodes
-    /// whose mailbox holds fewer than `m` real mails.
+    /// per query, contiguous), in the absorbed form of the module docs.
+    /// `mask` optionally marks invalid slots with `-inf`-like large
+    /// negatives *before* the softmax — used for nodes whose mailbox
+    /// holds fewer than `m` real mails.
     pub fn forward(
         &self,
         fwd: &mut Fwd<'_>,
@@ -101,8 +117,11 @@ impl MultiHeadAttention {
         debug_assert_eq!(fwd.g.value(kv).shape(), (b * m, self.model_dim));
 
         let q_all = proj(fwd, query, self.wq); // [B, d]
-        let k_all = proj(fwd, kv, self.wk); // [B*m, d]
-        let v_all = proj(fwd, kv, self.wv); // [B*m, d]
+        let wk = fwd.p(self.wk);
+        let wv = fwd.p(self.wv);
+        // Each head scores against its own d_h-wide query, whatever the
+        // width of the slots it reads.
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
 
         let mask_var = mask.map(|t| {
             debug_assert_eq!(t.shape(), (b, m), "attention mask must be [B x m]");
@@ -114,15 +133,17 @@ impl MultiHeadAttention {
         for h in 0..self.heads {
             let off = h * self.head_dim;
             let qh = fwd.g.slice_cols(q_all, off, self.head_dim);
-            let kh = fwd.g.slice_cols(k_all, off, self.head_dim);
-            let vh = fwd.g.slice_cols(v_all, off, self.head_dim);
-            let mut scores = fwd.g.attn_scores(qh, kh, m); // [B, m]
+            let wk_h = fwd.g.slice_cols(wk, off, self.head_dim);
+            let wk_ht = fwd.g.transpose(wk_h);
+            let u = fwd.g.matmul(qh, wk_ht); // [B, d]
+            let mut scores = fwd.g.attn_scores(u, kv, m, scale); // [B, m]
             if let Some(mv) = mask_var {
                 scores = fwd.g.add(scores, mv);
             }
             let attn = fwd.g.softmax_rows(scores);
-            let mixed = fwd.g.attn_mix(attn, vh, m); // [B, head_dim]
-            head_outputs.push(mixed);
+            let mixed = fwd.g.attn_mix(attn, kv, m); // [B, d]
+            let wv_h = fwd.g.slice_cols(wv, off, self.head_dim);
+            head_outputs.push(fwd.g.matmul(mixed, wv_h)); // [B, head_dim]
             weights.push(attn);
         }
         let concat = fwd.g.concat_cols(&head_outputs); // [B, d]

@@ -3,7 +3,7 @@
 use apan_check::check;
 use apan_nn::attention::length_mask;
 use apan_nn::{Fwd, LayerNorm, Linear, Mlp, MultiHeadAttention, ParamStore, TimeEncoding};
-use apan_tensor::Tensor;
+use apan_tensor::{Graph, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,6 +69,98 @@ fn attention_weights_always_distributions() {
                 let sum: f32 = t.row_slice(i).iter().sum();
                 assert!((sum - 1.0).abs() < 1e-4);
             }
+        }
+    });
+}
+
+/// Textbook multi-head attention, the form `MultiHeadAttention::forward`
+/// absorbs: project every slot to keys and values, then attend per head
+/// at `1/√d_h`.
+fn textbook_attention(
+    mha: &MultiHeadAttention,
+    fwd: &mut Fwd<'_>,
+    query: Var,
+    kv: Var,
+    m: usize,
+    mask: &Tensor,
+) -> Var {
+    let [wq, wk, wv, wo] = mha.projections().map(|id| fwd.p(id));
+    let dh = mha.model_dim() / mha.heads();
+    let g: &mut Graph = &mut fwd.g;
+    let q_all = g.matmul(query, wq);
+    let k_all = g.matmul(kv, wk);
+    let v_all = g.matmul(kv, wv);
+    let mask = g.constant(mask.clone());
+    let heads: Vec<Var> = (0..mha.heads())
+        .map(|h| {
+            let qh = g.slice_cols(q_all, h * dh, dh);
+            let kh = g.slice_cols(k_all, h * dh, dh);
+            let vh = g.slice_cols(v_all, h * dh, dh);
+            let scores = g.attn_scores(qh, kh, m, 1.0 / (dh as f32).sqrt());
+            let scores = g.add(scores, mask);
+            let attn = g.softmax_rows(scores);
+            g.attn_mix(attn, vh, m)
+        })
+        .collect();
+    let concat = g.concat_cols(&heads);
+    g.matmul(concat, wo)
+}
+
+/// `|a − b| ≤ tol · (1 + max|b|)` elementwise, same shape.
+fn close(a: &Tensor, b: &Tensor, tol: f32) -> bool {
+    let scale = b.data().iter().fold(0.0f32, |acc, x| acc.max(x.abs()));
+    a.allclose(b, tol * (1.0 + scale))
+}
+
+#[test]
+fn absorbed_attention_matches_textbook_values_and_gradients() {
+    check(64, |g| {
+        let heads = g.pick(&[1usize, 2, 4]);
+        let d = g.pick(&[8usize, 16]);
+        let (b, m) = (g.range(1usize..=4), g.range(1usize..=12));
+        let mut rng = StdRng::seed_from_u64(g.next_u64());
+        let mut store = ParamStore::new();
+        let mha = MultiHeadAttention::new(&mut store, "a", d, heads, &mut rng);
+        let query = Tensor::randn(b, d, 1.0, &mut rng);
+        let kv_in = Tensor::randn(b * m, d, 1.0, &mut rng);
+        let probe = Tensor::randn(b, d, 1.0, &mut rng);
+        // every node keeps slot 0 open, as the encoder's mask does; some
+        // keep nothing else
+        let lens: Vec<usize> = (0..b).map(|_| g.range(1usize..=m)).collect();
+        let mask = length_mask(&lens, m);
+
+        // out, then the gradients of W_Q, W_K, W_V, W^O and kv under a
+        // random linear probe of out
+        let run = |absorbed: bool| -> Vec<Tensor> {
+            let mut fwd = Fwd::new(&store, true);
+            let q = fwd.g.constant(query.clone());
+            let kv = fwd.g.leaf(kv_in.clone(), true);
+            let out = if absorbed {
+                mha.forward(&mut fwd, q, kv, m, Some(&mask)).out
+            } else {
+                textbook_attention(&mha, &mut fwd, q, kv, m, &mask)
+            };
+            let probe = fwd.g.constant(probe.clone());
+            let weighted = fwd.g.mul(out, probe);
+            let loss = fwd.g.sum_all(weighted);
+            fwd.g.backward(loss);
+            let mut got = vec![fwd.g.value(out).clone()];
+            for id in mha.projections() {
+                let w = fwd.p(id);
+                got.push(fwd.g.grad(w).expect("projection gradient").clone());
+            }
+            got.push(fwd.g.grad(kv).expect("kv gradient").clone());
+            got
+        };
+        let (absorbed, textbook) = (run(true), run(false));
+        for (what, (a, t)) in ["out", "dW_Q", "dW_K", "dW_V", "dW^O", "dkv"]
+            .iter()
+            .zip(absorbed.iter().zip(&textbook))
+        {
+            assert!(
+                close(a, t, 1e-4),
+                "{what} differs: heads {heads}, d {d}, b {b}, m {m}, lens {lens:?}"
+            );
         }
     });
 }

@@ -53,7 +53,13 @@ pub struct ServeConfig {
     /// Largest admissible node id — the cap that stops a hostile request
     /// from growing serving state without bound.
     pub max_node: u32,
-    /// Propagation-channel capacity (backpressure on the async link).
+    /// Propagation-channel capacity in jobs (backpressure on the async
+    /// link). It bounds the backlog's memory: the largest job is one
+    /// full micro-batch, 64 interactions with their features plus up to
+    /// 128 embedding rows, ≈ 130 KB at d = 172, so the default 32 jobs
+    /// hold at most ≈ 4 MB. A fast synchronous link fills the channel;
+    /// once full, the batcher waits for the worker instead of queueing
+    /// more.
     pub capacity: usize,
     /// Micro-batch closing policy.
     pub policy: BatchPolicy,
@@ -111,7 +117,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             num_nodes: 1024,
             max_node: 1 << 20,
-            capacity: 256,
+            capacity: 32,
             policy: BatchPolicy::default(),
             high_water: 1024,
             lateness: None,

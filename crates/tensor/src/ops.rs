@@ -9,7 +9,7 @@
 //! the batched attention that APAN's encoder needs without general 3-D
 //! tensor support:
 //!
-//! * [`Graph::attn_scores`] — `s[b, i] = ⟨q[b], k[b·m + i]⟩ / √d_h`
+//! * [`Graph::attn_scores`] — `s[b, i] = ⟨q[b], k[b·m + i]⟩ · scale`
 //! * [`Graph::attn_mix`]    — `o[b] = Σ_i a[b, i] · v[b·m + i]`
 
 use crate::graph::{Graph, Var};
@@ -612,13 +612,17 @@ impl Graph {
     // Fused batched attention kernels
     // ------------------------------------------------------------------
 
-    /// Batched scaled dot-product scores. `q` is `[B × d_h]` (one query per
-    /// batch element), `k` is `[B·m × d_h]` (m keys per batch element,
+    /// Batched scaled dot-product scores. `q` is `[B × w]` (one query per
+    /// batch element), `k` is `[B·m × w]` (m keys per batch element,
     /// grouped contiguously). Returns `[B × m]` with
-    /// `s[b, i] = ⟨q[b], k[b·m + i]⟩ / √d_h`.
-    pub fn attn_scores(&mut self, q: Var, k: Var, m: usize) -> Var {
-        let qv = self.value(q).clone();
-        let kv = self.value(k).clone();
+    /// `s[b, i] = ⟨q[b], k[b·m + i]⟩ · scale`. The caller picks the scale:
+    /// textbook attention passes `1/√w`, the absorbed mailbox attention
+    /// `1/√d_h` of a head narrower than the slots it scores.
+    ///
+    /// The operands are copied onto the tape only when a backward is
+    /// recorded; an eval or replay pass reads them in place.
+    pub fn attn_scores(&mut self, q: Var, k: Var, m: usize, scale: f32) -> Var {
+        let (qv, kv) = (self.value(q), self.value(k));
         let (b, dh) = qv.shape();
         assert_eq!(
             kv.shape(),
@@ -628,11 +632,11 @@ impl Graph {
             dh,
             kv.shape2()
         );
-        let scale = 1.0 / (dh as f32).sqrt();
         let mut out = Tensor::zeros(b, m);
         crate::backend::attn_scores_fwd(qv.data(), kv.data(), b, m, dh, scale, out.data_mut());
         let needs = self.needs_grad(q) || self.needs_grad(k);
         let backward = needs.then(|| {
+            let (qv, kv) = (qv.clone(), kv.clone());
             Box::new(move |grad: &Tensor| {
                 let mut dq = Tensor::zeros(b, dh);
                 let mut dk = Tensor::zeros(b * m, dh);
@@ -654,11 +658,11 @@ impl Graph {
     }
 
     /// Batched attention mixing. `attn` is `[B × m]` (weights per batch
-    /// element), `v` is `[B·m × d_h]`. Returns `[B × d_h]` with
-    /// `o[b] = Σ_i attn[b, i] · v[b·m + i]`.
+    /// element), `v` is `[B·m × w]`. Returns `[B × w]` with
+    /// `o[b] = Σ_i attn[b, i] · v[b·m + i]`. Like [`Graph::attn_scores`],
+    /// it copies its operands only when it records a backward.
     pub fn attn_mix(&mut self, attn: Var, v: Var, m: usize) -> Var {
-        let av = self.value(attn).clone();
-        let vv = self.value(v).clone();
+        let (av, vv) = (self.value(attn), self.value(v));
         let (b, m2) = av.shape();
         assert_eq!(m, m2, "attn_mix weight width {m2} != m {m}");
         let dh = vv.cols();
@@ -673,6 +677,7 @@ impl Graph {
         crate::backend::attn_mix_fwd(av.data(), vv.data(), b, m, dh, out.data_mut());
         let needs = self.needs_grad(attn) || self.needs_grad(v);
         let backward = needs.then(|| {
+            let (av, vv) = (av.clone(), vv.clone());
             Box::new(move |grad: &Tensor| {
                 let mut da = Tensor::zeros(b, m);
                 let mut dv = Tensor::zeros(b * m, dh);
@@ -1142,8 +1147,8 @@ mod tests {
         // B=1, m=2, dh=2
         let q = g.constant(Tensor::from_rows(&[&[1.0, 0.0]]));
         let k = g.constant(Tensor::from_rows(&[&[2.0, 5.0], &[0.0, 7.0]]));
-        let s = g.attn_scores(q, k, 2);
         let scale = 1.0 / 2f32.sqrt();
+        let s = g.attn_scores(q, k, 2, scale);
         assert!((g.value(s).get(0, 0) - 2.0 * scale).abs() < 1e-6);
         assert!((g.value(s).get(0, 1) - 0.0).abs() < 1e-6);
     }
@@ -1153,12 +1158,17 @@ mod tests {
         let mut r = rng();
         let q = Tensor::randn(3, 4, 0.7, &mut r);
         let k = Tensor::randn(6, 4, 0.7, &mut r); // m=2
-        check_gradients(&[q, k], |g, vars| {
-            let s = g.attn_scores(vars[0], vars[1], 2);
-            let sq = g.mul(s, s);
-            g.sum_all(sq)
-        })
-        .unwrap();
+
+        // the textbook 1/√4 and the 1/√2 of a 2-head absorbed split of
+        // these 4 columns: the scale reaches both gradients
+        for scale in [0.5, 1.0 / 2f32.sqrt()] {
+            check_gradients(&[q.clone(), k.clone()], |g, vars| {
+                let s = g.attn_scores(vars[0], vars[1], 2, scale);
+                let sq = g.mul(s, s);
+                g.sum_all(sq)
+            })
+            .unwrap();
+        }
     }
 
     #[test]
@@ -1182,7 +1192,7 @@ mod tests {
         let k = Tensor::randn(6, 4, 0.5, &mut r);
         let v = Tensor::randn(6, 4, 0.5, &mut r);
         check_gradients(&[q, k, v], |g, vars| {
-            let s = g.attn_scores(vars[0], vars[1], 3);
+            let s = g.attn_scores(vars[0], vars[1], 3, 0.5);
             let a = g.softmax_rows(s);
             let o = g.attn_mix(a, vars[2], 3);
             let sq = g.mul(o, o);

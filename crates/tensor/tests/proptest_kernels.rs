@@ -511,7 +511,7 @@ fn attn_backward_is_thread_invariant_at_the_active_mode() {
             let mut g = Graph::new();
             let qv = g.leaf(q.clone(), true);
             let kv = g.leaf(k.clone(), true);
-            let s = g.attn_scores(qv, kv, m);
+            let s = g.attn_scores(qv, kv, m, 1.0 / (q.cols() as f32).sqrt());
             let mixed = g.attn_mix(s, kv, m);
             let loss = g.sum_all(mixed);
             g.backward(loss);
