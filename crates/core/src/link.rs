@@ -5,8 +5,12 @@
 //! and the k-hop mail propagation — carried as owned tensors, so the
 //! hand-off is a channel send. The worker drains the channel in FIFO
 //! order, so graph inserts and mailbox commits happen in submission
-//! order. Parallelism lives inside a job: planning and shard-parallel
-//! delivery run on the tensor thread pool (`APAN_THREADS`).
+//! order. The link's parallelism is the worker thread itself, running
+//! beside the synchronous link's batcher: every kernel of a job (φ,
+//! planning, the apply) runs inline on the worker
+//! (`apan_tensor::backend::pool::inline`), never on the tensor pool,
+//! whose forks would queue behind the other link's work
+//! (`DESIGN.md` §6.24). `APAN_THREADS` does not reach it.
 //!
 //! Locks are `std::sync` and a poisoned one is fatal: a panic under a
 //! lock is a bug, so the next `lock()` panics too instead of serving
@@ -20,6 +24,7 @@ use crate::propagator::{DeliveryPlan, Interaction, PropScratch, Propagator};
 use crate::shard::ShardedMailboxStore;
 use crate::tier::TierShard;
 use apan_metrics::{ObsHub, Stage};
+use apan_tensor::backend::pool;
 use apan_tensor::Tensor;
 use apan_tgraph::cost::QueryCost;
 use apan_tgraph::{NodeId, TemporalGraph, Time};
@@ -267,10 +272,12 @@ impl Link {
     /// With the link drained, forces every still-buffered late event
     /// through [`Link::release_late`]; returns how many were released.
     pub(crate) fn release_reorder_buffer(&self) -> usize {
-        let mut work = Work::default();
-        let released = self.release_late(&mut self.state.late(), true, &mut work);
-        self.account(0, &mut work);
-        released
+        pool::inline(|| {
+            let mut work = Work::default();
+            let released = self.release_late(&mut self.state.late(), true, &mut work);
+            self.account(0, &mut work);
+            released
+        })
     }
 
     /// One job: graph insert → plan → deliver, in submission order.
@@ -307,9 +314,9 @@ impl Link {
         }
         let t_commit1 = obs.stamp();
         obs.stage_record(Stage::Commit, job.trace_id, t_commit0, t_commit1);
-        // Sampling — the expensive part — runs on the tensor pool. Only
-        // the in-order subset is planned now; late events wait in the
-        // reorder buffer until no earlier-timed event can still arrive.
+        // Sampling is the expensive part. Only the in-order subset is
+        // planned now; late events wait in the reorder buffer until no
+        // earlier-timed event can still arrive.
         let inorder: Option<(Vec<Interaction>, Tensor)> = (!job.late.is_empty()).then(|| {
             let keep: Vec<usize> = (0..job.interactions.len())
                 .filter(|&i| !is_late(i))
@@ -360,12 +367,14 @@ impl Link {
 }
 
 /// The propagation worker: runs jobs in channel (submission) order
-/// until every sender is dropped and the queue is empty. Its planning
-/// buffers live for the whole thread, so steady-state jobs allocate
-/// almost nothing.
+/// until every sender is dropped and the queue is empty, every kernel
+/// inline on this thread. Its planning buffers live for the whole
+/// thread, so steady-state jobs allocate almost nothing.
 pub(crate) fn propagation_worker(rx: Receiver<Box<PropagateJob>>, link: Arc<Link>) {
-    let mut work = Work::default();
-    while let Ok(job) = rx.recv() {
-        link.run_job(&job, &mut work);
-    }
+    pool::inline(|| {
+        let mut work = Work::default();
+        while let Ok(job) = rx.recv() {
+            link.run_job(&job, &mut work);
+        }
+    })
 }

@@ -16,6 +16,10 @@
 //!   [`ServingPipeline::submit_remote`] is where those bytes come back
 //!   in and are validated.
 //!
+//! The two links are the pipeline's parallelism: each runs its kernels
+//! inline on its own thread ([`pool::inline`]) instead of forking onto
+//! the shared tensor pool (`DESIGN.md` §6.24).
+//!
 //! Backpressure is real: if propagation falls behind, the bounded channel
 //! blocks the producer, surfacing exactly the overload scenario the paper
 //! discusses (Black-Friday bursts), instead of letting the mailbox lag
@@ -29,6 +33,7 @@ use crate::plan::InferencePlan;
 use crate::propagator::Interaction;
 use crate::shard::{shards_from_env, ShardedMailboxStore};
 use apan_metrics::{Clock, LatencyRecorder, ObsHub, Stage};
+use apan_tensor::backend::pool;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, TemporalGraph};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -157,7 +162,10 @@ impl ServingPipeline {
         let (tx, rx) = sync_channel(capacity.max(1));
         let worker = {
             let link = Arc::clone(&link);
-            std::thread::spawn(move || propagation_worker(rx, link))
+            std::thread::Builder::new()
+                .name("apan-propagate".into())
+                .spawn(move || propagation_worker(rx, link))
+                .expect("spawn the propagation worker")
         };
 
         Self {
@@ -332,7 +340,8 @@ impl ServingPipeline {
     }
 
     /// The synchronous path plus construction (not submission) of the
-    /// batch's propagation job.
+    /// batch's propagation job. The encoder and decoder run inline on
+    /// the calling thread: the propagation worker holds the other core.
     fn sync_path(
         &mut self,
         interactions: &[Interaction],
@@ -380,7 +389,7 @@ impl ServingPipeline {
         let view = self.link.store.sync_view();
         view.set_trace(trace_id);
         let t_encode0 = obs.stamp();
-        let z_val = self.plan.encode(&view, &unique, now);
+        let z_val = pool::inline(|| self.plan.encode(&view, &unique, now));
         // Dropped events are scored below but are excluded from the
         // write-back and the propagation job. When any were, `partial`
         // is the admitted view: kept indices, their distinct endpoints,
@@ -405,7 +414,7 @@ impl ServingPipeline {
         }
         let t_encode1 = obs.stamp();
         drop(view);
-        let scores = self.plan.score_links(&z_val, &maps[0], &maps[1]);
+        let scores = pool::inline(|| self.plan.score_links(&z_val, &maps[0], &maps[1]));
         let t_decode1 = obs.stamp();
         obs.stage_record(Stage::Encode, trace_id, t_encode0, t_encode1);
         obs.stage_record(Stage::DecodeScore, trace_id, t_encode1, t_decode1);
@@ -563,12 +572,17 @@ mod tests {
     use super::*;
     use crate::config::{ApanConfig, MailContent};
     use apan_nn::Fwd;
+    use apan_tensor::backend::pool::set_num_threads;
     use apan_tgraph::cost::QueryCost;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn model() -> Apan {
-        let mut cfg = ApanConfig::new(8);
+        model_dim(8)
+    }
+
+    fn model_dim(dim: usize) -> Apan {
+        let mut cfg = ApanConfig::new(dim);
         cfg.mailbox_slots = 4;
         cfg.mlp_hidden = 16;
         cfg.dropout = 0.0;
@@ -641,22 +655,26 @@ mod tests {
         assert!(stats.cost.queries > 0);
     }
 
-    #[test]
-    fn matches_offline_replay_when_flushed() {
-        // with a flush between batches, the pipeline must produce exactly
-        // the embeddings of a sequential offline replay
-        let m_pipe = model();
-        let m_ref = model(); // identical seed ⇒ identical weights
-        let mut p = ServingPipeline::new(m_pipe, 8, 16);
-
-        let mut ref_store = m_ref.new_store(8);
+    /// Serves `batches` through a pipeline, flushing after each one,
+    /// against a sequential offline replay of `m_ref` on the tape and a
+    /// flat store: embeddings, scores, mailboxes and the graph agree bit
+    /// for bit after every batch.
+    fn assert_matches_offline_replay(
+        m_pipe: Apan,
+        m_ref: Apan,
+        num_nodes: usize,
+        batches: &[(Vec<Interaction>, Tensor)],
+    ) {
+        use apan_tensor::ops::stable_sigmoid;
+        let mut p = ServingPipeline::new(m_pipe, num_nodes, 16);
+        let mut ref_store = m_ref.new_store(num_nodes);
         let mut ref_graph = TemporalGraph::new();
         let mut rng = StdRng::seed_from_u64(0);
         let mut cost = QueryCost::new();
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
 
-        for k in 0..4 {
-            let (b, f) = batch(k);
-            let r = p.infer_batch(&b, &f);
+        for (k, (b, f)) in batches.iter().enumerate() {
+            let r = p.infer_batch(b, f);
             p.flush();
 
             // offline reference
@@ -664,32 +682,90 @@ mod tests {
             let dst: Vec<NodeId> = b.iter().map(|i| i.dst).collect();
             let (unique, maps) = dedup_nodes(&[&src, &dst]);
             let now = b.last().unwrap().time;
-            let z = {
+            let (z, scores) = {
                 let mut fwd = Fwd::new(&m_ref.params, false);
                 let enc = m_ref.encode(&mut fwd, &ref_store, &unique, now, &mut rng);
-                fwd.g.value(enc.z).clone()
+                let zi = fwd.g.gather_rows(enc.z, &maps[0]);
+                let zj = fwd.g.gather_rows(enc.z, &maps[1]);
+                let logits = m_ref.link_decoder.forward(&mut fwd, zi, zj, &mut rng);
+                let scores: Vec<f32> = fwd
+                    .g
+                    .value(logits)
+                    .data()
+                    .iter()
+                    .map(|&x| stable_sigmoid(x))
+                    .collect();
+                (fwd.g.value(enc.z).clone(), scores)
             };
-            for i in &b {
+            for i in b {
                 ref_graph.insert(i.src, i.dst, i.time);
             }
             m_ref.post_step(
                 &mut ref_store,
                 &ref_graph,
-                &b,
+                b,
                 &unique,
                 &z,
                 &maps[0],
                 &maps[1],
-                &f,
+                f,
                 &mut cost,
             );
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let what =
+                |part: &str| format!("pipeline diverged from offline replay at batch {k}: {part}");
             assert_eq!(
-                bits(&r.embeddings),
-                bits(&z),
-                "pipeline diverged from offline replay at batch {k}"
+                bits(r.embeddings.data()),
+                bits(z.data()),
+                "{}",
+                what("embeddings")
             );
+            assert_eq!(bits(&r.scores), bits(&scores), "{}", what("scores"));
+            let (store, graph) = p.export_state();
+            let (mut served, mut offline) = (Vec::new(), Vec::new());
+            store.write_snapshot(&mut served).unwrap();
+            ref_store.write_snapshot(&mut offline).unwrap();
+            assert!(served == offline, "{}", what("mailboxes"));
+            assert_eq!(graph.events(), ref_graph.events(), "{}", what("graph"));
         }
+    }
+
+    #[test]
+    fn matches_offline_replay_when_flushed() {
+        // identical seed ⇒ identical weights
+        let batches: Vec<_> = (0..4).map(batch).collect();
+        assert_matches_offline_replay(model(), model(), 8, &batches);
+    }
+
+    #[test]
+    fn inline_serving_matches_a_forking_offline_replay() {
+        // The served side runs every kernel inline; the offline side
+        // forks at width 2 (even on a one-CPU runner): 32 events over
+        // 96 nodes embed 53 or 54 distinct nodes per batch, past the
+        // 28-row split of a 48×48 GEMM, and deliver to well over the
+        // 16 destinations at which the plan's per-node reduction splits.
+        set_num_threads(2);
+        let (d, nodes, len) = (48, 96u32, 32);
+        let batches: Vec<_> = (0..4u32)
+            .map(|k| {
+                let interactions: Vec<Interaction> = (0..len)
+                    .map(|i| {
+                        let src = (7 * i + 13 * k) % nodes;
+                        let dst = (11 * i + 5 * k + 1) % nodes;
+                        Interaction {
+                            src,
+                            dst: if dst == src { (dst + 1) % nodes } else { dst },
+                            time: f64::from(100 * k + i + 1),
+                            eid: k * len + i,
+                        }
+                    })
+                    .collect();
+                let feats: Vec<f32> = (0..len as usize * d)
+                    .map(|j| (j * 37 % 101) as f32 / 101.0 - 0.5)
+                    .collect();
+                (interactions, Tensor::from_vec(len as usize, d, feats))
+            })
+            .collect();
+        assert_matches_offline_replay(model_dim(d), model_dim(d), nodes as usize, &batches);
     }
 
     #[test]

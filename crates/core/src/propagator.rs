@@ -77,9 +77,12 @@ impl Propagator {
 
     /// Computes the full delivery set for a batch — every destination
     /// node, its reduced payload, and its delivery time/origin — without
-    /// touching any mailbox. The graph is only *read*, and the
-    /// per-interaction `sample_khop` fan-out runs on the shared tensor
-    /// thread pool.
+    /// touching any mailbox. The graph is only *read*. The
+    /// per-interaction `sample_khop` fan-out (phase 1) and the per-node
+    /// reduction (phase 3) run on the shared tensor thread pool when
+    /// called from training or replay; the serving pipeline's worker
+    /// calls this inside `pool::inline`, so there both run on the worker
+    /// thread.
     ///
     /// ## Determinism
     /// Bitwise identical to the historical serial path for any thread
@@ -254,11 +257,10 @@ impl DeliveryPlan {
         self.nodes.len()
     }
 
-    /// Applies the plan to a sharded store, shards in parallel. Within a
-    /// shard destinations stay ascending; across shards the order is
-    /// free because per-node mailbox state is independent — the final
-    /// store state is identical to [`DeliveryPlan::apply`] on the
-    /// equivalent flat store.
+    /// Applies the plan to a sharded store, destinations ascending. Per-node
+    /// mailbox state is independent, so the final store state is
+    /// identical to [`DeliveryPlan::apply`] on the equivalent flat store
+    /// for any shard count.
     pub fn apply_sharded(&self, store: &ShardedMailboxStore) -> usize {
         self.apply_locked(&mut store.sync_view(), TierShard::deliver)
     }
@@ -272,34 +274,29 @@ impl DeliveryPlan {
     }
 
     /// Runs `write` (`deliver` or `patch_late`) for every delivery
-    /// under the held store lock: deliveries are bucketed by shard and
-    /// each pool task owns a disjoint run of shards. Holding the lock
-    /// for the whole apply is what keeps a synchronous encode from
-    /// observing a half-applied commit.
+    /// under the held store lock, one loop in ascending destination
+    /// order on the calling thread. Each shard sees its deliveries in
+    /// ascending order and keeps its own LRU, so the state is that of
+    /// [`DeliveryPlan::apply`] on the equivalent flat store.
+    /// Holding the lock for the whole apply is what keeps a synchronous
+    /// encode from observing a half-applied commit.
     pub(crate) fn apply_locked(
         &self,
         store: &mut StoreGuard<'_>,
-        write: impl Fn(&mut TierShard, NodeId, &[f32], Time, MailOrigin) + Sync,
+        write: impl Fn(&mut TierShard, NodeId, &[f32], Time, MailOrigin),
     ) -> usize {
         let shards = store.shards_mut();
         let s = shards.len();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); s];
         for (i, &node) in self.nodes.iter().enumerate() {
-            buckets[locate(node, s).0].push(i);
+            let (shard, local) = locate(node, s);
+            write(
+                &mut shards[shard],
+                local,
+                &self.payload[i * self.dim..(i + 1) * self.dim],
+                self.times[i],
+                self.origins[i],
+            );
         }
-        parallel_rows_mut(shards, 1, 1, |start, _, shards| {
-            for (shard, bucket) in shards.iter_mut().zip(&buckets[start..]) {
-                for &i in bucket {
-                    write(
-                        shard,
-                        locate(self.nodes[i], s).1,
-                        &self.payload[i * self.dim..(i + 1) * self.dim],
-                        self.times[i],
-                        self.origins[i],
-                    );
-                }
-            }
-        });
         self.nodes.len()
     }
 }

@@ -1,8 +1,7 @@
 //! Sharded mailbox store behind the serving pipeline.
 //!
 //! [`ShardedMailboxStore`] splits node state across `S` shards by
-//! `node_id % S`, so the propagation worker's apply can hand disjoint
-//! shards to the tensor pool's workers. Each shard is a [`TierShard`]:
+//! `node_id % S`. Each shard is a [`TierShard`]:
 //! a plain flat [`MailboxStore`] when no residency budget is configured,
 //! or a bounded hot pool spilling its LRU tail to the store's
 //! direct-mapped spill file when one is (see [`crate::tier`]).
@@ -23,12 +22,12 @@
 //! export). The one propagation worker holds it for one plan's apply.
 //! Each hold covers a whole unit of work, so an encode never observes a
 //! half-applied commit, and with one lock there is no ordering rule.
-//! Inside the worker's hold the apply hands each pool task a disjoint
-//! run of shards (`parallel_rows_mut`), so shards need no locks of
-//! their own. The spill file is not a lock either: shards share it
-//! through positioned I/O, each at its own nodes' offsets. A poisoned
-//! lock is fatal, as everywhere in the serving stack: a panic under the
-//! store lock is a bug, not a state to keep serving from.
+//! Inside the worker's hold the apply is one loop on the worker thread,
+//! so shards need no locks of their own. The spill file is not a lock
+//! either: shards share it through positioned I/O, each at its own
+//! nodes' offsets. A poisoned lock is fatal, as everywhere in the
+//! serving stack: a panic under the store lock is a bug, not a state to
+//! keep serving from.
 
 use crate::mailbox::{MailOrigin, MailboxRead, MailboxStore, MailboxView};
 use crate::tier::{ColdFile, TierShard, TierStats};
@@ -337,7 +336,7 @@ impl StoreGuard<'_> {
         self.shards.get_mut()[s].patch_late(local, mail, t, origin);
     }
 
-    /// The shards themselves, for the propagation apply's fan-out.
+    /// The shards themselves, for the propagation apply.
     pub(crate) fn shards_mut(&mut self) -> &mut [TierShard] {
         self.shards.get_mut()
     }

@@ -151,8 +151,8 @@ const SPILL_FILE: &str = "mailboxes.spill";
 /// `g × record_len`. It holds no index — whether a node's record is
 /// live is the owning shard's [`Residence`] entry — so it is shared
 /// lock-free: positioned I/O on `&File` is thread-safe, and a shard
-/// only ever touches its own nodes' offsets, so the apply's pool tasks,
-/// each owning different shards, never write the same bytes.
+/// only ever touches its own nodes' offsets, so two shards never write
+/// the same bytes.
 pub(crate) struct ColdFile {
     file: File,
     path: PathBuf,

@@ -1,11 +1,12 @@
-//! Property-based equivalence of the parallel sharded propagation link.
+//! Property-based equivalence of the parallel planner and the sharded
+//! apply of the propagation link.
 //!
 //! The reference model is the historical serial `propagate_batch` —
 //! HashMap inbox, per-node sort+dedup, ascending delivery — frozen here
 //! verbatim. For arbitrary graphs, batches, reducers, update modes,
 //! shard counts, and worker-pool widths, the rewritten planner plus both
-//! apply paths (flat serial, sharded parallel) must produce **bitwise
-//! identical** mailbox snapshots and identical query-cost accounting.
+//! apply paths (flat, sharded) must produce **bitwise identical** mailbox
+//! snapshots and identical query-cost accounting.
 //! One deterministic case adds what the small random graphs cannot: the
 //! default shard count on a realistic 200-event batch.
 
@@ -169,7 +170,7 @@ fn sharded_parallel_propagation_is_bitwise_serial() {
         assert_eq!(flat_cost, ref_cost);
         assert_eq!(snapshot_bytes(&flat_store), ref_snap);
 
-        // 3. sharded parallel apply, at several shard counts, all-resident
+        // 3. sharded apply, at several shard counts, all-resident
         // and with every shard spilling through one hot slot
         for (shards, budget) in [1usize, 2, 4, 8, DEFAULT_SHARDS]
             .into_iter()

@@ -1316,6 +1316,7 @@ mod tests {
     fn thread_count_does_not_change_bits_in_any_mode() {
         // Big enough that min_rows_for(k·n) allows several chunks.
         let (m, k, n) = (200, 64, 40);
+        let _width = pool::width_lock();
         let a = arange(m * k, 1.1);
         let b = arange(k * n, 1.7);
         for mode in [SimdMode::Scalar, SimdMode::Avx2Fma, SimdMode::Avx512] {

@@ -20,9 +20,14 @@
 //! Threads are spawned lazily on first parallel dispatch and live for the
 //! rest of the process. Each worker owns a `std::sync::mpsc` channel, and
 //! chunk `c` of a dispatch goes to worker `c - 1`; dispatch costs one
-//! channel send + receive per chunk, cheap enough for per-batch inference
-//! kernels.
+//! channel send + receive per chunk. That is cheap when the caller has
+//! idle cores to fork onto. It is not when the caller is one of several
+//! threads that already keep the cores busy: the serving daemon's
+//! batcher and propagation worker each waited for pool chunks queued
+//! behind the other's work (`DESIGN.md` §6.24). Such threads run their
+//! kernels under [`inline`], at width 1 on themselves.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -33,6 +38,11 @@ const MAX_THREADS: usize = 64;
 
 /// Requested degree of parallelism. 0 = not yet initialised.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread runs inside [`inline`].
+    static INLINE: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Parses `var` as a positive integer. Unset returns `None` silently; a
 /// set-but-invalid value (unparsable, or zero) also returns `None` but
@@ -101,6 +111,22 @@ pub fn num_threads() -> usize {
 /// performance knob.
 pub fn set_num_threads(n: usize) {
     THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
+}
+
+/// Runs `f` with every kernel it calls on this thread at width 1: each
+/// [`parallel_rows`]-family call runs its whole range as one chunk on
+/// this thread, whatever [`num_threads`] says. The bits do not change,
+/// since the split never decides how a row is computed. The previous
+/// setting comes back when `f` returns or unwinds, so calls nest.
+pub fn inline<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INLINE.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(INLINE.with(|flag| flag.replace(true)));
+    f()
 }
 
 /// One chunk of a [`dispatch`] call, borrowed from its caller.
@@ -234,11 +260,12 @@ pub fn parallel_rows_mut2<A: Send, B: Send>(
 }
 
 /// The one partition every entry point uses: at most [`num_threads`]
-/// chunks of at least `min_rows` rows, chunk `c` covering `rows / chunks`
-/// rows plus one for the first `rows % chunks`. `cut(part, n)` splits
-/// `whole` into its first `n` rows and the rest; `f(start, end, part)`
-/// runs once per chunk. Each part sits behind its own lock and is taken
-/// once, so the borrow checker, not a pointer, keeps the parts disjoint.
+/// chunks (one inside [`inline`]) of at least `min_rows` rows, chunk
+/// `c` covering `rows / chunks` rows plus one for the first
+/// `rows % chunks`. `cut(part, n)` splits `whole` into its first `n`
+/// rows and the rest; `f(start, end, part)` runs once per chunk. Each
+/// part sits behind its own lock and is taken once, so the borrow
+/// checker, not a pointer, keeps the parts disjoint.
 fn for_each_part<P: Send>(
     rows: usize,
     min_rows: usize,
@@ -246,7 +273,12 @@ fn for_each_part<P: Send>(
     cut: impl Fn(P, usize) -> (P, P),
     f: impl Fn(usize, usize, P) + Sync,
 ) {
-    let chunks = num_threads().min(rows.div_ceil(min_rows.max(1)));
+    let width = if INLINE.with(Cell::get) {
+        1
+    } else {
+        num_threads()
+    };
+    let chunks = width.min(rows.div_ceil(min_rows.max(1)));
     if chunks <= 1 {
         if rows > 0 {
             f(0, rows, whole);
@@ -271,13 +303,23 @@ fn for_each_part<P: Send>(
     });
 }
 
+/// Serialises this crate's unit tests that set the pool width, so a
+/// test that counts chunks sees the width it set.
+#[cfg(test)]
+pub(crate) fn width_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
 
     #[test]
     fn covers_all_rows_exactly_once() {
+        let _width = width_lock();
         set_num_threads(4);
         let hits: Vec<AtomicU64> = (0..1037).map(|_| AtomicU64::new(0)).collect();
         parallel_rows(hits.len(), 1, &|start, end| {
@@ -291,6 +333,7 @@ mod tests {
 
     #[test]
     fn small_problems_run_inline() {
+        let _width = width_lock();
         set_num_threads(8);
         // 3 rows with min_rows=8 → single inline chunk; record the thread.
         let tid = std::sync::Mutex::new(None);
@@ -311,6 +354,7 @@ mod tests {
 
     #[test]
     fn rows_mut_hands_each_task_exactly_its_rows() {
+        let _width = width_lock();
         set_num_threads(4);
         let (mut a, mut b) = (vec![0u8; 1037 * 2], vec![0u8; 1037 * 5]);
         parallel_rows_mut2(&mut a, 2, &mut b, 5, 1, |start, end, a, b| {
@@ -322,6 +366,58 @@ mod tests {
             rows.iter_mut().for_each(|v| *v += 1);
         });
         assert!(a.iter().all(|&v| v == 2) && b.iter().all(|&v| v == 1));
+        set_num_threads(1);
+    }
+
+    /// Every call `kernel` makes to its row function, as (thread, start,
+    /// end), in row order.
+    fn calls(kernel: impl FnOnce(&(dyn Fn(usize, usize) + Sync))) -> Vec<(ThreadId, usize, usize)> {
+        let calls = Mutex::new(Vec::new());
+        kernel(&|start, end| {
+            let me = std::thread::current().id();
+            calls.lock().unwrap().push((me, start, end));
+        });
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort_by_key(|&(_, start, _)| start);
+        calls
+    }
+
+    fn rows(f: &(dyn Fn(usize, usize) + Sync)) {
+        parallel_rows(64, 1, f);
+    }
+
+    fn rows_mut(f: &(dyn Fn(usize, usize) + Sync)) {
+        parallel_rows_mut(&mut [0u8; 64 * 3], 3, 1, |start, end, part| {
+            assert_eq!(part.len(), (end - start) * 3);
+            f(start, end)
+        });
+    }
+
+    #[test]
+    fn inline_runs_the_whole_range_on_the_calling_thread() {
+        let _width = width_lock();
+        set_num_threads(2);
+        let me = std::thread::current().id();
+        let whole = vec![(me, 0, 64)];
+        inline(|| {
+            assert_eq!(calls(rows), whole);
+            assert_eq!(calls(rows_mut), whole);
+            inline(|| assert_eq!(calls(rows), whole));
+            // the nested call restored the outer setting, not the default
+            assert_eq!(calls(rows), whole);
+            assert_eq!(calls(rows_mut), whole);
+        });
+        let caught = catch_unwind(|| inline(|| rows(&|_, _| panic!("a kernel panics"))));
+        assert!(caught.is_err());
+        // outside `inline` again, even after the unwind: two chunks, the
+        // second on a pool worker
+        for kernel in [rows, rows_mut] {
+            let split = calls(kernel);
+            let ranges: Vec<_> = split.iter().map(|&(_, start, end)| (start, end)).collect();
+            assert_eq!(ranges, [(0, 32), (32, 64)]);
+            assert_eq!(split[0].0, me);
+            assert_ne!(split[1].0, me);
+        }
         set_num_threads(1);
     }
 

@@ -336,6 +336,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_i8_bits() {
+        let _width = super::super::pool::width_lock();
         let (m, k, n) = (64, 96, 32);
         let (qa, sa) = quantize_rows_i8(&wavy(m * k, 0.3), m, k);
         let (qb, sb) = quantize_rows_i8(&wavy(n * k, 0.9), n, k);
