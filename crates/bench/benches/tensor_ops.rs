@@ -1,6 +1,5 @@
-//! GEMM kernel guard: the backend's gain over the seed kernel, the
-//! SIMD-vs-scalar and int8-vs-f32 ratios at the encoder's serving
-//! shapes, all in one `BENCH_tensor.json` (to `APAN_OUT`, default
+//! GEMM kernel guard: the backend's gain over the seed kernel and the
+//! SIMD-vs-scalar ratio at the encoder's serving shapes, all in one `BENCH_tensor.json` (to `APAN_OUT`, default
 //! `bench-results/`) whose row structure `scripts/bench_smoke.sh` holds
 //! to the committed baseline.
 //!
@@ -15,7 +14,7 @@
 
 use apan_bench::{json_fields, time_ns, write_json, BenchEnv, Json, ToJson};
 use apan_tensor::backend::pool::set_num_threads;
-use apan_tensor::backend::{self, quant, SimdMode};
+use apan_tensor::backend::{self, SimdMode};
 use apan_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,14 +58,12 @@ struct KernelTiming {
     speedup_vs_scalar: f64,
     /// Whether this row ran the AVX2+FMA kernels.
     simd_active: bool,
-    /// Whether this row ran the int8-quantized GEMM.
-    quant_active: bool,
 }
 
 impl ToJson for KernelTiming {
     fn to_json(&self) -> Json {
         json_fields!(self; kernel, shape, threads, ns_per_iter, speedup_vs_seed,
-            speedup_vs_scalar, simd_active, quant_active)
+            speedup_vs_scalar, simd_active)
     }
 }
 
@@ -119,7 +116,6 @@ fn write_report() {
             speedup_vs_seed: 1.0,
             speedup_vs_scalar: scalar_ns / seed_ns,
             simd_active: false,
-            quant_active: false,
         });
         for threads in [1usize, all_cores()] {
             set_num_threads(threads);
@@ -134,14 +130,13 @@ fn write_report() {
                 speedup_vs_seed: seed_ns / ns,
                 speedup_vs_scalar: scalar_ns / ns,
                 simd_active: simd_on,
-                quant_active: false,
             });
         }
         set_num_threads(1);
     }
 
-    // SIMD-vs-scalar and int8-vs-f32 on the encoder's serving shapes, all
-    // single-thread so the rows isolate the kernel, not the pool.
+    // SIMD-vs-scalar on the encoder's serving shapes, single-thread so
+    // the rows isolate the kernel, not the pool.
     for (shape, m, k, n, iters) in [
         ("proj_200x100x100", 200usize, 100usize, 100usize, 40usize),
         ("mlp_200x100x200", 200, 100, 200, 20),
@@ -172,7 +167,6 @@ fn write_report() {
             speedup_vs_seed: 0.0,
             speedup_vs_scalar: 1.0,
             simd_active: false,
-            quant_active: false,
         });
         if backend::simd_supported() {
             let simd_ns = time_ns(iters, || {
@@ -187,34 +181,8 @@ fn write_report() {
                 speedup_vs_seed: 0.0,
                 speedup_vs_scalar: scalar_ns / simd_ns,
                 simd_active: true,
-                quant_active: false,
             });
         }
-        // Int8 serving path: weights (Wᵀ rows) are pre-quantized as in an
-        // int8 serving plan; each iteration quantizes the activations and
-        // runs the exact-i32 GEMM, like one encoder forward.
-        let mut bt = vec![0.0f32; n * k];
-        for i in 0..k {
-            for j in 0..n {
-                bt[j * k + i] = b.data()[i * n + j];
-            }
-        }
-        let (qw, sw) = quant::quantize_rows_i8(&bt, n, k);
-        let int8_ns = time_ns(iters, || {
-            let (qa, sa) = quant::quantize_rows_i8(a.data(), m, k);
-            quant::gemm_i8(&qa, &sa, &qw, &sw, None, m, n, quant::padded(k), &mut out);
-            black_box(&out);
-        });
-        timings.push(KernelTiming {
-            kernel: "int8_gemm".into(),
-            shape: shape.into(),
-            threads: 1,
-            ns_per_iter: int8_ns,
-            speedup_vs_seed: 0.0,
-            speedup_vs_scalar: scalar_ns / int8_ns,
-            simd_active: simd_on,
-            quant_active: true,
-        });
     }
     let report = TensorReport {
         bench: "tensor_ops",

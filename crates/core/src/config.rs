@@ -54,55 +54,6 @@ pub enum SlotEncoding {
     None,
 }
 
-/// Numeric precision of the serving encoder's weight matmuls.
-///
-/// Training is always f32; this knob only selects how a deployed
-/// [`crate::pipeline::ServingPipeline`] evaluates the encoder. `Int8`
-/// swaps the attention-projection and MLP-head matmuls for the
-/// symmetric per-row int8 GEMM (exact i32 accumulation, dequantized at
-/// the boundary — see `apan_tensor::backend::quant`), trading a bounded
-/// accuracy loss for smaller weight traffic and faster serving.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Precision {
-    /// Full f32 weights everywhere — the default.
-    #[default]
-    F32,
-    /// Int8 weights + activations on the serving encoder path.
-    Int8,
-}
-
-impl Precision {
-    /// Bits per stored weight scalar, the value the serving daemon
-    /// exposes as the `apan_precision_bits` gauge.
-    pub fn bits(self) -> u32 {
-        match self {
-            Precision::F32 => 32,
-            Precision::Int8 => 8,
-        }
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "f32" | "fp32" | "float32" => Ok(Precision::F32),
-            "int8" | "i8" => Ok(Precision::Int8),
-            other => Err(format!("unknown precision {other:?} (want f32 or int8)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Precision::F32 => "f32",
-            Precision::Int8 => "int8",
-        })
-    }
-}
-
 /// Full APAN configuration. Defaults follow §4.4 of the paper.
 #[derive(Clone, Debug)]
 pub struct ApanConfig {
@@ -219,18 +170,6 @@ mod tests {
         assert_eq!(c.mailbox_update, MailboxUpdate::Fifo);
         assert_eq!(c.slot_encoding, SlotEncoding::Positional);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn precision_parses_and_prints() {
-        assert_eq!("f32".parse::<Precision>().unwrap(), Precision::F32);
-        assert_eq!(" INT8 ".parse::<Precision>().unwrap(), Precision::Int8);
-        assert!("fp16".parse::<Precision>().is_err());
-        assert_eq!(Precision::F32.to_string(), "f32");
-        assert_eq!(Precision::Int8.to_string(), "int8");
-        assert_eq!(Precision::F32.bits(), 32);
-        assert_eq!(Precision::Int8.bits(), 8);
-        assert_eq!(Precision::default(), Precision::F32);
     }
 
     #[test]

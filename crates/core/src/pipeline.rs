@@ -25,7 +25,6 @@
 //! discusses (Black-Friday bursts), instead of letting the mailbox lag
 //! grow without bound.
 
-use crate::config::Precision;
 use crate::link::{propagation_worker, Link, PropagateJob};
 use crate::mailbox::MailboxStore;
 use crate::model::{dedup_nodes, Apan};
@@ -102,8 +101,7 @@ pub struct ServingPipeline {
     /// has drained.
     tx: Option<SyncSender<Box<PropagateJob>>>,
     worker: Option<JoinHandle<()>>,
-    /// The synchronous forward, compiled for the active precision
-    /// ([`ServingPipeline::set_precision`]).
+    /// The synchronous forward, compiled once from `model`.
     plan: InferencePlan,
     /// Latency of every synchronous inference call: `len()` counts them
     /// all, percentiles cover the most recent window.
@@ -169,32 +167,13 @@ impl ServingPipeline {
         };
 
         Self {
-            plan: InferencePlan::compile(&model, Precision::F32),
+            plan: InferencePlan::compile(&model),
             model: Arc::new(model),
             link,
             tx: Some(tx),
             worker: Some(worker),
             sync_latency: LatencyRecorder::bounded(LATENCY_WINDOW),
         }
-    }
-
-    /// Switches the synchronous encoder between f32 and int8 weights.
-    ///
-    /// Recompiles the serving plan: entering [`Precision::Int8`]
-    /// quantizes the encoder's attention projections and MLP head once
-    /// (the f32 masters stay in place); returning to [`Precision::F32`]
-    /// packs the f32 weights again. Takes effect from the next
-    /// [`ServingPipeline::infer_batch`]; the asynchronous link is
-    /// unaffected either way.
-    pub fn set_precision(&mut self, precision: Precision) {
-        if precision != self.plan.precision() {
-            self.plan = InferencePlan::compile(&self.model, precision);
-        }
-    }
-
-    /// The precision the synchronous encoder currently serves at.
-    pub fn precision(&self) -> Precision {
-        self.plan.precision()
     }
 
     /// Replaces the time source behind `sync_time` stamps and every

@@ -3,11 +3,10 @@
 //! The synchronous path runs the encoder and the link decoder in eval
 //! mode, where the autodiff tape only costs: it binds (copies) every
 //! weight into the graph, copies each operand again per op, and packs
-//! every GEMM's weight panel anew. A plan is compiled once per
-//! `(params, precision)`. It holds each weight as the GEMM consumes it —
-//! a pre-packed [`PackedB`], or under [`Precision::Int8`] a [`QuantMat`]
-//! — plus scratch buffers that grow to the largest batch seen and are
-//! then reused, so a forward pass copies no weight.
+//! every GEMM's weight panel anew. A plan is compiled once per set of
+//! params. It holds each weight as the GEMM consumes it — a pre-packed
+//! [`PackedB`] — plus scratch buffers that grow to the largest batch
+//! seen and are then reused, so a forward pass copies no weight.
 //!
 //! The plan is **bitwise equal to the tape** in every SIMD mode
 //! (`tests/plan_oracle.rs`), because it calls the tape's own kernels on
@@ -34,61 +33,38 @@
 //!
 //! Eval-mode dropout is the identity, so the plan takes no rng.
 
-use crate::config::{Precision, SlotEncoding};
+use crate::config::SlotEncoding;
 use crate::mailbox::MailboxRead;
 use crate::model::Apan;
 use apan_nn::attention::MASKED;
-use apan_nn::{Mlp, ParamStore, QuantMat};
+use apan_nn::{Mlp, ParamStore};
 use apan_tensor::backend::{self, PackedB};
 use apan_tensor::ops::stable_sigmoid;
 use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, Time};
 
-/// One weight matrix `W[in × out]` as the plan multiplies by it.
-enum Weight {
-    F32(PackedB),
-    Int8(QuantMat),
+/// Packs one weight matrix `W[in × out]` for [`apply`].
+fn pack(w: &Tensor) -> PackedB {
+    PackedB::new(w.data(), w.rows(), w.cols())
 }
 
-impl Weight {
-    fn new(w: &Tensor, int8: bool) -> Self {
-        if int8 {
-            Weight::Int8(QuantMat::from_weight(w))
-        } else {
-            Weight::F32(PackedB::new(w.data(), w.rows(), w.cols()))
-        }
-    }
-
-    fn out_dim(&self) -> usize {
-        match self {
-            Weight::F32(p) => p.n(),
-            Weight::Int8(q) => q.out_dim(),
-        }
-    }
-
-    /// `out[rows × out] = x[rows × in] · W (+ bias)`, overwriting `out`.
-    fn apply(&self, x: &[f32], rows: usize, bias: Option<&[f32]>, out: &mut [f32]) {
-        match self {
-            Weight::F32(p) => {
-                out.fill(0.0);
-                backend::gemm_prepacked(x, p, bias, rows, out);
-            }
-            Weight::Int8(q) => q.forward_into(x, rows, bias, out),
-        }
-    }
+/// `out[rows × out] = x[rows × in] · W (+ bias)`, overwriting `out`.
+fn apply(w: &PackedB, x: &[f32], rows: usize, bias: Option<&[f32]>, out: &mut [f32]) {
+    out.fill(0.0);
+    backend::gemm_prepacked(x, w, bias, rows, out);
 }
 
 /// One affine layer of an MLP.
 struct Layer {
-    w: Weight,
+    w: PackedB,
     b: Vec<f32>,
 }
 
-fn layers(params: &ParamStore, mlp: &Mlp, int8: bool) -> Vec<Layer> {
+fn layers(params: &ParamStore, mlp: &Mlp) -> Vec<Layer> {
     mlp.layers()
         .iter()
         .map(|l| Layer {
-            w: Weight::new(params.get(l.weight()), int8),
+            w: pack(params.get(l.weight())),
             b: params.get(l.bias()).data().to_vec(),
         })
         .collect()
@@ -132,10 +108,10 @@ fn run_mlp(layers: &[Layer], x: &[f32], rows: usize, hidden: &mut Vec<Vec<f32>>,
         let (done, rest) = hidden.split_at_mut(i);
         let input: &[f32] = if i == 0 { x } else { &done[i - 1] };
         if i == last {
-            layer.w.apply(input, rows, Some(&layer.b), out);
+            apply(&layer.w, input, rows, Some(&layer.b), out);
         } else {
-            let h = zeroed(&mut rest[0], rows * layer.w.out_dim());
-            layer.w.apply(input, rows, Some(&layer.b), h);
+            let h = zeroed(&mut rest[0], rows * layer.w.n());
+            apply(&layer.w, input, rows, Some(&layer.b), h);
             for v in h.iter_mut() {
                 *v = v.max(0.0);
             }
@@ -162,21 +138,20 @@ struct Scratch {
     hidden: Vec<Vec<f32>>,
 }
 
-/// The encoder plus link decoder of one [`Apan`], compiled for serving
-/// at one [`Precision`]. See the module docs for what it computes and
-/// why it matches the tape bit for bit.
+/// The encoder plus link decoder of one [`Apan`], compiled for serving.
+/// See the module docs for what it computes and why it matches the tape
+/// bit for bit.
 pub struct InferencePlan {
-    precision: Precision,
     dim: usize,
     slots: usize,
     heads: usize,
     slot_code: SlotCode,
-    wq: Weight,
+    wq: PackedB,
     /// Per head `h`, `W_K,hᵀ` (`[d_h × d]`): lifts `q_h` to the slots' width.
-    wk_t: Vec<Weight>,
+    wk_t: Vec<PackedB>,
     /// Per head `h`, `W_V,h` (`[d × d_h]`): projects the mixed slots.
-    wv: Vec<Weight>,
-    wo: Weight,
+    wv: Vec<PackedB>,
+    wo: PackedB,
     ln_gain: Vec<f32>,
     ln_bias: Vec<f32>,
     ln_eps: f32,
@@ -186,15 +161,10 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Compiles `model`'s encoder and link decoder. Under
-    /// [`Precision::Int8`] the attention projections (`W_Q`, `W^O` and
-    /// the per-head `W_K,hᵀ` and `W_V,h`) and the encoder's MLP head are
-    /// quantized; embeddings, time encoding, LayerNorm, every bias and
-    /// the decoder stay f32.
-    pub fn compile(model: &Apan, precision: Precision) -> Self {
+    /// Compiles `model`'s encoder and link decoder.
+    pub fn compile(model: &Apan) -> Self {
         let params = &model.params;
         let enc = &model.encoder;
-        let int8 = precision == Precision::Int8;
         let row = |id| params.get(id).data().to_vec();
         let slot_code = match enc.slot_encoding {
             SlotEncoding::Positional => SlotCode::Positional(row(enc.positional.param())),
@@ -212,44 +182,38 @@ impl InferencePlan {
         let [wq, wk, wv, wo] = enc.attention.projections().map(|id| params.get(id));
         // The tape's `slice_cols` and `transpose`, so the plan packs the
         // very matrices the tape multiplies by.
-        let per_head = |w: &Tensor, transposed: bool| -> Vec<Weight> {
+        let per_head = |w: &Tensor, transposed: bool| -> Vec<PackedB> {
             (0..heads)
                 .map(|h| {
                     let slice = w.slice_cols(h * dh, dh);
                     let slice = if transposed { slice.transpose() } else { slice };
-                    Weight::new(&slice, int8)
+                    pack(&slice)
                 })
                 .collect()
         };
         let (gain, bias) = enc.norm.params();
-        let decoder = layers(params, &model.link_decoder.mlp, false);
+        let decoder = layers(params, &model.link_decoder.mlp);
         assert_eq!(
-            decoder.last().map(|l| l.w.out_dim()),
+            decoder.last().map(|l| l.w.n()),
             Some(1),
             "link decoder must end in one logit"
         );
         Self {
-            precision,
             dim: enc.dim(),
             slots: enc.slots(),
             heads,
             slot_code,
-            wq: Weight::new(wq, int8),
+            wq: pack(wq),
             wk_t: per_head(wk, true),
             wv: per_head(wv, false),
-            wo: Weight::new(wo, int8),
+            wo: pack(wo),
             ln_gain: row(gain),
             ln_bias: row(bias),
             ln_eps: enc.norm.eps(),
-            head: layers(params, &enc.head, int8),
+            head: layers(params, &enc.head),
             decoder,
             scratch: Scratch::default(),
         }
-    }
-
-    /// The precision this plan was compiled for.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Encodes `nodes` from their mailbox state as of `now`: the eval
@@ -304,13 +268,13 @@ impl InferencePlan {
         // mix the encoded slots themselves.
         let enc: &[f32] = enc;
         let q = z_prev.data();
-        self.wq.apply(q, b, None, zeroed(&mut s.q, b * d));
+        apply(&self.wq, q, b, None, zeroed(&mut s.q, b * d));
         let scale = 1.0 / (dh as f32).sqrt();
         zeroed(&mut s.heads, b * d);
         for (h, (wk_t, wv)) in self.wk_t.iter().zip(&self.wv).enumerate() {
             let off = h * dh;
             slice_cols_into(&s.q, d, off, dh, &mut s.qh);
-            wk_t.apply(&s.qh, b, None, zeroed(&mut s.u, b * d));
+            apply(wk_t, &s.qh, b, None, zeroed(&mut s.u, b * d));
             let scores = zeroed(&mut s.scores, b * m);
             backend::attn_scores_fwd(&s.u, enc, b, m, d, scale, scores);
             for (x, &mk) in scores.iter_mut().zip(&s.mask) {
@@ -322,13 +286,13 @@ impl InferencePlan {
             }
             let mixed = zeroed(&mut s.mixed, b * d);
             backend::attn_mix_fwd(&s.weights, enc, b, m, d, mixed);
-            wv.apply(&s.mixed, b, None, zeroed(&mut s.head_out, b * dh));
+            apply(wv, &s.mixed, b, None, zeroed(&mut s.head_out, b * dh));
             for (dst, src) in s.heads.chunks_exact_mut(d).zip(s.head_out.chunks_exact(dh)) {
                 dst[off..off + dh].copy_from_slice(src);
             }
         }
         let attn = zeroed(&mut s.attn, b * d);
-        self.wo.apply(&s.heads, b, None, attn);
+        apply(&self.wo, &s.heads, b, None, attn);
 
         // Residual + LayerNorm (Eq. 5).
         for (x, &zq) in attn.iter_mut().zip(q) {

@@ -3,11 +3,8 @@
 //! `InferencePlan` replaces the tape on the synchronous path and claims
 //! to compute the same bits. This test holds it to that, in whatever
 //! SIMD mode the process runs (CI runs it again under `APAN_SIMD=0`):
-//! - f32: `InferencePlan::encode` + `score_links` against `Apan::encode`
+//! - `InferencePlan::encode` + `score_links` against `Apan::encode`
 //!   + `LinkDecoder::forward` + `stable_sigmoid`;
-//! - int8: against `tape_int8_encode` below, the tape forward with each
-//!   quantized matmul computed by `QuantMat` and re-entered as a constant
-//!   (the serving int8 path before the plan existed);
 //! - every batch size 0–64, mailboxes empty, partial and full, all three
 //!   slot encodings, widths on both sides of the small-GEMM cutoff;
 //! - through `ServingPipeline`, batches with dropped events: scores and
@@ -15,17 +12,16 @@
 //!   back.
 
 use apan_check::{check, Gen};
-use apan_core::config::{ApanConfig, Precision, SlotEncoding};
+use apan_core::config::{ApanConfig, SlotEncoding};
 use apan_core::mailbox::{MailOrigin, MailboxRead, MailboxStore};
 use apan_core::model::{dedup_nodes, Apan};
 use apan_core::pipeline::ServingPipeline;
 use apan_core::plan::InferencePlan;
 use apan_core::propagator::Interaction;
 use apan_core::AdmitKind;
-use apan_nn::attention::length_mask;
-use apan_nn::{Fwd, QuantMat};
+use apan_nn::Fwd;
 use apan_tensor::ops::stable_sigmoid;
-use apan_tensor::{Graph, Tensor, Var};
+use apan_tensor::Tensor;
 use apan_tgraph::{NodeId, TemporalGraph, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,97 +93,9 @@ fn endpoints(g: &mut Gen, len: usize) -> (Vec<NodeId>, Vec<NodeId>) {
         .unzip()
 }
 
-/// `model`'s parameter called `name`.
-fn param<'m>(model: &'m Apan, name: &str) -> &'m Tensor {
-    model
-        .params
-        .iter()
-        .find(|(_, n, _)| *n == name)
-        .map(|(_, _, t)| t)
-        .unwrap_or_else(|| panic!("no parameter {name}"))
-}
-
-/// `x · w (+ bias)` through the int8 view of `w`, re-entering the tape
-/// as a constant.
-fn int8_matmul(g: &mut Graph, x: Var, w: &Tensor, bias: Option<&Tensor>) -> Var {
-    let y = QuantMat::from_weight(w).forward(g.value(x), bias);
-    g.constant(y)
-}
-
-/// [`int8_matmul`] by `model`'s parameters called `w` and `bias`.
-fn int8_affine(g: &mut Graph, model: &Apan, x: Var, w: &str, bias: Option<&str>) -> Var {
-    int8_matmul(g, x, param(model, w), bias.map(|b| param(model, b)))
-}
-
-/// The int8 encoder forward on the tape, step for step as
-/// `ApanEncoder::forward` runs it in eval mode — attention absorbed, as
-/// `MultiHeadAttention::forward` computes it — with `W_Q`, `W^O`, each
-/// head's `W_K,hᵀ` and `W_V,h`, and the MLP head's layers through
-/// `QuantMat`.
-fn tape_int8_encode<S: MailboxRead>(
-    model: &Apan,
-    store: &S,
-    nodes: &[NodeId],
-    now: Time,
-) -> Tensor {
-    let cfg = &model.cfg;
-    let (m, d) = (cfg.mailbox_slots, cfg.dim);
-    let dh = d / cfg.heads;
-    let view = store.read_batch(nodes, now);
-    let mut g = Graph::new();
-    let q = g.constant(store.embedding_batch(nodes));
-    let mails = g.constant(view.mails.clone());
-    let encoded = match cfg.slot_encoding {
-        SlotEncoding::Positional => {
-            let idx: Vec<usize> = (0..nodes.len()).flat_map(|_| 0..m).collect();
-            let table = g.constant(param(model, "enc.pos.table").clone());
-            let pos = g.gather_rows(table, &idx);
-            g.add(mails, pos)
-        }
-        SlotEncoding::Temporal => {
-            let col = g.constant(Tensor::col(&view.ages));
-            let omega = g.constant(param(model, "enc.time.omega").clone());
-            let phase = g.constant(param(model, "enc.time.phase").clone());
-            let scaled = g.mul(col, omega);
-            let shifted = g.add(scaled, phase);
-            let te = g.cos(shifted);
-            g.add(mails, te)
-        }
-        SlotEncoding::None => mails,
-    };
-    let effective: Vec<usize> = view.lens.iter().map(|&l| l.max(1)).collect();
-    let mask = g.constant(length_mask(&effective, m));
-    let q_all = int8_affine(&mut g, model, q, "enc.attn.wq", None);
-    let (wk, wv) = (param(model, "enc.attn.wk"), param(model, "enc.attn.wv"));
-    let scale = 1.0 / (dh as f32).sqrt();
-    let heads: Vec<Var> = (0..cfg.heads)
-        .map(|h| {
-            let qh = g.slice_cols(q_all, h * dh, dh);
-            let u = int8_matmul(&mut g, qh, &wk.slice_cols(h * dh, dh).transpose(), None);
-            let scores = g.attn_scores(u, encoded, m, scale);
-            let scores = g.add(scores, mask);
-            let attn = g.softmax_rows(scores);
-            let mixed = g.attn_mix(attn, encoded, m);
-            int8_matmul(&mut g, mixed, &wv.slice_cols(h * dh, dh), None)
-        })
-        .collect();
-    let concat = g.concat_cols(&heads);
-    let out = int8_affine(&mut g, model, concat, "enc.attn.wo", None);
-    let residual = g.add(out, q);
-    let gain = g.constant(param(model, "enc.ln.gain").clone());
-    let bias = g.constant(param(model, "enc.ln.bias").clone());
-    let normed = g.layer_norm(residual, gain, bias, 1e-5); // LayerNorm::new's eps
-    let h = int8_affine(&mut g, model, normed, "enc.head.0.w", Some("enc.head.0.b"));
-    let h = g.relu(h);
-    let z = int8_affine(&mut g, model, h, "enc.head.1.w", Some("enc.head.1.b"));
-    let z = g.tanh(z);
-    g.value(z).clone()
-}
-
-/// The tape's embeddings and link scores for one batch, at `precision`.
+/// The tape's embeddings and link scores for one batch.
 fn tape<S: MailboxRead>(
     model: &Apan,
-    precision: Precision,
     store: &S,
     nodes: &[NodeId],
     maps: &[Vec<usize>],
@@ -195,13 +103,8 @@ fn tape<S: MailboxRead>(
 ) -> (Tensor, Vec<f32>) {
     let mut rng = StdRng::seed_from_u64(0);
     let mut fwd = Fwd::new(&model.params, false);
-    let z = match precision {
-        Precision::F32 => {
-            let enc = model.encode(&mut fwd, store, nodes, now, &mut rng);
-            fwd.g.value(enc.z).clone()
-        }
-        Precision::Int8 => tape_int8_encode(model, store, nodes, now),
-    };
+    let enc = model.encode(&mut fwd, store, nodes, now, &mut rng);
+    let z = fwd.g.value(enc.z).clone();
     let zv = fwd.g.constant(z.clone());
     let zi = fwd.g.gather_rows(zv, &maps[0]);
     let zj = fwd.g.gather_rows(zv, &maps[1]);
@@ -219,29 +122,26 @@ fn tape<S: MailboxRead>(
 #[test]
 fn plan_matches_the_tape_bitwise_for_every_batch_size() {
     for encoding in ENCODINGS {
-        for precision in [Precision::F32, Precision::Int8] {
-            check(4, |g| {
-                // 8 keeps every GEMM under the small-problem cutoff; 48
-                // sends the projections through the packed kernels
-                let dim = g.pick(&[8, 48]);
-                let model = model(encoding, dim, g.next_u64());
-                let store = store(&model, g);
-                let mut plan = InferencePlan::compile(&model, precision);
-                for len in 0..=64 {
-                    let (src, dst) = endpoints(g, len);
-                    let (unique, maps) = dedup_nodes(&[&src, &dst]);
-                    let now = g.range(100.0..200.0);
-                    let z = plan.encode(&store, &unique, now);
-                    let scores = plan.score_links(&z, &maps[0], &maps[1]);
-                    let (want_z, want_scores) =
-                        tape(&model, precision, &store, &unique, &maps, now);
-                    let what = format!("{encoding:?} {precision} d={dim} batch {len}");
-                    assert_eq!(z.shape(), (unique.len(), dim), "{what}");
-                    assert_eq!(bits(z.data()), bits(want_z.data()), "{what}: embeddings");
-                    assert_eq!(bits(&scores), bits(&want_scores), "{what}: scores");
-                }
-            });
-        }
+        check(4, |g| {
+            // 8 keeps every GEMM under the small-problem cutoff; 48
+            // sends the projections through the packed kernels
+            let dim = g.pick(&[8, 48]);
+            let model = model(encoding, dim, g.next_u64());
+            let store = store(&model, g);
+            let mut plan = InferencePlan::compile(&model);
+            for len in 0..=64 {
+                let (src, dst) = endpoints(g, len);
+                let (unique, maps) = dedup_nodes(&[&src, &dst]);
+                let now = g.range(100.0..200.0);
+                let z = plan.encode(&store, &unique, now);
+                let scores = plan.score_links(&z, &maps[0], &maps[1]);
+                let (want_z, want_scores) = tape(&model, &store, &unique, &maps, now);
+                let what = format!("{encoding:?} d={dim} batch {len}");
+                assert_eq!(z.shape(), (unique.len(), dim), "{what}");
+                assert_eq!(bits(z.data()), bits(want_z.data()), "{what}: embeddings");
+                assert_eq!(bits(&scores), bits(&want_scores), "{what}: scores");
+            }
+        });
     }
 }
 
@@ -254,13 +154,13 @@ fn plan_reuses_its_scratch_across_shrinking_and_growing_batches() {
     let store = store(&model, &mut g);
     let (src, dst) = endpoints(&mut g, 9);
     let (unique, maps) = dedup_nodes(&[&src, &dst]);
-    let mut fresh = InferencePlan::compile(&model, Precision::F32);
+    let mut fresh = InferencePlan::compile(&model);
     let z = fresh.encode(&store, &unique, 150.0);
     let want = (
         bits(z.data()),
         bits(&fresh.score_links(&z, &maps[0], &maps[1])),
     );
-    let mut plan = InferencePlan::compile(&model, Precision::F32);
+    let mut plan = InferencePlan::compile(&model);
     for len in [64, 1, 0, 9] {
         let (s, d) = endpoints(&mut g, len);
         let (u, mp) = dedup_nodes(&[&s, &d]);
@@ -280,84 +180,81 @@ fn plan_reuses_its_scratch_across_shrinking_and_growing_batches() {
 #[test]
 fn pipeline_with_dropped_events_matches_the_tape() {
     for encoding in ENCODINGS {
-        for precision in [Precision::F32, Precision::Int8] {
-            check(6, |g| {
-                let dim = g.pick(&[8, 48]);
-                let seed = g.next_u64();
-                let reference = model(encoding, dim, seed);
-                let flat = store(&reference, g);
-                let mut pipeline = ServingPipeline::with_state(
-                    model(encoding, dim, seed),
-                    flat.clone(),
-                    TemporalGraph::new(),
-                    4,
-                );
-                pipeline.set_precision(precision);
-                let len = g.range(1..=64);
-                let (src, dst) = endpoints(g, len);
-                let mut time = 100.0;
-                let interactions: Vec<Interaction> = src
-                    .iter()
-                    .zip(&dst)
-                    .enumerate()
-                    .map(|(i, (&src, &dst))| {
-                        time += g.range(0.0..3.0);
-                        Interaction {
-                            src,
-                            dst,
-                            time,
-                            eid: i as u32,
-                        }
-                    })
-                    .collect();
-                let kinds: Vec<AdmitKind> = (0..len)
-                    .map(|_| match g.range(0..3) {
-                        0 => AdmitKind::Dropped,
-                        _ => AdmitKind::InOrder,
-                    })
-                    .collect();
-                let feats = Tensor::full(len, dim, 0.25);
-                let got = pipeline.infer_batch_admitted(&interactions, &feats, &kinds, 0, None);
+        check(6, |g| {
+            let dim = g.pick(&[8, 48]);
+            let seed = g.next_u64();
+            let reference = model(encoding, dim, seed);
+            let flat = store(&reference, g);
+            let mut pipeline = ServingPipeline::with_state(
+                model(encoding, dim, seed),
+                flat.clone(),
+                TemporalGraph::new(),
+                4,
+            );
+            let len = g.range(1..=64);
+            let (src, dst) = endpoints(g, len);
+            let mut time = 100.0;
+            let interactions: Vec<Interaction> = src
+                .iter()
+                .zip(&dst)
+                .enumerate()
+                .map(|(i, (&src, &dst))| {
+                    time += g.range(0.0..3.0);
+                    Interaction {
+                        src,
+                        dst,
+                        time,
+                        eid: i as u32,
+                    }
+                })
+                .collect();
+            let kinds: Vec<AdmitKind> = (0..len)
+                .map(|_| match g.range(0..3) {
+                    0 => AdmitKind::Dropped,
+                    _ => AdmitKind::InOrder,
+                })
+                .collect();
+            let feats = Tensor::full(len, dim, 0.25);
+            let got = pipeline.infer_batch_admitted(&interactions, &feats, &kinds, 0, None);
 
-                // the reference instant: newest admitted event, else the last
-                let admitted = |i: &usize| !matches!(kinds[*i], AdmitKind::Dropped);
-                let now = (0..len)
-                    .filter(admitted)
-                    .map(|i| interactions[i].time)
-                    .reduce(f64::max)
-                    .unwrap_or(interactions[len - 1].time);
-                let (unique, maps) = dedup_nodes(&[&src, &dst]);
-                let (z, scores) = tape(&reference, precision, &flat, &unique, &maps, now);
-                let what = format!("{encoding:?} {precision} d={dim} batch {len}");
-                assert_eq!(got.nodes, unique, "{what}");
+            // the reference instant: newest admitted event, else the last
+            let admitted = |i: &usize| !matches!(kinds[*i], AdmitKind::Dropped);
+            let now = (0..len)
+                .filter(admitted)
+                .map(|i| interactions[i].time)
+                .reduce(f64::max)
+                .unwrap_or(interactions[len - 1].time);
+            let (unique, maps) = dedup_nodes(&[&src, &dst]);
+            let (z, scores) = tape(&reference, &flat, &unique, &maps, now);
+            let what = format!("{encoding:?} d={dim} batch {len}");
+            assert_eq!(got.nodes, unique, "{what}");
+            assert_eq!(
+                bits(got.embeddings.data()),
+                bits(z.data()),
+                "{what}: embeddings"
+            );
+            assert_eq!(bits(&got.scores), bits(&scores), "{what}: scores");
+
+            // write-back: admitted endpoints carry their row of z at
+            // `now`; every other node keeps its old embedding
+            let (after, _) = pipeline.export_state();
+            let written: Vec<NodeId> = (0..len)
+                .filter(admitted)
+                .flat_map(|i| [src[i], dst[i]])
+                .collect();
+            for (row, &node) in unique.iter().enumerate() {
+                let (want, at) = if written.contains(&node) {
+                    (z.row_slice(row), now)
+                } else {
+                    (flat.embedding(node), flat.last_update(node))
+                };
                 assert_eq!(
-                    bits(got.embeddings.data()),
-                    bits(z.data()),
-                    "{what}: embeddings"
+                    bits(after.embedding(node)),
+                    bits(want),
+                    "{what}: node {node}"
                 );
-                assert_eq!(bits(&got.scores), bits(&scores), "{what}: scores");
-
-                // write-back: admitted endpoints carry their row of z at
-                // `now`; every other node keeps its old embedding
-                let (after, _) = pipeline.export_state();
-                let written: Vec<NodeId> = (0..len)
-                    .filter(admitted)
-                    .flat_map(|i| [src[i], dst[i]])
-                    .collect();
-                for (row, &node) in unique.iter().enumerate() {
-                    let (want, at) = if written.contains(&node) {
-                        (z.row_slice(row), now)
-                    } else {
-                        (flat.embedding(node), flat.last_update(node))
-                    };
-                    assert_eq!(
-                        bits(after.embedding(node)),
-                        bits(want),
-                        "{what}: node {node}"
-                    );
-                    assert_eq!(after.last_update(node), at, "{what}: node {node} stamp");
-                }
-            });
-        }
+                assert_eq!(after.last_update(node), at, "{what}: node {node} stamp");
+            }
+        });
     }
 }

@@ -43,7 +43,6 @@ pub mod mlp;
 pub mod norm;
 pub mod optim;
 pub mod param;
-pub mod quant;
 pub mod serialize;
 pub mod time_encoding;
 
@@ -55,7 +54,6 @@ pub use mlp::Mlp;
 pub use norm::LayerNorm;
 pub use optim::{Adam, Optimizer};
 pub use param::{Fwd, GradSet, ParamId, ParamStore};
-pub use quant::QuantMat;
 pub use serialize::{
     load_params, load_params_file, save_params, save_params_file, save_params_vec, CheckpointError,
 };

@@ -58,7 +58,6 @@ const USAGE: &str = "usage: apand [--port N] [--dim N] [--slots N] [--nodes N] [
              [--capacity N] [--max-batch N] [--deadline-us N] [--high-water N]
              [--snapshot PATH] [--snapshot-every-s N] [--seed N] [--infer-delay-us N]
              [--trace-buffer N]   (TRACE ring capacity in events; 0 disables spans)
-             [--precision f32|int8]   (encoder weight precision, default f32)
              [--shard-id N] [--cluster-size N]   (this daemon's place in a cluster)
              [--peers host:port,host:port,...]   (peer shard addresses for DELIVER)
              [--lateness T]   (bounded-lateness window in event-time units; events up to
@@ -121,7 +120,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--seed" => seed = num(&flag, &value)?,
             "--infer-delay-us" => serve.infer_delay = Duration::from_micros(num(&flag, &value)?),
             "--trace-buffer" => serve.trace_buffer = num(&flag, &value)?,
-            "--precision" => serve.precision = value.parse()?,
             "--shard-id" => shard_id = num(&flag, &value)?,
             "--lateness" => {
                 let l: f64 = value.parse().map_err(|_| "bad --lateness".to_string())?;
@@ -215,6 +213,14 @@ mod tests {
             let err = parse(line).err().expect(line);
             assert!(err.contains(why), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn the_removed_precision_flag_fails_at_boot() {
+        // serving is f32 only; an old int8 command line must not boot
+        // and silently serve f32
+        let err = parse("--precision int8").err().expect("--precision parsed");
+        assert!(err.contains("unknown flag --precision"), "{err}");
     }
 
     #[test]

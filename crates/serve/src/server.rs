@@ -25,7 +25,6 @@ use crate::cluster_link::{ClusterMembership, DeliveryOrder, PeerSet};
 use crate::conn::{serve_conn, Connections};
 use crate::snapshot;
 use crate::stats::register_scrape_views;
-use apan_core::config::Precision;
 use apan_core::model::Apan;
 use apan_core::pipeline::{PropLink, ServingPipeline};
 use apan_core::tier::TierStats;
@@ -98,11 +97,6 @@ pub struct ServeConfig {
     /// full). `0` installs no sink: stage histograms still fill, but no
     /// per-request spans are retained.
     pub trace_buffer: usize,
-    /// Numeric precision of the serving encoder's weight matmuls:
-    /// [`Precision::Int8`] quantizes the attention projections and MLP
-    /// head once at boot (training checkpoints are always f32). Exposed
-    /// as the `apan_precision_bits` gauge.
-    pub precision: Precision,
     /// Cluster membership when this daemon is one shard of a sharded
     /// deployment; `None` (the default) serves single-process exactly
     /// as before. Peer addresses may be installed after boot via
@@ -127,7 +121,6 @@ impl Default for ServeConfig {
             clock: Clock::real(),
             snapshot_tear_after: None,
             trace_buffer: 8192,
-            precision: Precision::F32,
             cluster: None,
         }
     }
@@ -263,7 +256,6 @@ pub fn start(mut model: Apan, cfg: ServeConfig) -> Result<ServerHandle, StartErr
     let mut pipeline = ServingPipeline::with_state(model, store, graph, cfg.capacity);
     // sync-path latency stamps and stage spans run on the daemon clock
     pipeline.set_clock(cfg.clock.clone());
-    pipeline.set_precision(cfg.precision);
     // The pipeline's release threshold must equal the admission window:
     // a smaller pipeline window could release a buffered event while a
     // later-admitted (but older) in-window event is still to come.

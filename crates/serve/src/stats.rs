@@ -105,7 +105,7 @@ fn deliveries_per_sec(deliveries: usize, clock: &Clock, started: Duration) -> f6
 
 /// Registers scrape-time views over state owned by other subsystems —
 /// the ingress queue, the propagation link, the observability hub, the
-/// mailbox tier — and the daemon's fixed identity (precision, shard),
+/// mailbox tier — and the daemon's fixed identity (its shard),
 /// so `METRICS` reads them fresh instead of mirroring them.
 pub(crate) fn register_scrape_views(shared: &Shared) {
     let (reg, queue, prop, obs) = (&shared.registry, &shared.queue, &shared.prop, &shared.obs);
@@ -256,12 +256,6 @@ pub(crate) fn register_scrape_views(shared: &Shared) {
         "Mail age (admission to mailbox commit) on the asynchronous link",
         1e-9,
         move || o.prop_lag_snapshot(),
-    );
-    let bits = shared.cfg.precision.bits();
-    reg.gauge_fn(
-        "apan_precision_bits",
-        "Bits per stored weight on the serving encoder path (32 = f32, 8 = int8)",
-        move || f64::from(bits),
     );
     let t = Arc::clone(&shared.tier);
     reg.gauge_fn(

@@ -810,43 +810,3 @@ fn skewed_stream_reports_lateness_counters_on_both_surfaces() {
     );
     handle.shutdown();
 }
-
-#[test]
-fn int8_precision_serves_and_reports_its_gauge() {
-    use apan_core::config::Precision;
-
-    // Two daemons, identical weights and request stream; only precision
-    // differs.
-    let f32_handle = apan_serve::start(model(27), ServeConfig::default()).expect("start f32");
-    let i8_handle = apan_serve::start(
-        model(27),
-        ServeConfig {
-            precision: Precision::Int8,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("start int8");
-
-    let f32_bits = infer_range(f32_handle.addr(), 0..8);
-    let i8_bits = infer_range(i8_handle.addr(), 0..8);
-    assert_eq!(f32_bits.len(), i8_bits.len());
-
-    // The int8 encoder really ran (scores differ in low bits)…
-    assert_ne!(f32_bits, i8_bits, "int8 daemon served f32 bits");
-    // …and stayed within serving tolerance of the f32 scores.
-    for (&a, &b) in f32_bits.iter().zip(&i8_bits) {
-        let (a, b) = (f32::from_bits(a), f32::from_bits(b));
-        assert!((a - b).abs() < 0.05, "score drift {a} vs {b}");
-    }
-
-    // The active precision is visible to scrapes on both daemons.
-    let mut f32_client = Client::connect(f32_handle.addr()).expect("connect");
-    let mut i8_client = Client::connect(i8_handle.addr()).expect("connect");
-    let f32_text = f32_client.metrics().expect("metrics");
-    let i8_text = i8_client.metrics().expect("metrics");
-    assert_eq!(prom_sample(&f32_text, "apan_precision_bits"), Some(32.0));
-    assert_eq!(prom_sample(&i8_text, "apan_precision_bits"), Some(8.0));
-
-    f32_handle.shutdown();
-    i8_handle.shutdown();
-}

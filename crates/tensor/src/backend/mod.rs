@@ -45,11 +45,6 @@
 //! every pool worker has finished its rows (see [`pool`]), so no worker
 //! ever writes into, or reads from, a buffer the caller has dropped.
 //!
-//! The int8 serving kernels ([`quant`]) sit outside the tiers: they
-//! accumulate in exact `i32` arithmetic, which is associative, so they
-//! are bitwise deterministic across modes *and* thread counts — this
-//! includes the AVX-512 VNNI kernel (see [`vnni_supported`]).
-//!
 //! Mode selection: [`active_simd`] picks the widest tier the CPU
 //! reports ([`SimdMode::Avx512`] → [`SimdMode::Avx2Fma`] → scalar)
 //! unless `APAN_SIMD=0` is set; anything a kernel receives is
@@ -70,7 +65,6 @@
 //! in both modes.
 
 pub mod pool;
-pub mod quant;
 mod simd;
 mod simd512;
 
@@ -123,20 +117,6 @@ pub fn avx512_supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         simd_supported() && std::arch::is_x86_feature_detected!("avx512f")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the int8 GEMM can use the AVX-512 VNNI kernel
-/// (`vpdpbusd`). Only consulted when the active mode is
-/// [`SimdMode::Avx512`]; without VNNI that mode keeps the AVX2 i8 dot.
-pub fn vnni_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        avx512_supported() && std::arch::is_x86_feature_detected!("avx512vnni")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

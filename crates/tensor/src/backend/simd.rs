@@ -393,38 +393,3 @@ pub(super) unsafe fn attn_mix_rows(
         }
     }
 }
-
-// ----------------------------------------------------------------------
-// Int8 dot product (quantized serving path)
-// ----------------------------------------------------------------------
-
-/// Exact i32 dot product of two i8 vectors whose length is a multiple
-/// of 32. Uses sign-extension to i16 and `vpmaddwd` pairwise
-/// multiply-adds; integer addition is associative, so the result is
-/// bit-identical to the scalar loop for any lane order.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len() % 32, 0);
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let mut acc = _mm256_setzero_si256();
-    let mut d = 0;
-    while d < x.len() {
-        let xa = _mm256_loadu_si256(xp.add(d) as *const __m256i);
-        let ya = _mm256_loadu_si256(yp.add(d) as *const __m256i);
-        let x_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xa));
-        let x_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xa, 1));
-        let y_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(ya));
-        let y_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(ya, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(x_lo, y_lo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(x_hi, y_hi));
-        d += 32;
-    }
-    let lo = _mm256_castsi256_si128(acc);
-    let hi = _mm256_extracti128_si256(acc, 1);
-    let s = _mm_add_epi32(lo, hi);
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0100_1110));
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b1011_0001));
-    _mm_cvtsi128_si32(s)
-}

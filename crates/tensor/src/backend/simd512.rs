@@ -190,77 +190,6 @@ unsafe fn tile_1x32(
     writeback(&buf, bias, i, j0, nr, n, r0, out);
 }
 
-// ----------------------------------------------------------------------
-// Int8 VNNI GEMM (quantized serving path)
-// ----------------------------------------------------------------------
-
-/// Rows `[r0, r1)` of the quantized GEMM over VNNI-packed weights:
-/// `out[i, j] = (Σ_k ua[i,k]·w[j,k] − corr[j]) · sa[i]·sb[j] (+ bias[j])`
-/// for the full 16-column groups of `j` (the caller handles `n % 16`
-/// tail columns with plain dots).
-///
-/// `ua` holds the activation codes biased by +128 into `u8` (see
-/// `quant::gemm_i8_with`), `packed` the weight codes interleaved as
-/// `[group][k/4][16 lanes][4 k-bytes]` so one `vpdpbusd` consumes four
-/// contraction steps for 16 output channels, and `corr[j] = 128·Σ_k
-/// w[j,k]` removes the bias again. Everything up to the dequantization
-/// is exact `i32` arithmetic — four interleaved accumulators per group
-/// (to hide VNNI latency) re-associate an integer sum, which is exact —
-/// so the result is bit-identical to the scalar dot path: the final
-/// float sequence (`acc as f32`, `· (sa·sb)`, `+ bias`) matches it
-/// rounding for rounding.
-#[target_feature(enable = "avx512f", enable = "avx512vnni")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn gemm_i8_rows(
-    ua: &[u8],
-    sa: &[f32],
-    packed: &[i8],
-    corr: &[i32],
-    sb: &[f32],
-    bias: Option<&[f32]>,
-    r0: usize,
-    r1: usize,
-    n: usize,
-    kp: usize,
-    out: &mut [f32],
-) {
-    let groups = n / 16;
-    let steps = kp / 4; // kp is a multiple of QK = 32, so steps % 8 == 0
-    for i in r0..r1 {
-        let up = ua.as_ptr().add(i * kp);
-        let o_row = &mut out[(i - r0) * n..(i - r0 + 1) * n];
-        let sai = _mm512_set1_ps(sa[i]);
-        for g in 0..groups {
-            let wp = packed.as_ptr().add(g * 16 * kp);
-            let mut acc = [_mm512_setzero_si512(); 4];
-            let mut s = 0;
-            while s < steps {
-                for (u, c) in acc.iter_mut().enumerate() {
-                    let av =
-                        _mm512_set1_epi32((up.add((s + u) * 4) as *const i32).read_unaligned());
-                    let bv = _mm512_loadu_si512(wp.add((s + u) * 64) as *const __m512i);
-                    *c = _mm512_dpbusd_epi32(*c, av, bv);
-                }
-                s += 4;
-            }
-            let sum = _mm512_add_epi32(
-                _mm512_add_epi32(acc[0], acc[1]),
-                _mm512_add_epi32(acc[2], acc[3]),
-            );
-            let sum = _mm512_sub_epi32(
-                sum,
-                _mm512_loadu_si512(corr.as_ptr().add(g * 16) as *const __m512i),
-            );
-            let scale = _mm512_mul_ps(sai, _mm512_loadu_ps(sb.as_ptr().add(g * 16)));
-            let mut v = _mm512_mul_ps(_mm512_cvtepi32_ps(sum), scale);
-            if let Some(bias) = bias {
-                v = _mm512_add_ps(v, _mm512_loadu_ps(bias.as_ptr().add(g * 16)));
-            }
-            _mm512_storeu_ps(o_row.as_mut_ptr().add(g * 16), v);
-        }
-    }
-}
-
 /// Copies the first `nr` accumulator lanes of one tile row into C,
 /// adding the bias once after the full contraction (as every other
 /// kernel does). Padded lanes beyond `nr` are dropped.

@@ -524,47 +524,3 @@ fn attn_backward_is_thread_invariant_at_the_active_mode() {
         set_num_threads(1);
     });
 }
-
-#[test]
-fn int8_gemm_is_bitwise_identical_across_modes_and_threads() {
-    check(48, |g| {
-        let (a, bt) = gemm_inputs(g);
-        use apan_tensor::backend::quant::{gemm_i8_with, padded, quantize_rows_i8};
-        // bt rows act as output channels (Wᵀ layout).
-        let (m, k) = a.shape();
-        let bt = bt.transpose(); // [n×k]
-        let n = bt.rows();
-        let (qa, sa) = quantize_rows_i8(a.data(), m, k);
-        let (qb, sb) = quantize_rows_i8(bt.data(), n, k);
-        let kp = padded(k);
-        let mut want = vec![0.0f32; m * n];
-        set_num_threads(1);
-        gemm_i8_with(
-            SimdMode::Scalar,
-            &qa,
-            &sa,
-            &qb,
-            &sb,
-            None,
-            m,
-            n,
-            kp,
-            &mut want,
-        );
-        for mode in [SimdMode::Scalar, SimdMode::Avx2Fma] {
-            for threads in [1usize, 2, 8] {
-                set_num_threads(threads);
-                let mut got = vec![0.0f32; m * n];
-                gemm_i8_with(mode, &qa, &sa, &qb, &sb, None, m, n, kp, &mut got);
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "int8 gemm diverged in {:?}, {} threads",
-                    mode,
-                    threads
-                );
-            }
-        }
-        set_num_threads(1);
-    });
-}

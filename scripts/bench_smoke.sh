@@ -14,8 +14,8 @@
 # BENCH_tensor.baseline.json): the set of (kernel, shape, threads) rows
 # must match — a kernel or shape silently dropping out of the report is
 # a failure. Timings and speedups are printed for eyeballing but never
-# compared (they are machine- and thermal-dependent); the SIMD/quant
-# flags are only warned about, since the baseline was recorded on an
+# compared (they are machine- and thermal-dependent); the SIMD flag is
+# only warned about, since the baseline was recorded on an
 # AVX-512 machine and the smoke run may not be.
 #
 # Usage: scripts/bench_smoke.sh [extra cargo-test args]
@@ -67,10 +67,9 @@ for row in base:
     base_by.setdefault(key(row), row)
 for row in fresh:
     b = base_by[key(row)]
-    for flag in ("simd_active", "quant_active"):
-        if row[flag] != b[flag]:
-            print(f"bench_smoke: warn: {key(row)} {flag} = "
-                  f"{row[flag]} (baseline {b[flag]}; machine-dependent)")
+    if row["simd_active"] != b["simd_active"]:
+        print(f"bench_smoke: warn: {key(row)} simd_active = "
+              f"{row['simd_active']} (baseline {b['simd_active']}; machine-dependent)")
     ratio = row["ns_per_iter"] / b["ns_per_iter"] if b["ns_per_iter"] else 0.0
     print(f"bench_smoke: {row['kernel']:>14} {row['shape']:>18} "
           f"{row['ns_per_iter']:>12.0f} ns/iter ({ratio:.2f}x baseline)")
